@@ -11,7 +11,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .checkers import ORDERING_CONFIGS, Violation, run_all
+from .checkers import (ORDERING_CONFIGS, Category, CheckContext, Violation,
+                       run_checks)
 from .discovery import discover_sources
 from .lexer import JavaSyntaxError
 from .lexicon import Lexicon
@@ -19,8 +20,8 @@ from .model import SourceFileModel
 from .parser import parse_compilation_unit
 from .project_index import ProjectIndex, build_project_index
 from .scoring import (DEFAULT_ADHERENCE_THRESHOLD, AdherenceVerdict,
-                      CategoryScore, ConstructCounts, classify_adherence,
-                      count_constructs, normalize, total_normalized)
+                      CategoryScore, classify_adherence, normalize,
+                      total_normalized)
 
 DEFAULT_ORDERING_ID = 2
 
@@ -38,7 +39,7 @@ class AnalysisResult:
     models: list[SourceFileModel]
     index: ProjectIndex
     violations: list[Violation]
-    counts: ConstructCounts
+    counts: dict[Category, int]
     scores: list[CategoryScore]
     total_normalized: float
     verdict: AdherenceVerdict
@@ -89,8 +90,8 @@ def analyze_repository(root: str,
 
     index = build_project_index(models)
     diagnostics.extend(index.diagnostics)
-    violations = run_all(models, index, lexicon, ordering)
-    counts = count_constructs(models, index)
+    violations, counts = run_checks(
+        models, CheckContext(index, lexicon, ordering))
     scores = normalize(violations, counts)
     total = total_normalized(scores)
     verdict = classify_adherence(scores, config.threshold)

@@ -1,9 +1,11 @@
 """Violation checks over parsed source models.
 
-Sixteen table categories plus the member-ordering check. Every check is
-a pure function from facts to a list of Violations; anything requiring
-cross-file knowledge consults the project index and skips when
-resolution would depend on types outside the project.
+Sixteen table categories plus the member-ordering check, registered in
+one CHECKS table. Every check is a pure function from one file's facts
+to its violations and the number of constructs it inspected, which is
+the category's normalization denominator. Anything requiring cross-file
+knowledge consults the project index and skips when resolution would
+depend on types outside the project.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import posixpath
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .lexer import KEYWORDS
 from .lexicon import NOUN, VERB, Lexicon, matches_casing, split_identifier
@@ -40,39 +44,6 @@ class Category(enum.Enum):
     MISSING_OVERRIDE = "MissingOverride"
     ORDERING = "Ordering"
 
-    @property
-    def group(self) -> str:
-        if self in CODE_STYLE_CATEGORIES:
-            return "code_style"
-        if self in PRACTICE_CATEGORIES:
-            return "practice"
-        return "layout"
-
-
-CODE_STYLE_CATEGORIES = (
-    Category.CLASS_NAMES,
-    Category.METHOD_NAMES,
-    Category.VARIABLE_NAMES,
-    Category.PACKAGE_NAMES,
-    Category.JAVADOC_CLASS,
-    Category.JAVADOC_METHOD,
-    Category.JAVADOC_CONSTRUCTOR,
-    Category.JAVADOC_FIELD,
-    Category.JAVADOC_FORMATTING,
-)
-
-PRACTICE_CATEGORIES = (
-    Category.PRIVATE_INSTANCES,
-    Category.USELESS,
-    Category.STRING_CONCATENATION,
-    Category.FINALIZE_OVERRIDE,
-    Category.UNQUALIFIED_STATIC_ACCESS,
-    Category.EMPTY_CATCH_BLOCK,
-    Category.MISSING_OVERRIDE,
-)
-
-# The sixteen categories that participate in scoring and verdicts.
-TABLE_CATEGORIES = CODE_STYLE_CATEGORIES + PRACTICE_CATEGORIES
 
 METHOD_NAME_ALLOWLIST = frozenset(
     {"get", "set", "is", "has", "can", "to", "of", "from", "new", "with"}
@@ -133,6 +104,21 @@ _MEMBER_GROUP = {
 }
 
 
+@dataclass(frozen=True)
+class CheckContext:
+    """What a check may consult besides the file it inspects."""
+
+    index: ProjectIndex
+    lexicon: Lexicon
+    ordering: OrderingConfig
+
+
+# One check over one file: its violations and the number of constructs
+# it inspected, the category's normalization denominator.
+CheckResult = tuple[list[Violation], int]
+Check = Callable[[SourceFileModel, CheckContext], CheckResult]
+
+
 def _methods(t: TypeFact) -> list[MemberFact]:
     return t.members_of_kind("instanceMethod", "staticMethod")
 
@@ -141,29 +127,31 @@ def _methods(t: TypeFact) -> list[MemberFact]:
 # naming
 
 
-def check_class_names(model: SourceFileModel, lexicon: Lexicon) -> list[Violation]:
-    out = []
+def check_class_names(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
+    out, inspected = [], 0
     for t in model.all_types():
         if t.kind not in ("class", "enum"):
             continue
+        inspected += 1
         if not matches_casing(t.name, "upperCamel"):
             out.append(Violation(
                 Category.CLASS_NAMES, model.path, t.line,
                 "type name is not UpperCamelCase", t.name))
             continue
         last = split_identifier(t.name).words[-1]
-        cats = lexicon.categories_with_fallback(last)
+        cats = ctx.lexicon.categories_with_fallback(last)
         if cats and NOUN not in cats:
             out.append(Violation(
                 Category.CLASS_NAMES, model.path, t.line,
                 "type name does not end in a noun", t.name))
-    return out
+    return out, inspected
 
 
-def check_method_names(model: SourceFileModel, lexicon: Lexicon) -> list[Violation]:
-    out = []
+def check_method_names(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
+    out, inspected = [], 0
     for t in model.all_types():
         for m in _methods(t):
+            inspected += 1
             if not matches_casing(m.name, "lowerCamel"):
                 out.append(Violation(
                     Category.METHOD_NAMES, model.path, m.line,
@@ -172,16 +160,17 @@ def check_method_names(model: SourceFileModel, lexicon: Lexicon) -> list[Violati
             first = split_identifier(m.name).words[0]
             if first in METHOD_NAME_ALLOWLIST:
                 continue
-            cats = lexicon.categories_with_fallback(first)
+            cats = ctx.lexicon.categories_with_fallback(first)
             if cats and VERB not in cats:
                 out.append(Violation(
                     Category.METHOD_NAMES, model.path, m.line,
                     "method name does not start with a verb", m.name))
-    return out
+    return out, inspected
 
 
-def check_variable_names(model: SourceFileModel) -> list[Violation]:
-    out = []
+def check_variable_names(model: SourceFileModel,
+                         ctx: CheckContext) -> CheckResult:
+    out, inspected = [], 0
 
     def bad(line: int, name: str, what: str, convention: str):
         out.append(Violation(
@@ -191,52 +180,50 @@ def check_variable_names(model: SourceFileModel) -> list[Violation]:
     for t in model.all_types():
         for m in t.members:
             if m.kind in ("instanceField", "staticField"):
+                inspected += 1
                 if m.is_static_final:
                     if not matches_casing(m.name, "constant"):
                         bad(m.line, m.name, "constant", "UPPER_SNAKE_CASE")
                 elif not matches_casing(m.name, "lowerCamel"):
                     bad(m.line, m.name, "field", "lowerCamelCase")
+            inspected += len(m.params)
             for p in m.params:
                 if not matches_casing(p.name, "lowerCamel"):
                     bad(m.line, p.name, "parameter", "lowerCamelCase")
             if m.body is not None:
+                inspected += len(m.body.local_vars)
                 for lv in m.body.local_vars:
                     if not matches_casing(lv.name, "lowerCamel"):
                         bad(lv.line, lv.name, "local variable", "lowerCamelCase")
-    return out
+    return out, inspected
 
 
-def has_package_context(model: SourceFileModel) -> bool:
-    return model.package is not None or posixpath.dirname(model.path) != ""
-
-
-def check_package_names(model: SourceFileModel) -> list[Violation]:
-    out = []
-    line = model.package_line or 1
+def check_package_names(model: SourceFileModel,
+                        ctx: CheckContext) -> CheckResult:
     directory = posixpath.dirname(model.path)
+    expected = (model.package or "").replace(".", "/")
     if model.package is None:
-        if directory:
-            out.append(Violation(
-                Category.PACKAGE_NAMES, model.path, line,
-                "file in a package directory has no package declaration"))
-        return out
-    if not _PACKAGE_RE.match(model.package):
-        out.append(Violation(
-            Category.PACKAGE_NAMES, model.path, line,
-            "package name is not all-lowercase dotted words", model.package))
-        return out
-    expected = model.package.replace(".", "/")
-    if directory != expected and not directory.endswith("/" + expected):
-        out.append(Violation(
-            Category.PACKAGE_NAMES, model.path, line,
-            "package does not match the directory path", model.package))
-    return out
+        if not directory:
+            return [], 0  # default package at the root: nothing to name
+        message = "file in a package directory has no package declaration"
+    elif not _PACKAGE_RE.match(model.package):
+        message = "package name is not all-lowercase dotted words"
+    elif directory != expected and not directory.endswith("/" + expected):
+        message = "package does not match the directory path"
+    else:
+        return [], 1
+    return [Violation(Category.PACKAGE_NAMES, model.path,
+                      model.package_line or 1, message, model.package)], 1
 
 
 # ---------------------------------------------------------------------------
 # javadoc
 
 _JAVADOC_MIN_WORDS = 10
+
+# A comment can trip each formatting sub-check once; the two @return
+# rules exclude each other, so at most five fire and six is a cap.
+JAVADOC_FORMATTING_MAX_PER_COMMENT = 6
 
 _PRESENCE = {
     "class": (Category.JAVADOC_CLASS, "public type"),
@@ -263,10 +250,12 @@ def _public_declarations(model: SourceFileModel, kind: str):
                 yield m.line, m.name, m.javadoc
 
 
-def check_javadoc_presence(model: SourceFileModel, kind: str) -> list[Violation]:
+def check_javadoc_presence(model: SourceFileModel, ctx: CheckContext,
+                           kind: str) -> CheckResult:
     category, label = _PRESENCE[kind]
-    out = []
+    out, inspected = [], 0
     for line, name, doc in _public_declarations(model, kind):
+        inspected += 1
         if kind == "field":
             ok = doc is not None
             why = "lacks a documentation comment"
@@ -277,16 +266,18 @@ def check_javadoc_presence(model: SourceFileModel, kind: str) -> list[Violation]
         if not ok:
             out.append(Violation(category, model.path, line,
                                  f"{label} {why}", name))
-    return out
+    return out, inspected
 
 
-def check_javadoc_formatting(model: SourceFileModel) -> list[Violation]:
-    out = []
+def check_javadoc_formatting(model: SourceFileModel,
+                             ctx: CheckContext) -> CheckResult:
+    out, inspected = [], 0
     for t in model.all_types():
         for m in _methods(t):
             doc = m.javadoc
             if doc is None:
                 continue
+            inspected += 1
             hits: list[str] = []
             param_names = {p.name for p in m.params}
             tag_params = [tag.arg_name for tag in doc.tags
@@ -311,11 +302,11 @@ def check_javadoc_formatting(model: SourceFileModel) -> list[Violation]:
             if any(tag.description_word_count == 0 for tag in doc.tags):
                 hits.append("a tag has an empty description")
 
-            for msg in hits[:6]:
+            for msg in hits[:JAVADOC_FORMATTING_MAX_PER_COMMENT]:
                 out.append(Violation(
                     Category.JAVADOC_FORMATTING, model.path, doc.line,
                     msg, m.name))
-    return out
+    return out, inspected
 
 
 # ---------------------------------------------------------------------------
@@ -323,26 +314,30 @@ def check_javadoc_formatting(model: SourceFileModel) -> list[Violation]:
 
 
 def check_missing_override(model: SourceFileModel,
-                           index: ProjectIndex) -> list[Violation]:
-    out = []
+                           ctx: CheckContext) -> CheckResult:
+    """Inspects every overriding instance method, annotated or not."""
+    out, inspected = [], 0
     for t in model.all_types():
         for m in t.members_of_kind("instanceMethod"):
-            if "Override" in m.annotations:
+            r = resolve_override(m, t, ctx.index)
+            if not r.overrides:
                 continue
-            r = resolve_override(m, t, index)
-            if r.overrides and r.parent_resolved and not r.parent_deprecated:
+            inspected += 1
+            if ("Override" not in m.annotations and r.parent_resolved
+                    and not r.parent_deprecated):
                 out.append(Violation(
                     Category.MISSING_OVERRIDE, model.path, m.line,
                     "overriding method lacks @Override", m.name))
-    return out
+    return out, inspected
 
 
-def check_empty_catch(model: SourceFileModel) -> list[Violation]:
-    out = []
+def check_empty_catch(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
+    out, inspected = [], 0
     for t in model.all_types():
         for m in t.members:
             if m.body is None:
                 continue
+            inspected += len(m.body.catches)
             for c in m.body.catches:
                 if not c.body_empty or c.has_comment:
                     continue
@@ -352,56 +347,67 @@ def check_empty_catch(model: SourceFileModel) -> list[Violation]:
                     Category.EMPTY_CATCH_BLOCK, model.path, c.line,
                     "empty catch block without an explanatory comment",
                     c.exception_var))
-    return out
+    return out, inspected
 
 
 def check_unqualified_static(model: SourceFileModel,
-                             index: ProjectIndex) -> list[Violation]:
-    out = []
+                             ctx: CheckContext) -> CheckResult:
+    """Inspects every access that resolves to a project type's member."""
+    out, inspected = [], 0
     for t in model.all_types():
         for m in t.members:
             if m.body is None:
                 continue
             for a in m.body.accesses:
-                r = resolve_static_access(a, t, index)
-                if r.resolved and r.is_static_member and not r.qualified_correctly:
+                r = resolve_static_access(a, t, ctx.index)
+                if not r.resolved:
+                    continue
+                inspected += 1
+                if r.is_static_member and not r.qualified_correctly:
                     out.append(Violation(
                         Category.UNQUALIFIED_STATIC_ACCESS, model.path, a.line,
                         "static member accessed through an instance expression",
                         a.member_name))
-    return out
+    return out, inspected
 
 
-def check_finalize_override(model: SourceFileModel) -> list[Violation]:
-    out = []
+def check_finalize_override(model: SourceFileModel,
+                            ctx: CheckContext) -> CheckResult:
+    out, inspected = [], 0
     for t in model.all_types():
+        inspected += 1
         for m in _methods(t):
             if m.name == "finalize" and not m.params and m.return_type == "void":
                 out.append(Violation(
                     Category.FINALIZE_OVERRIDE, model.path, m.line,
                     "finalize() override", t.name))
-    return out
+    return out, inspected
 
 
-def check_private_instances(model: SourceFileModel) -> list[Violation]:
-    out = []
+def check_private_instances(model: SourceFileModel,
+                            ctx: CheckContext) -> CheckResult:
+    out, inspected = [], 0
     for t in model.all_types():
         for m in t.members_of_kind("instanceField"):
+            inspected += 1
             if m.visibility in ("public", "package"):
                 out.append(Violation(
                     Category.PRIVATE_INSTANCES, model.path, m.line,
                     "instance field is not private or protected", m.name))
-    return out
+    return out, inspected
 
 
-def check_string_concatenation(model: SourceFileModel) -> list[Violation]:
-    out = []
+def check_string_concatenation(model: SourceFileModel,
+                               ctx: CheckContext) -> CheckResult:
+    """Inspects every loop, whether or not it concatenates."""
+    out, inspected = [], 0
     for t in model.all_types():
         field_types = {m.name: m.return_type for m in t.members
                        if m.kind in ("instanceField", "staticField")}
         for m in t.members:
             if m.body is None:
                 continue
+            inspected += len(m.body.loops)
             local_types = {lv.name: lv.type_name for lv in m.body.local_vars}
             param_types = {p.name: p.type_name for p in m.params}
             for site in m.body.concat_sites:
@@ -413,7 +419,7 @@ def check_string_concatenation(model: SourceFileModel) -> list[Violation]:
                         Category.STRING_CONCATENATION, model.path, site.line,
                         "string built by concatenation inside a loop",
                         site.target))
-    return out
+    return out, inspected
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +456,10 @@ def looks_like_code(comment_line: str) -> bool:
     return False
 
 
-def check_useless(model: SourceFileModel, index: ProjectIndex) -> list[Violation]:
+def check_useless(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
+    """Inspects every non-blank line of the file."""
     out = []
+    index = ctx.index
 
     for imp in model.imports:
         if not imp.used:
@@ -509,52 +517,80 @@ def check_useless(model: SourceFileModel, index: ProjectIndex) -> list[Violation
                 out.append(Violation(
                     Category.USELESS, model.path, comment.line + offset,
                     "commented-out code"))
-    return out
+    return out, model.line_count
 
 
 # ---------------------------------------------------------------------------
 # ordering
 
 
-def check_ordering(model: SourceFileModel,
-                   cfg: OrderingConfig) -> list[Violation]:
-    out = []
+def check_ordering(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
+    out, inspected = [], 0
     for t in model.all_types():
         max_rank = -1
         for m in t.members:
-            rank = cfg.rank(_MEMBER_GROUP[m.kind])
+            inspected += 1
+            rank = ctx.ordering.rank(_MEMBER_GROUP[m.kind])
             if rank < max_rank:
                 out.append(Violation(
                     Category.ORDERING, model.path, m.line,
                     f"{_MEMBER_GROUP[m.kind]} member after a later group",
                     m.name))
             max_rank = max(max_rank, rank)
-    return out
+    return out, inspected
 
 
 # ---------------------------------------------------------------------------
-# driver
+# registry
+
+CODE_STYLE, PRACTICE, LAYOUT = "code_style", "practice", "layout"
+
+# Every category with its group and its check, in Category order, which
+# fixes the order of the derived tuples below and of verdict keys.
+CHECKS: tuple[tuple[Category, str, Check], ...] = (
+    (Category.CLASS_NAMES, CODE_STYLE, check_class_names),
+    (Category.METHOD_NAMES, CODE_STYLE, check_method_names),
+    (Category.VARIABLE_NAMES, CODE_STYLE, check_variable_names),
+    (Category.PACKAGE_NAMES, CODE_STYLE, check_package_names),
+    (Category.JAVADOC_CLASS, CODE_STYLE,
+     partial(check_javadoc_presence, kind="class")),
+    (Category.JAVADOC_METHOD, CODE_STYLE,
+     partial(check_javadoc_presence, kind="method")),
+    (Category.JAVADOC_CONSTRUCTOR, CODE_STYLE,
+     partial(check_javadoc_presence, kind="constructor")),
+    (Category.JAVADOC_FIELD, CODE_STYLE,
+     partial(check_javadoc_presence, kind="field")),
+    (Category.JAVADOC_FORMATTING, CODE_STYLE, check_javadoc_formatting),
+    (Category.PRIVATE_INSTANCES, PRACTICE, check_private_instances),
+    (Category.USELESS, PRACTICE, check_useless),
+    (Category.STRING_CONCATENATION, PRACTICE, check_string_concatenation),
+    (Category.FINALIZE_OVERRIDE, PRACTICE, check_finalize_override),
+    (Category.UNQUALIFIED_STATIC_ACCESS, PRACTICE, check_unqualified_static),
+    (Category.EMPTY_CATCH_BLOCK, PRACTICE, check_empty_catch),
+    (Category.MISSING_OVERRIDE, PRACTICE, check_missing_override),
+    (Category.ORDERING, LAYOUT, check_ordering),
+)
+
+CODE_STYLE_CATEGORIES = tuple(c for c, group, _ in CHECKS if group == CODE_STYLE)
+PRACTICE_CATEGORIES = tuple(c for c, group, _ in CHECKS if group == PRACTICE)
+
+# The sixteen categories that participate in scoring and verdicts.
+TABLE_CATEGORIES = CODE_STYLE_CATEGORIES + PRACTICE_CATEGORIES
 
 
-def run_all(models: list[SourceFileModel], index: ProjectIndex,
-            lexicon: Lexicon, cfg: OrderingConfig) -> list[Violation]:
-    """Run every check over every model; deterministic order."""
-    out: list[Violation] = []
+def run_checks(models: list[SourceFileModel], ctx: CheckContext,
+               ) -> tuple[list[Violation], dict[Category, int]]:
+    """Run every registered check over every model.
+
+    Returns the violations in deterministic order and, per category,
+    the number of constructs its check inspected.
+    """
+    violations: list[Violation] = []
+    counts = {category: 0 for category in Category}
     for model in models:
-        out.extend(check_class_names(model, lexicon))
-        out.extend(check_method_names(model, lexicon))
-        out.extend(check_variable_names(model))
-        out.extend(check_package_names(model))
-        for kind in ("class", "method", "constructor", "field"):
-            out.extend(check_javadoc_presence(model, kind))
-        out.extend(check_javadoc_formatting(model))
-        out.extend(check_missing_override(model, index))
-        out.extend(check_empty_catch(model))
-        out.extend(check_unqualified_static(model, index))
-        out.extend(check_finalize_override(model))
-        out.extend(check_private_instances(model))
-        out.extend(check_string_concatenation(model))
-        out.extend(check_useless(model, index))
-        out.extend(check_ordering(model, cfg))
-    out.sort(key=Violation.sort_key)
-    return out
+        for category, _, check in CHECKS:
+            found, inspected = check(model, ctx)
+            violations.extend(found)
+            counts[category] += inspected
+    violations.sort(key=Violation.sort_key)
+    return violations, counts

@@ -58,8 +58,8 @@ def _git(repo_path: str, *args: str) -> str:
 
 
 def list_commits(repo_path: str) -> list[CommitRecord]:
-    """First-parent history of HEAD, oldest first, committer time in UTC."""
-    out = _git(repo_path, "log", "--first-parent", "--format=%H %cI")
+    """First-parent history of HEAD, oldest first, author time in UTC."""
+    out = _git(repo_path, "log", "--first-parent", "--format=%H %aI")
     records = []
     for line in out.splitlines():
         line = line.strip()
@@ -119,17 +119,6 @@ def check_eligibility(commits: list[CommitRecord], as_of: datetime,
     if silent:
         reasons.append("activity gap: no commits in " + ", ".join(silent))
     return EligibilityResult(not reasons, reasons)
-
-
-def is_eligible(repo_path: str, as_of: datetime | None = None,
-                min_age_months: int = DEFAULT_MIN_AGE_MONTHS,
-                window: int = DEFAULT_WINDOW_MONTHS) -> EligibilityResult:
-    as_of = as_of or datetime.now(timezone.utc)
-    try:
-        commits = list_commits(repo_path)
-    except HistoryError as exc:
-        return EligibilityResult(False, [f"no commit history ({exc})"])
-    return check_eligibility(commits, as_of, min_age_months, window)
 
 
 def select_monthly_commit(commits_in_month: list[CommitRecord]) -> CommitRecord:

@@ -168,11 +168,6 @@ def split_identifier(name: str) -> IdentifierWords:
     return IdentifierWords(raw=name, words=words, casing_valid=valid)
 
 
-def classify_word(word: str, lexicon: Lexicon) -> frozenset[str]:
-    """Exact part-of-speech lookup; unknown word -> empty set."""
-    return lexicon.categories(word)
-
-
 def matches_casing(name: str, convention: str) -> bool:
     """Test a name against one of the three casing conventions."""
     if convention not in _CASING_RE:

@@ -942,7 +942,10 @@ class _Parser:
 
     def _matching_close(self, i: int) -> int:
         open_val = self.tokens[i].value
-        close_val = {"(": ")", "[": "]", "{": "}"}[open_val]
+        close_val = {"(": ")", "[": "]", "{": "}"}.get(open_val)
+        if close_val is None:
+            raise JavaSyntaxError(f"expected a bracket, found {open_val!r}",
+                                  self.tokens[i].line, self.tokens[i].col)
         depth = 1
         j = i + 1
         while j < len(self.tokens):

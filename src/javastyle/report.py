@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .checkers import Category, Violation
 from .claims import ClaimResult
-from .scoring import (AdherenceVerdict, CategoryScore, ConstructCounts,
-                      CorpusStats)
+from .scoring import AdherenceVerdict, CategoryScore, CorpusStats
 
 TOOL_NAME = "javastyle"
 MARKDOWN_VIOLATION_LIMIT = 50
@@ -26,7 +25,7 @@ MARKDOWN_VIOLATION_LIMIT = 50
 class Report:
     repo_path: str
     config_digest: str
-    counts: ConstructCounts
+    counts: dict[Category, int]
     scores: list[CategoryScore]
     total_normalized: float
     verdict: AdherenceVerdict
@@ -79,7 +78,7 @@ def report_to_dict(report: Report) -> dict:
         "tool": {"name": TOOL_NAME, "version": report.tool_version},
         "repo": report.repo_path,
         "configDigest": report.config_digest,
-        "counts": {c.value: report.counts.for_category(c) for c in Category},
+        "counts": {c.value: report.counts.get(c, 0) for c in Category},
         "scores": [_score_row(s) for s in report.scores],
         "totalNormalized": _f4(report.total_normalized),
         "verdict": {

@@ -12,28 +12,13 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .checkers import (CODE_STYLE_CATEGORIES, PRACTICE_CATEGORIES,
-                       TABLE_CATEGORIES, Category, Violation,
-                       has_package_context)
-from .model import SourceFileModel
-from .project_index import (ProjectIndex, resolve_override,
-                            resolve_static_access)
+                       TABLE_CATEGORIES, Category, Violation)
 
 DEFAULT_THRESHOLDS = (0.25, 0.20, 0.15, 0.10, 0.05, 0.04, 0.03, 0.02, 0.01, 0.0)
 DEFAULT_ADHERENCE_THRESHOLD = 0.05
-JAVADOC_FORMATTING_MAX_PER_COMMENT = 6
-
-
-@dataclass
-class ConstructCounts:
-    """Per-category denominators for one repository."""
-
-    by_category: dict[Category, int] = field(default_factory=dict)
-
-    def for_category(self, category: Category) -> int:
-        return self.by_category.get(category, 0)
 
 
 @dataclass
@@ -74,55 +59,13 @@ class SampleResult:
     diagnostics: list[str]
 
 
-def count_constructs(models: list[SourceFileModel],
-                     index: ProjectIndex) -> ConstructCounts:
-    """Tally how many constructs each category could have flagged."""
-    c = {cat: 0 for cat in Category}
-
-    for model in models:
-        if has_package_context(model):
-            c[Category.PACKAGE_NAMES] += 1
-        c[Category.USELESS] += model.line_count
-        for t in model.all_types():
-            c[Category.FINALIZE_OVERRIDE] += 1
-            if t.kind in ("class", "enum"):
-                c[Category.CLASS_NAMES] += 1
-                if t.visibility == "public":
-                    c[Category.JAVADOC_CLASS] += 1
-            for m in t.members:
-                c[Category.ORDERING] += 1
-                c[Category.VARIABLE_NAMES] += len(m.params)
-                if m.kind in ("instanceMethod", "staticMethod"):
-                    c[Category.METHOD_NAMES] += 1
-                    if m.visibility == "public":
-                        c[Category.JAVADOC_METHOD] += 1
-                    if m.javadoc is not None:
-                        c[Category.JAVADOC_FORMATTING] += 1
-                    if m.kind == "instanceMethod":
-                        if resolve_override(m, t, index).overrides:
-                            c[Category.MISSING_OVERRIDE] += 1
-                elif m.kind == "constructor":
-                    if m.visibility == "public":
-                        c[Category.JAVADOC_CONSTRUCTOR] += 1
-                elif m.kind in ("instanceField", "staticField"):
-                    c[Category.VARIABLE_NAMES] += 1
-                    if m.visibility == "public":
-                        c[Category.JAVADOC_FIELD] += 1
-                    if m.kind == "instanceField":
-                        c[Category.PRIVATE_INSTANCES] += 1
-                if m.body is not None:
-                    c[Category.VARIABLE_NAMES] += len(m.body.local_vars)
-                    c[Category.EMPTY_CATCH_BLOCK] += len(m.body.catches)
-                    c[Category.STRING_CONCATENATION] += len(m.body.loops)
-                    for a in m.body.accesses:
-                        if resolve_static_access(a, t, index).resolved:
-                            c[Category.UNQUALIFIED_STATIC_ACCESS] += 1
-    return ConstructCounts(by_category=c)
-
-
 def normalize(violations: list[Violation],
-              counts: ConstructCounts) -> list[CategoryScore]:
-    """Per-category scores; order follows the Category enumeration."""
+              counts: dict[Category, int]) -> list[CategoryScore]:
+    """Per-category scores; order follows the Category enumeration.
+
+    `counts` holds each category's denominator, the constructs its
+    check inspected; a missing category counts as zero.
+    """
     absolutes = {cat: 0 for cat in Category}
     for v in violations:
         absolutes[v.category] += 1
@@ -130,7 +73,7 @@ def normalize(violations: list[Violation],
     scores = []
     for cat in Category:
         absolute = absolutes[cat]
-        denominator = counts.for_category(cat)
+        denominator = counts.get(cat, 0)
         if denominator > 0:
             value, undefined = absolute / denominator, False
         else:

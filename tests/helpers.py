@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from javastyle.checkers import ORDERING_CONFIGS, Category, Violation, run_all
+from javastyle.checkers import (ORDERING_CONFIGS, Category, CheckContext,
+                                Violation, run_checks)
 from javastyle.parser import parse_compilation_unit
 from javastyle.project_index import build_project_index
 
@@ -13,12 +14,27 @@ def parse_source(text: str, path: str = DEMO_PATH):
     return parse_compilation_unit(text, path)
 
 
-def analyze_files(files: dict[str, str], lexicon, ordering_id: int = 2):
-    """Parse and check an in-memory file set; returns all violations."""
+def check_files(files: dict[str, str], lexicon, ordering_id: int = 2):
+    """Parse and check an in-memory file set; returns (violations, counts)."""
     models = [parse_compilation_unit(text, path)
               for path, text in sorted(files.items())]
     index = build_project_index(models)
-    return run_all(models, index, lexicon, ORDERING_CONFIGS[ordering_id])
+    return run_checks(models, CheckContext(index, lexicon,
+                                           ORDERING_CONFIGS[ordering_id]))
+
+
+def analyze_files(files: dict[str, str], lexicon, ordering_id: int = 2):
+    """Parse and check an in-memory file set; returns all violations."""
+    return check_files(files, lexicon, ordering_id)[0]
+
+
+def run_check(check, model, *, index=None, lexicon=None, ordering=None):
+    """One check over one model; returns its violations.
+
+    Pass only what the check consults: the project index, the lexicon
+    or the ordering config.
+    """
+    return check(model, CheckContext(index, lexicon, ordering))[0]
 
 
 def of_category(violations: list[Violation],

@@ -15,19 +15,17 @@ from datetime import datetime, timezone
 import pytest
 
 from javastyle.analysis import analyze_repository
-from javastyle.checkers import (ORDERING_CONFIGS, Category,
+from javastyle.checkers import (JAVADOC_FORMATTING_MAX_PER_COMMENT,
+                                ORDERING_CONFIGS, Category, Violation,
                                 check_javadoc_formatting, check_ordering)
 from javastyle.claims import scan_claims
 from javastyle.history import evolve
 from javastyle.report import (Report, config_digest, emit_report)
-from javastyle.scoring import (JAVADOC_FORMATTING_MAX_PER_COMMENT,
-                               classify_adherence, normalize,
-                               count_constructs, stratified_sample,
-                               threshold_table)
-from javastyle.project_index import build_project_index
-from javastyle.checkers import Violation
+from javastyle.scoring import (classify_adherence, normalize,
+                               stratified_sample, threshold_table)
 
-from helpers import analyze_files, count_of, parse_source, write_tree
+from helpers import (analyze_files, check_files, count_of, parse_source,
+                     run_check, write_tree)
 from test_history import add_commit, make_repo
 from test_ordering import GROUP_OF, KINDS, render
 
@@ -220,11 +218,8 @@ def test_criterion_04_normalization(lexicon, announce):
     params = ", ".join(f"int good{i}" for i in range(95))
     src = (f"package p;\nclass Vars {{\n{bad_fields}\n"
            f"  void f({params}) {{}}\n}}\n")
-    model = parse_source(src, "p/Vars.java")
-    index = build_project_index([model])
-    violations = analyze_files({"p/Vars.java": src}, lexicon)
-    counts = count_constructs([model], index)
-    assert counts.for_category(Category.VARIABLE_NAMES) == 100
+    violations, counts = check_files({"p/Vars.java": src}, lexicon)
+    assert counts[Category.VARIABLE_NAMES] == 100
     scores = normalize(violations, counts)
     row = next(s for s in scores if s.category is Category.VARIABLE_NAMES)
     assert row.absolute == 5 and row.denominator == 100
@@ -235,10 +230,7 @@ def test_criterion_04_normalization(lexicon, announce):
         "    try { ping(); } catch (Exception e) {}" for _ in range(4))
     src = (f"package p;\nclass Sponge {{\n  void f() {{\n{catches}\n  }}\n"
            "  void ping() {}\n}\n")
-    model = parse_source(src, "p/Sponge.java")
-    index = build_project_index([model])
-    violations = analyze_files({"p/Sponge.java": src}, lexicon)
-    counts = count_constructs([model], index)
+    violations, counts = check_files({"p/Sponge.java": src}, lexicon)
     scores = normalize(violations, counts)
     row = next(s for s in scores if s.category is Category.EMPTY_CATCH_BLOCK)
     assert row.absolute == 4 and row.denominator == 4
@@ -251,14 +243,16 @@ def test_criterion_04_normalization(lexicon, announce):
     void_doc = (f"package p;\nclass Docs {{\n  /**\n   * {prose}\n"
                 "   * @param ghost\n   * @return nothing\n   */\n"
                 "  void f(int real) throws java.io.IOException {}\n}\n")
-    void_hits = check_javadoc_formatting(parse_source(void_doc, "p/D.java"))
+    void_hits = run_check(check_javadoc_formatting,
+                          parse_source(void_doc, "p/D.java"))
     assert len(void_hits) == 5
 
     value_doc = (f"package p;\nclass Docs {{\n  /**\n   * {prose}\n"
                  "   * @param ghost\n   */\n"
                  "  int f(int real) throws java.io.IOException { return 1; }"
                  "\n}\n")
-    value_hits = check_javadoc_formatting(parse_source(value_doc, "p/D.java"))
+    value_hits = run_check(check_javadoc_formatting,
+                           parse_source(value_doc, "p/D.java"))
     assert len(value_hits) == 5
 
     both_return_rules = {"non-void method lacks @return",
@@ -319,9 +313,9 @@ def test_criterion_06_ordering_configs(announce):
         kinds = [k for g in cfg.ranked_groups
                  for k in KINDS if GROUP_OF[k] == g]
         model = parse_source(render(kinds), "p/Box.java")
-        assert check_ordering(model, cfg) == []
+        assert run_check(check_ordering, model, ordering=cfg) == []
         assert any(
-            len(check_ordering(model, other)) > 0
+            len(run_check(check_ordering, model, ordering=other)) > 0
             for other_id, other in ORDERING_CONFIGS.items()
             if other_id != own_id)
 
@@ -337,7 +331,8 @@ def test_criterion_06_ordering_configs(announce):
     for kinds in sequences:
         model = parse_source(render(list(kinds)), "p/Box.java")
         for cfg in ORDERING_CONFIGS.values():
-            assert len(check_ordering(model, cfg)) == ordering_oracle(
+            assert len(run_check(check_ordering, model,
+                                 ordering=cfg)) == ordering_oracle(
                 kinds, cfg)
             checked += 1
     announce(6, f"rank-max scan matches the pairwise oracle on {checked} "

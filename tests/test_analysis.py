@@ -23,6 +23,20 @@ def test_syntax_error_skips_file_but_not_repo(tmp_path):
     assert result.diagnostics[0].startswith("skipped src/p/Broken.java:")
 
 
+@pytest.mark.parametrize("loop", ["for x;", "while x;"])
+def test_loop_header_without_parentheses_skips_file(tmp_path, loop):
+    write_tree(tmp_path, {
+        "src/p/Alpha.java": GOOD,
+        "src/p/A.java": f"class A {{ void f() {{ {loop} }} }}",
+    })
+    result = analyze_repository(str(tmp_path))
+    assert [m.path for m in result.models] == ["src/p/Alpha.java"]
+    assert len(result.diagnostics) == 1
+    assert result.diagnostics[0].startswith("skipped src/p/A.java:")
+    assert result.counts[Category.CLASS_NAMES] == 1
+    assert result.counts[Category.PRIVATE_INSTANCES] == 1
+
+
 def test_invalid_utf8_skipped_with_diagnostic(tmp_path):
     write_tree(tmp_path, {"src/p/Alpha.java": GOOD})
     raw = tmp_path / "src/p/Mangled.java"

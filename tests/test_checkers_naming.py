@@ -1,18 +1,21 @@
 """Naming and documentation checks with hand-derived expectations."""
 
+from functools import partial
+
 from javastyle.checkers import (Category, check_class_names,
                                 check_javadoc_formatting,
                                 check_javadoc_presence, check_method_names,
                                 check_package_names, check_variable_names)
 
-from helpers import parse_source
+from helpers import parse_source, run_check
 
 
 # --- class names ---------------------------------------------------------
 
 
 def classes(src, lexicon, path="src/main/java/demo/Demo.java"):
-    return check_class_names(parse_source(src, path), lexicon)
+    return run_check(check_class_names, parse_source(src, path),
+                     lexicon=lexicon)
 
 
 def test_class_name_bad_casing(lexicon):
@@ -53,7 +56,8 @@ def test_nested_class_checked(lexicon):
 
 
 def methods(src, lexicon):
-    return check_method_names(parse_source(src, "Demo.java"), lexicon)
+    return run_check(check_method_names, parse_source(src, "Demo.java"),
+                     lexicon=lexicon)
 
 
 def test_method_name_bad_casing(lexicon):
@@ -91,7 +95,7 @@ def test_constructor_not_method_checked(lexicon):
 
 
 def variables(src):
-    return check_variable_names(parse_source(src, "Demo.java"))
+    return run_check(check_variable_names, parse_source(src, "Demo.java"))
 
 
 def test_constant_field_conventions():
@@ -122,7 +126,7 @@ def test_compliant_variables():
 
 
 def packages(src, path):
-    return check_package_names(parse_source(src, path))
+    return run_check(check_package_names, parse_source(src, path))
 
 
 def test_package_matches_directory_suffix():
@@ -164,7 +168,8 @@ NINE_WORDS = "Summarizes the behavior in nine words for the reader"
 
 
 def presence(src, kind):
-    return check_javadoc_presence(parse_source(src, "Demo.java"), kind)
+    return run_check(partial(check_javadoc_presence, kind=kind),
+                     parse_source(src, "Demo.java"))
 
 
 def test_public_class_needs_ten_word_doc():
@@ -203,7 +208,8 @@ def test_public_field_needs_any_doc():
 
 
 def formatting(src):
-    return check_javadoc_formatting(parse_source(src, "Demo.java"))
+    return run_check(check_javadoc_formatting,
+                     parse_source(src, "Demo.java"))
 
 
 def doc_method(doc, signature):

@@ -9,14 +9,15 @@ from javastyle.checkers import (Category, check_empty_catch,
 from javastyle.lexicon import Lexicon
 from javastyle.project_index import build_project_index
 
-from helpers import analyze_files, count_of, of_category, parse_source
+from helpers import (analyze_files, count_of, of_category, parse_source,
+                     run_check)
 
 
 def single(src, checker, path="p/Demo.java"):
     model = parse_source(src, path)
     if checker is check_useless:
-        return checker(model, build_project_index([model]))
-    return checker(model)
+        return run_check(checker, model, index=build_project_index([model]))
+    return run_check(checker, model)
 
 
 # --- missing @Override ------------------------------------------------------
@@ -411,7 +412,7 @@ def test_documented_heuristic_false_positive():
     assert len(out) == 1
 
 
-# --- run_all sanity -----------------------------------------------------------
+# --- whole-table sanity ------------------------------------------------------
 
 
 def test_run_all_covers_every_category(lexicon):

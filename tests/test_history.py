@@ -239,6 +239,26 @@ def test_list_commits_normalizes_to_utc(tmp_path):
     assert commits[0].timestamp.tzinfo == UTC
 
 
+def test_evolve_dates_commits_by_author_not_committer(tmp_path):
+    # A commit authored in April but committed (say, rebased) in May
+    # belongs to April, as the README specifies.
+    repo = make_repo(tmp_path / "repo")
+    (repo / "a.txt").write_text("1", encoding="utf-8")
+    run_git(repo, "add", "-A")
+    run_git(repo, "commit", "-q", "-m", "rebased",
+            env_extra={"GIT_AUTHOR_DATE": at(2024, 4, 15).isoformat(),
+                       "GIT_COMMITTER_DATE": at(2024, 5, 20).isoformat()})
+    add_commit(repo, at(2024, 5, 10), {"a.txt": "2"})
+    assert [c.timestamp for c in list_commits(str(repo))] == [
+        at(2024, 4, 15), at(2024, 5, 10)]
+    samples = evolve(str(repo), lambda p: ([], 0.0),
+                     months=3, as_of=at(2024, 7, 1), force=True)
+    picked = {s.month_label: s.commit and s.commit.timestamp
+              for s in samples}
+    assert picked == {"2024-04": at(2024, 4, 15), "2024-05": at(2024, 5, 10),
+                      "2024-06": None}
+
+
 def counting_analyzer(calls):
     def analyze(path):
         calls.append(sorted(

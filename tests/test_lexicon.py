@@ -7,10 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from javastyle.lexicon import (ADJECTIVE, ADVERB, NOUN, VERB, Lexicon,
-                               LexiconError, classify_word, matches_casing,
-                               split_identifier)
+                               LexiconError, matches_casing, split_identifier)
 
-from helpers import parse_source
+from helpers import parse_source, run_check
 from javastyle.checkers import check_class_names
 
 
@@ -66,11 +65,6 @@ def test_bundled_file_is_well_formed(lexicon):
     assert len(lines) > 10000
     for ln in lines:
         assert entry.match(ln), ln
-
-
-def test_classify_word_matches_lexicon(lexicon):
-    assert classify_word("sorted", lexicon) == {ADJECTIVE, VERB}
-    assert classify_word("zzxqy", lexicon) == frozenset()
 
 
 # --- loader ------------------------------------------------------------------
@@ -225,7 +219,7 @@ def test_upper_and_lower_camel_disjoint(name):
 
 def class_name_violations(lex, name):
     model = parse_source(f"public class {name} {{}}", "Demo.java")
-    return check_class_names(model, lex)
+    return run_check(check_class_names, model, lexicon=lex)
 
 
 def test_category_growth_never_flips_compliant_to_violating(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from javastyle.checkers import ORDERING_CONFIGS, check_ordering
 
-from helpers import parse_source
+from helpers import parse_source, run_check
 
 KINDS = ("staticField", "staticMethod", "instanceField",
          "constructor", "instanceMethod", "innerType")
@@ -43,7 +43,8 @@ def render(kinds, class_name="Box"):
 
 def violations_for(kinds, ordering_id):
     model = parse_source(render(kinds), "p/Box.java")
-    return check_ordering(model, ORDERING_CONFIGS[ordering_id])
+    return run_check(check_ordering, model,
+                     ordering=ORDERING_CONFIGS[ordering_id])
 
 
 def oracle_count(kinds, ordering_id):
@@ -96,8 +97,8 @@ def test_each_offending_member_counted_once():
 def test_nested_types_checked_independently():
     src = ("class Outer {\nvoid m() {}\nint late;\n"
            "class Inner {\nvoid n() {}\nstatic int sf;\n}\n}")
-    out = check_ordering(parse_source(src, "p/Outer.java"),
-                         ORDERING_CONFIGS[2])
+    out = run_check(check_ordering, parse_source(src, "p/Outer.java"),
+                    ordering=ORDERING_CONFIGS[2])
     assert sorted(v.detail for v in out) == ["late", "sf"]
 
 

@@ -10,14 +10,13 @@ from javastyle.claims import ClaimEvidence, ClaimResult, MENTION_CODE_STYLE
 from javastyle.history import CommitRecord, EvolutionSample
 from javastyle.report import (Report, config_digest, emit_corpus_csv,
                               emit_report, evolution_rows, report_to_dict)
-from javastyle.scoring import (CategoryScore, ConstructCounts, CorpusStats,
-                               classify_adherence, normalize,
-                               threshold_table, total_normalized)
+from javastyle.scoring import (CategoryScore, CorpusStats, classify_adherence,
+                               normalize, threshold_table, total_normalized)
 
 
 def build_report(violations=(), claim=None, diagnostics=(), evolution=None):
     violations = list(violations)
-    counts = ConstructCounts(by_category={cat: 3 for cat in Category})
+    counts = {cat: 3 for cat in Category}
     scores = normalize(violations, counts)
     return Report(
         repo_path="/repos/demo",
@@ -145,7 +144,7 @@ def test_diagnostics_passed_through():
 def test_evolution_rows_shape():
     when = datetime.datetime(2024, 3, 14, 12, 0,
                              tzinfo=datetime.timezone.utc)
-    counts = ConstructCounts(by_category={cat: 1 for cat in Category})
+    counts = {cat: 1 for cat in Category}
     scores = normalize([], counts)
     ok = EvolutionSample("2024-03", CommitRecord("abc123", when), scores,
                          total_normalized(scores))

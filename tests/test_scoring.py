@@ -1,20 +1,23 @@
 """Normalization, aggregation, thresholds, verdicts, and sampling."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from javastyle.checkers import (CODE_STYLE_CATEGORIES, PRACTICE_CATEGORIES,
-                                TABLE_CATEGORIES, Category, Violation)
+from javastyle import checkers
+from javastyle.checkers import (CHECKS, CODE_STYLE_CATEGORIES,
+                                ORDERING_CONFIGS, PRACTICE_CATEGORIES,
+                                TABLE_CATEGORIES, Category, CheckContext,
+                                Violation, run_checks)
 from javastyle.project_index import build_project_index
 from javastyle.scoring import (CategoryScore, aggregate, classify_adherence,
-                               count_constructs, normalize,
-                               stratified_sample, threshold_table,
+                               normalize, stratified_sample, threshold_table,
                                total_normalized)
 
-from helpers import parse_source
+from helpers import check_files, count_of, parse_source
 
 
 def scores_with(values: dict[Category, float]) -> list[CategoryScore]:
@@ -54,10 +57,11 @@ public class Holder {
 """
 
 
-def test_construct_counts_hand_tallied():
+def test_construct_counts_hand_tallied(lexicon):
     model = parse_source(COUNT_FIXTURE, "p/Holder.java")
     index = build_project_index([model])
-    c = count_constructs([model], index).by_category
+    _, c = run_checks([model], CheckContext(index, lexicon,
+                                            ORDERING_CONFIGS[2]))
     assert c[Category.PACKAGE_NAMES] == 1
     assert c[Category.CLASS_NAMES] == 1
     assert c[Category.FINALIZE_OVERRIDE] == 1
@@ -77,6 +81,56 @@ def test_construct_counts_hand_tallied():
     assert c[Category.USELESS] == model.line_count
 
 
+def test_checks_register_every_category_once():
+    assert [cat for cat, _, _ in CHECKS] == list(Category)
+    groups = Counter(group for _, group, _ in CHECKS)
+    assert groups == {"code_style": 9, "practice": 7, "layout": 1}
+
+
+OVERRIDE_PARENT = """package p;
+public class Base {
+  public static int count() { return 0; }
+  public void go() {}
+  public void stop() {}
+}
+"""
+
+OVERRIDE_CHILD = """package p;
+public class Child extends Base {
+  private Base peer = new Base();
+  @Override public void go() {}
+  public void stop() { peer.count(); Base.count(); }
+}
+"""
+
+
+def test_each_resolver_runs_once_per_construct(lexicon, monkeypatch):
+    results = {"resolve_override": [], "resolve_static_access": []}
+    for name, seen in results.items():
+        def counting(*args, _real=getattr(checkers, name), _seen=seen):
+            _seen.append(_real(*args))
+            return _seen[-1]
+        monkeypatch.setattr(checkers, name, counting)
+
+    files = {"p/Holder.java": COUNT_FIXTURE, "p/Base.java": OVERRIDE_PARENT,
+             "p/Child.java": OVERRIDE_CHILD}
+    violations, counts = check_files(files, lexicon)
+
+    members = [m for path, text in files.items()
+               for t in parse_source(text, path).all_types()
+               for m in t.members]
+    instance_methods = [m for m in members if m.kind == "instanceMethod"]
+    accesses = [a for m in members if m.body is not None
+                for a in m.body.accesses]
+    assert len(results["resolve_override"]) == len(instance_methods) == 7
+    assert len(results["resolve_static_access"]) == len(accesses) > 0
+    # equals, go and stop override; the annotated go is inspected, not flagged
+    assert counts[Category.MISSING_OVERRIDE] == 3
+    assert count_of(violations, Category.MISSING_OVERRIDE) == 2
+    assert counts[Category.UNQUALIFIED_STATIC_ACCESS] == sum(
+        r.resolved for r in results["resolve_static_access"]) > 0
+
+
 def test_useless_denominator_skips_blank_lines():
     model = parse_source("class A {\n\n\n  int x;\n}\n", "p/A.java")
     assert model.line_count == 3
@@ -85,14 +139,9 @@ def test_useless_denominator_skips_blank_lines():
 # --- normalization ----------------------------------------------------------
 
 
-def counts_of(values: dict[Category, int]):
-    from javastyle.scoring import ConstructCounts
-    return ConstructCounts(by_category=values)
-
-
 def test_five_per_hundred():
     violations = [violation(Category.VARIABLE_NAMES) for _ in range(5)]
-    scores = normalize(violations, counts_of({Category.VARIABLE_NAMES: 100}))
+    scores = normalize(violations, {Category.VARIABLE_NAMES: 100})
     row = next(s for s in scores if s.category is Category.VARIABLE_NAMES)
     assert row.absolute == 5 and row.denominator == 100
     assert row.normalized == 0.05 and not row.undefined
@@ -100,27 +149,26 @@ def test_five_per_hundred():
 
 def test_every_catch_empty_scores_one():
     violations = [violation(Category.EMPTY_CATCH_BLOCK) for _ in range(7)]
-    scores = normalize(violations, counts_of({Category.EMPTY_CATCH_BLOCK: 7}))
+    scores = normalize(violations, {Category.EMPTY_CATCH_BLOCK: 7})
     row = next(s for s in scores if s.category is Category.EMPTY_CATCH_BLOCK)
     assert row.normalized == 1.0
 
 
 def test_zero_over_zero_is_clean_zero():
-    scores = normalize([], counts_of({}))
+    scores = normalize([], {})
     for s in scores:
         assert s.normalized == 0.0 and not s.undefined
 
 
 def test_hits_without_denominator_marked_undefined():
-    scores = normalize([violation(Category.METHOD_NAMES)], counts_of({}))
+    scores = normalize([violation(Category.METHOD_NAMES)], {})
     row = next(s for s in scores if s.category is Category.METHOD_NAMES)
     assert row.normalized == 0.0 and row.undefined
 
 
 def test_formatting_can_exceed_one_in_its_row():
     violations = [violation(Category.JAVADOC_FORMATTING) for _ in range(5)]
-    scores = normalize(
-        violations, counts_of({Category.JAVADOC_FORMATTING: 2}))
+    scores = normalize(violations, {Category.JAVADOC_FORMATTING: 2})
     row = next(s for s in scores
                if s.category is Category.JAVADOC_FORMATTING)
     assert row.normalized == 2.5
