@@ -15,6 +15,7 @@ permissively and produce no facts.
 from __future__ import annotations
 
 from collections import Counter
+from typing import NoReturn
 
 from .javadoc import extract_javadoc
 from .lexer import JavaSyntaxError, Token, tokenize
@@ -45,6 +46,9 @@ _MODIFIER_WORDS = frozenset(
     }
 )
 _LOCAL_DECL_PREV = frozenset({";", "{", "}", "(", ","})
+# Deepest type nesting parsed; deeper files are skipped with a diagnostic
+# instead of exhausting the interpreter's recursion limit.
+MAX_TYPE_NESTING = 100
 
 
 def _simple(type_name: str) -> str:
@@ -60,10 +64,33 @@ def parse_compilation_unit(text: str, path: str) -> SourceFileModel:
     return _Parser(text, path).parse()
 
 
+def match_brackets(tokens: list[Token]) -> list[int]:
+    """Index of each bracket's partner, -1 for unmatched and non-brackets.
+
+    One stack per bracket kind, so every bracket pairs as a same-kind
+    depth count would pair it, unbalanced text included.
+    """
+    partner = [-1] * len(tokens)
+    opens: dict[str, list[int]] = {"(": [], "[": [], "{": []}
+    closes = {")": opens["("], "]": opens["["], "}": opens["{"]}
+    for i, tok in enumerate(tokens):
+        v = tok.value
+        if v in opens:
+            opens[v].append(i)
+        elif v in closes and closes[v]:
+            j = closes[v].pop()
+            partner[i], partner[j] = j, i
+    return partner
+
+
 class _Parser:
     def __init__(self, text: str, path: str) -> None:
         self.path = path
         self.tokens, self.comments = tokenize(text)
+        last = self.tokens[-1] if self.tokens else Token("eof", "", 1, 1)
+        self.tokens.append(Token("eof", "", last.line, last.col))
+        self.last = len(self.tokens) - 1  # the end-of-file sentinel
+        self.partner = match_brackets(self.tokens)
         self.pos = 0
         self.line_count = sum(1 for ln in text.split("\n") if ln.strip())
         self.doc_by_next: dict[int, object] = {}
@@ -80,20 +107,23 @@ class _Parser:
     # ------------------------------------------------------------------
     # token plumbing
 
-    def peek(self, off: int = 0) -> Token | None:
-        idx = self.pos + off
-        return self.tokens[idx] if idx < len(self.tokens) else None
+    def peek(self, off: int = 0) -> Token:
+        return self.tokens[min(self.pos + off, self.last)]
+
+    def peek_more(self) -> Token:
+        """The current token; fails at the end of the file."""
+        tok = self.tokens[self.pos]
+        if tok.kind == "eof":
+            self.fail("unexpected end of file")
+        return tok
 
     def pop(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of file")
+        tok = self.peek_more()
         self.pos += 1
         return tok
 
     def at(self, value: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.value == value
+        return self.tokens[self.pos].value == value
 
     def match(self, value: str) -> bool:
         if self.at(value):
@@ -102,40 +132,44 @@ class _Parser:
         return False
 
     def expect(self, value: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.value != value:
+        tok = self.tokens[self.pos]
+        if tok.value != value:
             self.fail(f"expected '{value}'")
         self.pos += 1
         return tok
 
     def expect_ident(self) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "ident":
+        tok = self.tokens[self.pos]
+        if tok.kind != "ident":
             self.fail("expected identifier")
         self.pos += 1
         return tok
 
-    def fail(self, message: str) -> None:
-        tok = self.peek() or (self.tokens[-1] if self.tokens else None)
-        if tok is None:
-            raise JavaSyntaxError(message, 1, 1)
+    def fail(self, message: str) -> NoReturn:
+        tok = self.tokens[self.pos]
         raise JavaSyntaxError(message, tok.line, tok.col)
 
-    def skip_balanced(self, open_val: str, close_val: str) -> tuple[int, int]:
-        """Skip from the current open token to its matching close.
+    def skip_balanced(self, open_val: str) -> tuple[int, int]:
+        """Skip from the current open token past its matching close.
 
         Returns (open index, close index).
         """
         open_idx = self.pos
         self.expect(open_val)
-        depth = 1
-        while depth:
-            tok = self.pop()
-            if tok.value == open_val:
-                depth += 1
-            elif tok.value == close_val:
-                depth -= 1
-        return open_idx, self.pos - 1
+        close_idx = self.partner[open_idx]
+        if close_idx < 0:
+            self.pos = self.last
+            self.fail("unexpected end of file")
+        self.pos = close_idx + 1
+        return open_idx, close_idx
+
+    def dims(self) -> str:
+        """Consume [] pairs; returns them as a type suffix."""
+        suffix = ""
+        while self.at("[") and self.peek(1).value == "]":
+            self.pos += 2
+            suffix += "[]"
+        return suffix
 
     def skip_angles(self) -> None:
         """Skip a balanced <...> region; >> and >>> close two/three."""
@@ -157,9 +191,7 @@ class _Parser:
 
     def parse(self) -> SourceFileModel:
         model = SourceFileModel(path=self.path, package=None)
-        while self.peek() is not None:
-            tok = self.peek()
-            assert tok is not None
+        while (tok := self.peek()).kind != "eof":
             if tok.value == ";":
                 self.pop()
             elif tok.value == "package" and model.package is None:
@@ -174,25 +206,20 @@ class _Parser:
                 model.imports.append(self.parse_import())
                 self.excluded.append((start, self.pos - 1))
             elif tok.value == "module" or (
-                tok.value == "open"
-                and self.peek(1) is not None
-                and self.peek(1).value == "module"
+                tok.value == "open" and self.peek(1).value == "module"
             ):
-                while self.peek() is not None and not self.at("{"):
+                while not self.at("{") and self.peek().kind != "eof":
                     self.pop()
-                self.skip_balanced("{", "}")
+                self.skip_balanced("{")
             else:
-                kind, result = self.parse_declaration(None, None)
-                if kind != "type":
-                    self.fail("expected type declaration")
-                model.types.append(result)
+                model.types.append(self.parse_declaration(None, None))
 
         self.finish(model)
         return model
 
     def dotted_name(self) -> str:
         parts = [self.expect_ident().value]
-        while self.at(".") and self.peek(1) is not None and self.peek(1).kind == "ident":
+        while self.at(".") and self.peek(1).kind == "ident":
             self.pop()
             parts.append(self.pop().value)
         return ".".join(parts)
@@ -217,24 +244,20 @@ class _Parser:
 
     def parse_declaration(
         self, container_name: str | None, container_kind: str | None
-    ) -> tuple[str, object]:
+    ) -> TypeFact | list[MemberFact]:
         """Parse one type or member declaration.
 
-        Returns ("type", TypeFact), ("member", [MemberFact, ...]) or
-        ("none", None) for initializer blocks.
+        Returns the TypeFact of a top-level type (container_name None),
+        else the declared members: none for an initializer block.
         """
-        start_idx = self.pos
-        doc = self.doc_by_next.get(start_idx)
+        doc = self.doc_by_next.get(self.pos)
         annotations: list[str] = []
         mods: set[str] = set()
         ann_type = False
         while True:
             tok = self.peek()
-            if tok is None:
-                self.fail("unexpected end of file")
             if tok.value == "@":
-                nxt = self.peek(1)
-                if nxt is not None and nxt.value == "interface":
+                if self.peek(1).value == "interface":
                     self.pop()
                     ann_type = True
                     break
@@ -243,25 +266,21 @@ class _Parser:
                 mods.add(tok.value)
                 self.pop()
             elif (
-                tok.value == "non"
-                and self.peek(1) is not None and self.peek(1).value == "-"
-                and self.peek(2) is not None and self.peek(2).value == "sealed"
+                tok.value == "non" and self.peek(1).value == "-"
+                and self.peek(2).value == "sealed"
             ):
-                self.pop(); self.pop(); self.pop()
+                self.pos += 3
             else:
                 break
 
+        tok = self.peek_more()
         javadoc = None
         if doc is not None:
             javadoc = extract_javadoc(doc.text, doc.line)
 
-        tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of file")
         is_record = (
-            tok.value == "record"
-            and self.peek(1) is not None and self.peek(1).kind == "ident"
-            and self.peek(2) is not None and self.peek(2).value == "("
+            tok.value == "record" and self.peek(1).kind == "ident"
+            and self.peek(2).value == "("
         )
         if ann_type or tok.value in ("class", "enum", "interface") or is_record:
             tf = self.parse_type_tail(
@@ -269,7 +288,7 @@ class _Parser:
                 annotations, mods, javadoc, container_kind,
             )
             if container_name is None:
-                return "type", tf
+                return tf
             member = MemberFact(
                 kind="innerType",
                 name=tf.name,
@@ -278,11 +297,11 @@ class _Parser:
                 annotations=annotations,
                 nested=tf,
             )
-            return "member", [member]
+            return [member]
 
         if container_name is None:
             self.fail("expected type declaration")
-        return "member", self.parse_member_tail(
+        return self.parse_member_tail(
             annotations, mods, javadoc, container_name, container_kind
         )
 
@@ -290,7 +309,7 @@ class _Parser:
         self.expect("@")
         name = self.dotted_name()
         if self.at("("):
-            self.skip_balanced("(", ")")
+            self.skip_balanced("(")
         return _simple(name)
 
     def parse_type_tail(
@@ -301,12 +320,14 @@ class _Parser:
         javadoc: JavadocFact | None,
         container_kind: str | None,
     ) -> TypeFact:
+        if len(self.type_stack) >= MAX_TYPE_NESTING:
+            self.fail("type nesting too deep")
         self.pop()  # class/enum/interface/record/interface-after-@
         name_tok = self.expect_ident()
         if self.at("<"):
             self.skip_angles()
         if kind == "record" and self.at("("):
-            self.skip_balanced("(", ")")  # components carry no facts
+            self.skip_balanced("(")  # components carry no facts
 
         supertypes: list[str] = []
         while True:
@@ -334,7 +355,7 @@ class _Parser:
         )
 
         if kind == "annotation":
-            self.skip_balanced("{", "}")  # permissive, no facts
+            self.skip_balanced("{")  # permissive, no facts
             return tf
 
         self.type_stack.append(tf)
@@ -342,36 +363,23 @@ class _Parser:
         if kind == "enum":
             self.parse_enum_constants()
         while not self.at("}"):
-            if self.peek() is None:
-                self.fail("unexpected end of file")
-            if self.match(";"):
-                continue
-            what, result = self.parse_declaration(tf.name, tf.kind)
-            if what == "member":
-                tf.members.extend(result)
-            elif what == "type":  # pragma: no cover - defensive
-                self.fail("unexpected nested declaration")
+            if not self.match(";"):
+                tf.members.extend(self.parse_declaration(tf.name, tf.kind))
         self.expect("}")
         self.type_stack.pop()
         return tf
 
     def parse_enum_constants(self) -> None:
-        while True:
-            if self.at(";"):
-                self.pop()
-                return
-            if self.at("}"):
-                return
+        while not (self.match(";") or self.at("}")):
             while self.at("@"):
                 self.parse_annotation()
             self.expect_ident()
             if self.at("("):
-                self.skip_balanced("(", ")")
+                self.skip_balanced("(")
             if self.at("{"):
-                self.skip_balanced("{", "}")
+                self.skip_balanced("{")
             if not self.match(","):
-                if self.match(";"):
-                    return
+                self.match(";")
                 return
 
     def parse_member_tail(
@@ -383,20 +391,16 @@ class _Parser:
         container_kind: str | None,
     ) -> list[MemberFact]:
         if self.at("{"):  # instance or static initializer: no facts
-            self.skip_balanced("{", "}")
+            self.skip_balanced("{")
             return []
         if self.at("<"):
             self.skip_angles()
 
-        tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of file")
-
+        tok = self.peek_more()
         # Constructor: TypeName followed directly by (
         if (
             tok.kind == "ident"
             and tok.value == container_name
-            and self.peek(1) is not None
             and self.peek(1).value == "("
         ):
             name_tok = self.pop()
@@ -416,10 +420,8 @@ class _Parser:
                 line=tok.line,
                 annotations=annotations,
                 javadoc=javadoc,
-                body=BodyFacts(),
             )
-            open_idx, close_idx = self.skip_balanced("{", "}")
-            self.body_jobs.append((member, tuple(self.type_stack), open_idx, close_idx))
+            self.skip_body(member)
             return [member]
 
         name_tok = self.expect_ident()
@@ -444,10 +446,9 @@ class _Parser:
         container_kind: str | None,
     ) -> MemberFact:
         params = self.parse_params()
-        while self.at("[") and self.peek(1) is not None and self.peek(1).value == "]":
-            self.pop(); self.pop()
-            if rtype is not None:
-                rtype += "[]"
+        dims = self.dims()
+        if rtype is not None:
+            rtype += dims
         thrown: list[str] = []
         if self.match("throws"):
             thrown.append(_simple(self.parse_type_ref()))
@@ -465,9 +466,7 @@ class _Parser:
             thrown_types=thrown,
         )
         if self.at("{"):
-            member.body = BodyFacts()
-            open_idx, close_idx = self.skip_balanced("{", "}")
-            self.body_jobs.append((member, tuple(self.type_stack), open_idx, close_idx))
+            self.skip_body(member)
         elif self.match("default"):
             # annotation-member default; unreachable here but permissive
             while not self.at(";"):
@@ -476,6 +475,12 @@ class _Parser:
         else:
             self.expect(";")
         return member
+
+    def skip_body(self, member: MemberFact) -> None:
+        """Skip a { body } now and queue it for the phase-two scan."""
+        member.body = BodyFacts()
+        open_idx, close_idx = self.skip_balanced("{")
+        self.body_jobs.append((member, tuple(self.type_stack), open_idx, close_idx))
 
     def parse_params(self) -> list[ParamFact]:
         self.expect("(")
@@ -493,10 +498,7 @@ class _Parser:
                 self.pop()
             else:
                 name_tok = self.expect_ident()
-                while self.at("[") and self.peek(1) is not None and \
-                        self.peek(1).value == "]":
-                    self.pop(); self.pop()
-                    ptype += "[]"
+                ptype += self.dims()
                 params.append(ParamFact(name=name_tok.value, type_name=ptype))
             if self.match(","):
                 continue
@@ -518,11 +520,7 @@ class _Parser:
         members: list[MemberFact] = []
         name_tok = first_name
         while True:
-            dtype = ftype
-            while self.at("[") and self.peek(1) is not None and \
-                    self.peek(1).value == "]":
-                self.pop(); self.pop()
-                dtype += "[]"
+            dtype = ftype + self.dims()
             members.append(
                 MemberFact(
                     kind="staticField" if is_static else "instanceField",
@@ -554,7 +552,7 @@ class _Parser:
         depth = 0
         while True:
             tok = self.peek()
-            if tok is None:
+            if tok.kind == "eof":
                 self.fail("unexpected end of file in initializer")
             v = tok.value
             if v in ("(", "[", "{"):
@@ -565,31 +563,15 @@ class _Parser:
                 depth -= 1
             elif depth == 0 and v == ";":
                 return
-            elif depth == 0 and v == "," and self._declarator_follows():
+            elif depth == 0 and v == "," and \
+                    self._declarator_ahead(self.pos + 1, self.last):
                 return
             self.pop()
-
-    def _declarator_follows(self) -> bool:
-        """After a comma: ident, optional [] pairs, then = , or ; ."""
-        j = self.pos + 1
-        tok = self.tokens[j] if j < len(self.tokens) else None
-        if tok is None or tok.kind != "ident":
-            return False
-        j += 1
-        while (
-            j + 1 < len(self.tokens)
-            and self.tokens[j].value == "["
-            and self.tokens[j + 1].value == "]"
-        ):
-            j += 2
-        return j < len(self.tokens) and self.tokens[j].value in ("=", ",", ";")
 
     def parse_type_ref(self) -> str:
         while self.at("@"):
             self.parse_annotation()
         tok = self.peek()
-        if tok is None:
-            self.fail("expected type")
         if tok.kind == "keyword" and tok.value in _PRIMITIVES:
             base = tok.value
             self.pop()
@@ -601,23 +583,14 @@ class _Parser:
             while True:
                 if self.at("<"):
                     self.skip_angles()
-                if (
-                    self.at(".")
-                    and self.peek(1) is not None
-                    and self.peek(1).kind == "ident"
-                ):
+                if self.at(".") and self.peek(1).kind == "ident":
                     self.pop()
                     base += "." + self.pop().value
                 else:
                     break
         else:
             self.fail("expected type")
-            raise AssertionError  # unreachable
-        while self.at("[") and self.peek(1) is not None and \
-                self.peek(1).value == "]":
-            self.pop(); self.pop()
-            base += "[]"
-        return base
+        return base + self.dims()
 
     @staticmethod
     def _visibility(mods: set[str], container_kind: str | None) -> str:
@@ -716,111 +689,62 @@ class _Parser:
                 return "className", name
             return "instanceExpr", None
 
-        def walk_chain(j: int, form: str, rtype: str | None) -> int:
-            """Record member accesses along a dotted chain starting at the
-            member token j. Stops after a call so the `).member` rule can
-            resume with methodReturn form. Returns last consumed index."""
-            while True:
-                mem = toks[j]
-                is_call = j + 1 <= close_idx and toks[j + 1].value == "("
-                facts.accesses.append(
-                    AccessFact(line=mem.line, member_name=mem.value,
-                               receiver_form=form, receiver_type=rtype,
-                               is_call=is_call)
-                )
-                if is_call:
-                    return j
-                if (
-                    j + 2 <= close_idx
-                    and toks[j + 1].value in (".", "::")
-                    and toks[j + 2].kind == "ident"
-                ):
-                    form, rtype = "instanceExpr", None
-                    j += 2
-                    continue
-                return j
-
         i = open_idx + 1
         while i < close_idx:
             while loop_stack and i > loop_stack[-1]:
                 loop_stack.pop()
             tok = toks[i]
             v = tok.value
+            kind = tok.kind
+            prev_v = toks[i - 1].value
 
-            if tok.kind == "keyword":
-                if v in ("for", "while") and i not in do_while_skips:
+            if kind == "keyword":
+                if v in ("for", "while", "do") and i not in do_while_skips:
                     end = self._stmt_end(i, close_idx)
                     facts.loops.append(
                         LoopFact(line=tok.line, end_line=toks[end].line, kind=v)
                     )
                     loop_stack.append(end)
-                elif v == "do":
-                    end = self._stmt_end(i, close_idx)
-                    facts.loops.append(
-                        LoopFact(line=tok.line, end_line=toks[end].line, kind="do")
-                    )
-                    loop_stack.append(end)
-                    body_end = self._stmt_end(i + 1, close_idx)
-                    if body_end + 1 <= close_idx and \
-                            toks[body_end + 1].value == "while":
-                        do_while_skips.add(body_end + 1)
-                elif v == "catch":
-                    i = self._scan_catch(i, close_idx, facts, in_test)
-                    continue
-                else:
-                    local = self._try_local_decl(i, close_idx)
-                    if local is not None:
-                        names, base, resume = local
-                        for name_tok2 in names:
-                            decl_counts[name_tok2.value] += 1
-                            locals_map[name_tok2.value] = _simple(base)
-                            facts.local_vars.append(
-                                LocalVarFact(name=name_tok2.value,
-                                             type_name=_simple(base),
-                                             line=name_tok2.line)
-                            )
-                        i = resume
-                        continue
-                i += 1
-                continue
-
-            if tok.kind == "ident":
-                prev = toks[i - 1] if i > open_idx else None
-                nxt = toks[i + 1] if i + 1 < close_idx + 1 else None
-                prev_v = prev.value if prev is not None else ""
-                if prev_v in (".", "::"):
+                    if v == "do":
+                        body_end = self._stmt_end(i + 1, close_idx)
+                        if body_end + 1 <= close_idx and \
+                                toks[body_end + 1].value == "while":
+                            do_while_skips.add(body_end + 1)
                     i += 1
                     continue
-                local = None
-                if prev is None or prev_v in _LOCAL_DECL_PREV:
-                    local = self._try_local_decl(i, close_idx)
+                if v == "catch":
+                    i = self._scan_catch(i, close_idx, facts, in_test)
+                    continue
+
+            if kind == "keyword" or (kind == "ident" and prev_v in _LOCAL_DECL_PREV):
+                local = self._try_local_decl(i, close_idx)
                 if local is not None:
-                    names, base, resume = local
-                    for name_tok2 in names:
-                        decl_counts[name_tok2.value] += 1
-                        locals_map[name_tok2.value] = _simple(base)
+                    names, base, i = local
+                    for name_tok in names:
+                        decl_counts[name_tok.value] += 1
+                        locals_map[name_tok.value] = _simple(base)
                         facts.local_vars.append(
-                            LocalVarFact(name=name_tok2.value,
+                            LocalVarFact(name=name_tok.value,
                                          type_name=_simple(base),
-                                         line=name_tok2.line)
+                                         line=name_tok.line)
                         )
-                    i = resume
                     continue
-                if nxt is not None and nxt.value in (".", "::") and \
-                        i + 2 <= close_idx and toks[i + 2].kind == "ident":
-                    form, rtype = resolve_receiver(tok.value)
-                    i = walk_chain(i + 2, form, rtype) + 1
+
+            if kind == "ident" and prev_v not in (".", "::"):
+                nxt_v = toks[i + 1].value
+                if nxt_v in (".", "::") and i + 2 <= close_idx and \
+                        toks[i + 2].kind == "ident":
+                    form, rtype = resolve_receiver(v)
+                    i = self._walk_chain(facts, i + 2, close_idx, form, rtype) + 1
                     continue
-                if nxt is not None and nxt.value == "(" and prev_v != "new":
+                if nxt_v == "(" and prev_v != "new":
                     facts.accesses.append(
-                        AccessFact(line=tok.line, member_name=tok.value,
+                        AccessFact(line=tok.line, member_name=v,
                                    receiver_form="implicit", receiver_type=None,
                                    is_call=True)
                     )
-                i += 1
-                continue
 
-            if tok.kind == "op":
+            elif kind == "op":
                 if v == "+=" and loop_stack:
                     prev = toks[i - 1]
                     if prev.kind == "ident":
@@ -829,13 +753,11 @@ class _Parser:
                         )
                 elif v == "=" and loop_stack:
                     prev = toks[i - 1]
-                    n1 = toks[i + 1] if i + 1 <= close_idx else None
-                    n2 = toks[i + 2] if i + 2 <= close_idx else None
+                    n1 = toks[i + 1]
                     if (
                         prev.kind == "ident"
-                        and n1 is not None and n1.kind == "ident"
-                        and n1.value == prev.value
-                        and n2 is not None and n2.value == "+"
+                        and n1.kind == "ident" and n1.value == prev.value
+                        and i + 2 <= close_idx and toks[i + 2].value == "+"
                     ):
                         facts.concat_sites.append(
                             ConcatSiteFact(line=tok.line, target=prev.value)
@@ -843,16 +765,15 @@ class _Parser:
                 elif v == ")" and i + 2 <= close_idx and \
                         toks[i + 1].value == "." and toks[i + 2].kind == "ident":
                     rtype = None
-                    open_paren = self._matching_open(i)
-                    if open_paren is not None and open_paren - 1 > open_idx:
+                    open_paren = self.partner[i]  # -1 when unmatched
+                    if open_paren - 1 > open_idx:
                         callee = toks[open_paren - 1]
-                        before = toks[open_paren - 2] if open_paren - 2 > open_idx \
-                            else None
-                        if callee.kind == "ident" and (
-                            before is None or before.value not in (".", "::")
-                        ):
+                        before_v = toks[open_paren - 2].value \
+                            if open_paren - 2 > open_idx else ""
+                        if callee.kind == "ident" and before_v not in (".", "::"):
                             rtype = method_returns.get(callee.value)
-                    i = walk_chain(i + 2, "methodReturn", rtype) + 1
+                    i = self._walk_chain(facts, i + 2, close_idx,
+                                         "methodReturn", rtype) + 1
                     continue
 
             i += 1
@@ -870,9 +791,7 @@ class _Parser:
                         form, rtype = "instanceExpr", enclosing
                     else:
                         form, rtype = "implicit", None
-                    i = self._walk_chain_static(
-                        toks, facts, i + 2, form, rtype, close_idx
-                    ) + 1
+                    i = self._walk_chain(facts, i + 2, close_idx, form, rtype) + 1
                     continue
             i += 1
 
@@ -883,7 +802,12 @@ class _Parser:
         for lv in facts.local_vars:
             lv.used = occurrences.get(lv.name, 0) > decl_counts.get(lv.name, 0)
 
-    def _walk_chain_static(self, toks, facts, j, form, rtype, close_idx):
+    def _walk_chain(self, facts: BodyFacts, j: int, close_idx: int,
+                    form: str, rtype: str | None) -> int:
+        """Record member accesses along a dotted chain starting at the
+        member token j. Stops after a call so the `).member` rule can
+        resume with methodReturn form. Returns last consumed index."""
+        toks = self.tokens
         while True:
             mem = toks[j]
             is_call = j + 1 <= close_idx and toks[j + 1].value == "("
@@ -941,56 +865,30 @@ class _Parser:
         return False
 
     def _matching_close(self, i: int) -> int:
-        open_val = self.tokens[i].value
-        close_val = {"(": ")", "[": "]", "{": "}"}.get(open_val)
-        if close_val is None:
-            raise JavaSyntaxError(f"expected a bracket, found {open_val!r}",
-                                  self.tokens[i].line, self.tokens[i].col)
-        depth = 1
-        j = i + 1
-        while j < len(self.tokens):
-            v = self.tokens[j].value
-            if v == open_val:
-                depth += 1
-            elif v == close_val:
-                depth -= 1
-                if depth == 0:
-                    return j
-            j += 1
-        raise JavaSyntaxError("unbalanced delimiter",
-                              self.tokens[i].line, self.tokens[i].col)
-
-    def _matching_open(self, i: int) -> int | None:
-        close_val = self.tokens[i].value
-        open_val = {")": "(", "]": "[", "}": "{"}[close_val]
-        depth = 1
-        j = i - 1
-        while j >= 0:
-            v = self.tokens[j].value
-            if v == close_val:
-                depth += 1
-            elif v == open_val:
-                depth -= 1
-                if depth == 0:
-                    return j
-            j -= 1
-        return None
+        tok = self.tokens[i]
+        if tok.value not in ("(", "[", "{"):
+            raise JavaSyntaxError(f"expected a bracket, found {tok.value!r}",
+                                  tok.line, tok.col)
+        if self.partner[i] < 0:
+            raise JavaSyntaxError("unbalanced delimiter", tok.line, tok.col)
+        return self.partner[i]
 
     def _stmt_end(self, i: int, limit: int) -> int:
         """Index of the last token of the statement starting at i."""
         toks = self.tokens
-        v = toks[i].value
+        while True:  # else branches and loop bodies continue the loop
+            v = toks[i].value
+            if v == "if":
+                end = self._stmt_end(self._matching_close(i + 1) + 1, limit)
+                if end + 1 > limit or toks[end + 1].value != "else":
+                    return end
+                i = end + 2
+            elif v in ("for", "while"):
+                i = self._matching_close(i + 1) + 1
+            else:
+                break
         if v == "{":
             return self._matching_close(i)
-        if v == "if":
-            close = self._matching_close(i + 1)
-            end = self._stmt_end(close + 1, limit)
-            if end + 1 <= limit and toks[end + 1].value == "else":
-                return self._stmt_end(end + 2, limit)
-            return end
-        if v in ("for", "while"):
-            close = self._matching_close(i + 1)
-            return self._stmt_end(close + 1, limit)
         if v == "do":
             body_end = self._stmt_end(i + 1, limit)
             j = body_end + 1
@@ -1096,14 +994,9 @@ class _Parser:
                 depth -= 1
             elif val in (";", ":") and depth == 0:
                 break
-            elif val == "," and depth == 0:
-                if (
-                    k + 1 <= limit
-                    and toks[k + 1].kind == "ident"
-                    and self._declarator_ahead(k + 1, limit)
-                ):
-                    names.append(toks[k + 1])
-                    k += 1
+            elif val == "," and depth == 0 and self._declarator_ahead(k + 1, limit):
+                names.append(toks[k + 1])
+                k += 1
             k += 1
         return names, base, resume
 

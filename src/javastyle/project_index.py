@@ -11,6 +11,7 @@ is skipped by the callers.
 from __future__ import annotations
 
 from collections import Counter, deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .model import MemberFact, SourceFileModel, TypeFact
@@ -310,31 +311,43 @@ def _resolve_supertypes(index: ProjectIndex) -> None:
 
 
 def _drop_hierarchy_cycles(index: ProjectIndex) -> None:
+    """Depth-first search that drops every edge back into the current path.
+
+    Iterative, with one (node, remaining successors) frame per level, so
+    a deep inheritance chain cannot exhaust the recursion limit.
+    """
     WHITE, GRAY, BLACK = 0, 1, 2
     color: dict[str, int] = {}
 
-    def visit(node: str) -> None:
+    def enter(node: str) -> tuple[str, Iterator[str]]:
         color[node] = GRAY
-        for succ in list(index.hierarchy.get(node, [])):
-            if succ == OBJECT_TYPE:
-                continue
-            state = color.get(succ, WHITE)
-            if state == GRAY:
-                index.hierarchy[node].remove(succ)
-                entry = index.by_qualified.get(node)
-                if entry is not None and succ in entry.resolved_supertypes:
-                    entry.resolved_supertypes.remove(succ)
-                    entry.external_supertypes.append(succ)
-                index.diagnostics.append(
-                    f"inheritance cycle: dropped edge {node} -> {succ}"
-                )
-            elif state == WHITE:
-                visit(succ)
-        color[node] = BLACK
+        return node, iter(list(index.hierarchy.get(node, [])))
 
-    for node in sorted(index.hierarchy):
-        if color.get(node, WHITE) == WHITE:
-            visit(node)
+    for root in sorted(index.hierarchy):
+        if color.get(root, WHITE) != WHITE:
+            continue
+        path = [enter(root)]
+        while path:
+            node, succs = path[-1]
+            for succ in succs:
+                if succ == OBJECT_TYPE:
+                    continue
+                state = color.get(succ, WHITE)
+                if state == GRAY:
+                    index.hierarchy[node].remove(succ)
+                    entry = index.by_qualified.get(node)
+                    if entry is not None and succ in entry.resolved_supertypes:
+                        entry.resolved_supertypes.remove(succ)
+                        entry.external_supertypes.append(succ)
+                    index.diagnostics.append(
+                        f"inheritance cycle: dropped edge {node} -> {succ}"
+                    )
+                elif state == WHITE:
+                    path.append(enter(succ))
+                    break
+            else:
+                color[node] = BLACK
+                path.pop()
 
 
 def resolve_override(method: MemberFact, owner: TypeFact,

@@ -23,6 +23,18 @@ def test_syntax_error_skips_file_but_not_repo(tmp_path):
     assert result.diagnostics[0].startswith("skipped src/p/Broken.java:")
 
 
+def test_too_deeply_nested_types_skip_file_but_not_repo(tmp_path):
+    write_tree(tmp_path, {
+        "src/p/Alpha.java": GOOD,
+        "src/p/Deep.java": "class A {" * 3000 + "}" * 3000,
+    })
+    result = analyze_repository(str(tmp_path))
+    assert [m.path for m in result.models] == ["src/p/Alpha.java"]
+    assert result.diagnostics == [
+        "skipped src/p/Deep.java: type nesting too deep (line 1, col 901)"]
+    assert result.counts[Category.METHOD_NAMES] == 1
+
+
 @pytest.mark.parametrize("loop", ["for x;", "while x;"])
 def test_loop_header_without_parentheses_skips_file(tmp_path, loop):
     write_tree(tmp_path, {

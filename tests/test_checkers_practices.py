@@ -6,11 +6,9 @@ from javastyle.checkers import (Category, check_empty_catch,
                                 check_private_instances,
                                 check_string_concatenation,
                                 check_useless)
-from javastyle.lexicon import Lexicon
 from javastyle.project_index import build_project_index
 
-from helpers import (analyze_files, count_of, of_category, parse_source,
-                     run_check)
+from helpers import analyze_files, of_category, parse_source, run_check
 
 
 def single(src, checker, path="p/Demo.java"):

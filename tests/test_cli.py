@@ -4,8 +4,7 @@ import json
 import os
 import subprocess
 from datetime import datetime, timezone
-
-import pytest
+from pathlib import Path
 
 from javastyle.cli import main
 
@@ -65,6 +64,20 @@ def test_analyze_output_is_byte_identical(tmp_path, capsysbinary):
     _, first = run_captured(capsysbinary, "analyze", str(tmp_path))
     _, second = run_captured(capsysbinary, "analyze", str(tmp_path))
     assert first == second
+
+
+def test_fixture_report_matches_golden_bytes(capsysbinary, monkeypatch):
+    # tests/golden/fixtures.json pins the report bytes across code
+    # versions; regenerate it from the repository root with
+    # `javastyle analyze tests/fixtures --format json` only when a change
+    # to the report is intended.
+    tests_dir = Path(__file__).parent
+    monkeypatch.chdir(tests_dir.parent)
+    monkeypatch.delenv("JAVASTYLE_CONFIG", raising=False)
+    code, out = run_captured(capsysbinary, "analyze", "tests/fixtures",
+                             "--format", "json")
+    assert code == 0
+    assert out == (tests_dir / "golden" / "fixtures.json").read_bytes()
 
 
 def test_fail_over_flips_exit_code(tmp_path, capsysbinary):

@@ -1,11 +1,18 @@
 """Parsing facts: declarations, members, bodies, comments, counts."""
 
-import pytest
+from pathlib import Path
 
-from javastyle.lexer import JavaSyntaxError
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from javastyle.lexer import JavaSyntaxError, Token, tokenize
 from javastyle.model import MEMBER_KINDS, TYPE_KINDS, VISIBILITIES
+from javastyle.parser import match_brackets
 
 from helpers import parse_source
+
+FIXTURE_ROOT = Path(__file__).parent / "fixtures"
 
 SAMPLE = """\
 package com.example;
@@ -207,6 +214,79 @@ def test_syntax_error_positions():
     with pytest.raises(JavaSyntaxError) as err:
         parse_source("public class {", "Bad.java")
     assert err.value.line == 1
+    # A truncated file fails at its last token.
+    assert parse_source("", "Empty.java").types == []
+    for text, expected in [
+        ("public class {", ("expected identifier", 1, 14)),
+        ("class A {", ("unexpected end of file", 1, 9)),
+        ("class A { void f(", ("expected type", 1, 17)),
+        ("class A { int x =", ("unexpected end of file in initializer", 1, 17)),
+        ("module m", ("expected '{'", 1, 8)),
+        ("class A { <T>", ("unexpected end of file", 1, 13)),
+    ]:
+        with pytest.raises(JavaSyntaxError) as err:
+            parse_source(text, "Bad.java")
+        assert (err.value.message, err.value.line, err.value.col) == expected
+
+
+_PARTNER_OF = {"(": ")", "[": "]", "{": "}", ")": "(", "]": "[", "}": "{"}
+
+
+def scanned_partner(values: list[str], i: int) -> int:
+    """Reference pairing: walk from bracket i counting same-kind depth."""
+    step = 1 if values[i] in ("(", "[", "{") else -1
+    depth, j = 0, i
+    while 0 <= j < len(values):
+        if values[j] == values[i]:
+            depth += 1
+        elif values[j] == _PARTNER_OF[values[i]]:
+            depth -= 1
+            if depth == 0:
+                return j
+        j += step
+    return -1
+
+
+def assert_table_matches_scan(tokens: list[Token]) -> None:
+    values = [t.value for t in tokens]
+    expected = [scanned_partner(values, i) if v in _PARTNER_OF else -1
+                for i, v in enumerate(values)]
+    assert match_brackets(tokens) == expected
+
+
+def test_bracket_table_matches_depth_scan_on_fixtures():
+    paths = sorted(FIXTURE_ROOT.rglob("*.java"))
+    assert paths
+    for path in paths:
+        assert_table_matches_scan(tokenize(path.read_text("utf-8"))[0])
+
+
+@given(st.lists(st.sampled_from("()[]{};"), max_size=60))
+def test_bracket_table_matches_depth_scan(values):
+    assert_table_matches_scan(
+        [Token("op", v, 1, k + 1) for k, v in enumerate(values)])
+
+
+def test_long_else_if_chain_in_loop_is_one_loop():
+    links = 3000
+    m = parse_source(
+        "class A {\n  void f(int x) {\n    while (x > 0)\n      if (x == 1) x--;\n"
+        + "      else if (x == 2) x--;\n" * links
+        + "      else x--;\n  }\n}\n",
+        "A.java")
+    loops = m.types[0].members[0].body.loops
+    assert [(lp.kind, lp.line, lp.end_line) for lp in loops] == [
+        ("while", 3, 5 + links)]
+
+
+def test_deeply_nested_brace_less_loops():
+    depth = 3000
+    m = parse_source(
+        "class A { void f() {\n" + "for(;;)\n" * depth + "f();\n} }\n",
+        "A.java")
+    loops = m.types[0].members[0].body.loops
+    assert len(loops) == depth
+    assert {lp.end_line for lp in loops} == {depth + 2}
 
 
 def test_annotations_with_arguments():

@@ -2,11 +2,13 @@
 
 import random
 
-from javastyle.model import AccessFact
+from javastyle.analysis import analyze_repository
 from javastyle.parser import parse_compilation_unit
 from javastyle.project_index import (OBJECT_TYPE, build_project_index,
                                      erased_simple_type, method_signature,
                                      resolve_override, resolve_static_access)
+
+from helpers import write_tree
 
 
 def index_of(files: dict[str, str]):
@@ -97,6 +99,18 @@ def test_hierarchy_cycle_dropped_with_diagnostic():
     chain_a = index.supertype_chain("p.A")
     assert "p.A" not in chain_a  # no self-reachability after the drop
     assert chain_a[-1] == OBJECT_TYPE
+
+
+def test_deep_inheritance_chain_analyzes_cleanly(tmp_path):
+    # Sorted order visits the most-derived class first, so the cycle
+    # search walks the whole chain in one descent.
+    depth = 1500
+    write_tree(tmp_path, {"src/p/Chain.java": "package p;\n" + "".join(
+        f"class C{k:04d} extends C{k + 1:04d} {{}}\n" for k in range(depth)
+    ) + f"class C{depth:04d} {{}}\n"})
+    result = analyze_repository(str(tmp_path))
+    assert result.diagnostics == []
+    assert len(result.index.supertype_chain("p.C0000")) == depth + 1
 
 
 def test_supertype_chain_ends_at_object():

@@ -9,9 +9,9 @@ from javastyle.checkers import Category, Violation
 from javastyle.claims import ClaimEvidence, ClaimResult, MENTION_CODE_STYLE
 from javastyle.history import CommitRecord, EvolutionSample
 from javastyle.report import (Report, config_digest, emit_corpus_csv,
-                              emit_report, evolution_rows, report_to_dict)
-from javastyle.scoring import (CategoryScore, CorpusStats, classify_adherence,
-                               normalize, threshold_table, total_normalized)
+                              emit_report, evolution_rows)
+from javastyle.scoring import (CorpusStats, classify_adherence, normalize,
+                               threshold_table, total_normalized)
 
 
 def build_report(violations=(), claim=None, diagnostics=(), evolution=None):

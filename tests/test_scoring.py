@@ -1,6 +1,5 @@
 """Normalization, aggregation, thresholds, verdicts, and sampling."""
 
-import random
 from collections import Counter
 
 import pytest
