@@ -7,6 +7,7 @@ follows it so Javadoc can be attached to the right declaration later.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -20,7 +21,7 @@ class JavaSyntaxError(Exception):
         self.col = col
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # ident | keyword | num | str | char | op
     value: str
@@ -50,159 +51,122 @@ KEYWORDS = frozenset(
     while""".split()
 )
 
-# Multi-character operators, longest first for maximal munch.
-_MULTI_OPS = (
-    ">>>=",
-    ">>>", "<<=", ">>=", "...",
-    "->", "::", "==", "!=", "<=", ">=", "&&", "||", "++", "--",
-    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<", ">>",
+# A number starts on any character for which str.isdigit() holds, but re's
+# \d matches only the decimal ones; the ranges after it are the others
+# (superscripts, circled digits, ...). A test checks this class against the
+# running Python's str.isdigit.
+_DIGIT = (
+    "[\\d\u00b2-\u00b3\u00b9\u1369-\u1371\u19da\u2070\u2074-\u2079"
+    "\u2080-\u2089\u2460-\u2468\u2474-\u247c\u2488-\u2490\u24ea"
+    "\u24f5-\u24fd\u24ff\u2776-\u277e\u2780-\u2788\u278a-\u2792"
+    "\U00010a40-\U00010a43\U00010e60-\U00010e68\U00011052-\U0001105a"
+    "\U0001f100-\U0001f10a]"
 )
 
+# Blanks are skipped, then the first alternative that matches wins. A bare
+# opener (groups 4, 6 and 9) matches only where its terminated form did not,
+# and is an error. Operators come longest first (maximal munch), and any
+# other character is a one-character operator. The empty match at the end
+# of the text (no group) lets trailing blanks go in one step. Since `[\s\S]`
+# or `\Z` always matches after the blanks, the greedy blank prefix never
+# backtracks.
+_TOKEN_RE = re.compile(
+    rf"""[ \t\r\f]*(?:
+      (\n)                                               # 1 newline
+    | (//[^\n]*)                                         # 2 line comment
+    | (/\*[\s\S]*?\*/)                                   # 3 block comment
+    | (/\*)                                              # 4 open comment
+    | ("{{3}}(?:\\[\s\S]|[^\\])*?"{{3}})                 # 5 text block
+    | ("{{3}})                                           # 6 open text block
+    | ("(?:\\[\s\S]|[^"\\\n])*")                         # 7 string
+    | ('(?:\\[\s\S]|[^'\\\n])*')                         # 8 char
+    | (["'])                                             # 9 open literal
+    | ((?:{_DIGIT}|\.{_DIGIT})
+       (?:[eE][+-]|\.(?={_DIGIT}|[eEfFdD_])|\w)*)        # 10 number
+    | ([A-Za-z_$][\w$]*)                                 # 11 word
+    | ([^\W\d][\w$]*)                                    # 12 non-ASCII word
+    | (>>>=|>>>|<<=|>>=|\.\.\.|->|::|==|!=|<=|>=|&&|\|\||\+\+|--
+       |[-+*/%&|^]=|<<|>>|[\s\S])                        # 13 operator
+    | \Z)""",
+    re.VERBOSE,
+)
+(_NEWLINE, _LINE_COMMENT, _BLOCK_COMMENT, _OPEN_COMMENT, _TEXT_BLOCK,
+ _OPEN_TEXT_BLOCK, _STRING, _CHAR, _OPEN_LITERAL, _NUMBER, _WORD,
+ _OTHER_WORD, _OP) = range(1, 14)
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c in "_$"
-
-
-def _is_ident_part(c: str) -> bool:
-    return c.isalnum() or c in "_$"
+_LITERALS = {_NUMBER: "num", _STRING: "str", _CHAR: "char"}
+_UNTERMINATED = {
+    _OPEN_COMMENT: "unterminated block comment",
+    _OPEN_TEXT_BLOCK: "unterminated text block",
+    _OPEN_LITERAL: "unterminated literal",
+}
 
 
 def tokenize(text: str) -> tuple[list[Token], list[RawComment]]:
     """Split source text into tokens and comments.
 
-    Raises JavaSyntaxError on unterminated strings, chars, or block
-    comments.
+    Raises JavaSyntaxError on unterminated strings, chars, text blocks or
+    block comments.
     """
     tokens: list[Token] = []
     comments: list[RawComment] = []
-    i = 0
-    n = len(text)
+    append = tokens.append
+    token = Token
+    keywords = KEYWORDS
     line = 1
     line_start = 0  # offset of the first char of the current line
-
-    def col(pos: int) -> int:
-        return pos - line_start + 1
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            line_start = i
-            continue
-        if c in " \t\r\f":
-            i += 1
-            continue
-
-        # Comments
-        if c == "/" and i + 1 < n:
-            nxt = text[i + 1]
-            if nxt == "/":
-                start = i
-                start_line, start_col = line, col(i)
-                while i < n and text[i] != "\n":
-                    i += 1
-                comments.append(
-                    RawComment(start_line, start_col, start_line,
-                               text[start:i], False, len(tokens))
-                )
-                continue
-            if nxt == "*":
-                start = i
-                start_line, start_col = line, col(i)
-                is_doc = text.startswith("/**", i) and not text.startswith("/**/", i)
-                i += 2
-                while i < n and not text.startswith("*/", i):
-                    if text[i] == "\n":
-                        line += 1
-                        line_start = i + 1
-                    i += 1
-                if i >= n:
-                    raise JavaSyntaxError("unterminated block comment",
-                                          start_line, start_col)
-                i += 2
-                comments.append(
-                    RawComment(start_line, start_col, line,
-                               text[start:i], is_doc, len(tokens))
-                )
-                continue
-
-        # Text blocks (permissive: consumed, emitted as one string token)
-        if text.startswith('"""', i):
-            start = i
-            start_line, start_col = line, col(i)
-            i += 3
-            while i < n and not text.startswith('"""', i):
-                if text[i] == "\\":
-                    i += 2
-                    continue
-                if text[i] == "\n":
-                    line += 1
-                    line_start = i + 1
-                i += 1
-            if i >= n:
-                raise JavaSyntaxError("unterminated text block",
-                                      start_line, start_col)
-            i += 3
-            tokens.append(Token("str", text[start:i], start_line, start_col))
-            continue
-
-        if c == '"' or c == "'":
-            quote = c
-            start = i
-            start_line, start_col = line, col(i)
-            i += 1
-            while i < n and text[i] != quote:
-                if text[i] == "\\":
-                    i += 1
-                elif text[i] == "\n":
-                    raise JavaSyntaxError("unterminated literal",
-                                          start_line, start_col)
-                i += 1
-            if i >= n:
-                raise JavaSyntaxError("unterminated literal",
-                                      start_line, start_col)
-            i += 1
-            kind = "str" if quote == '"' else "char"
-            tokens.append(Token(kind, text[start:i], start_line, start_col))
-            continue
-
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            start_col = col(i)
-            i += 1
-            # Permissive number scan: hex/bin/oct, underscores, fractions,
-            # exponents, and suffixes all collapse into one token.
-            while i < n and (text[i].isalnum() or text[i] in "._"):
-                if text[i] == "." and not (i + 1 < n and
-                                           (text[i + 1].isdigit() or
-                                            text[i + 1] in "eEfFdD_")):
+    pos = 0
+    while True:
+        for m in _TOKEN_RE.finditer(text, pos):
+            kind = m.lastindex
+            if kind == _OP:
+                append(token("op", m.group(kind), line,
+                             m.start(kind) - line_start + 1))
+            elif kind == _WORD:
+                value = m.group(kind)
+                append(token("keyword" if value in keywords else "ident",
+                             value, line, m.start(kind) - line_start + 1))
+            elif kind == _NEWLINE:
+                line += 1
+                line_start = m.end()
+            elif kind in _LITERALS:
+                append(token(_LITERALS[kind], m.group(kind), line,
+                             m.start(kind) - line_start + 1))
+            elif kind == _BLOCK_COMMENT or kind == _TEXT_BLOCK:
+                value = m.group(kind)
+                start = m.start(kind)
+                start_line, start_col = line, start - line_start + 1
+                newlines = value.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = start + value.rindex("\n") + 1
+                if kind == _TEXT_BLOCK:
+                    append(token("str", value, start_line, start_col))
+                else:
+                    comments.append(RawComment(
+                        start_line, start_col, line, value,
+                        value.startswith("/**") and value != "/**/",
+                        len(tokens)))
+            elif kind == _LINE_COMMENT:
+                comments.append(RawComment(
+                    line, m.start(kind) - line_start + 1, line,
+                    m.group(kind), False, len(tokens)))
+            elif kind == _OTHER_WORD:
+                value = m.group(kind)
+                start = m.start(kind)
+                if value[0].isalpha():
+                    append(token("ident", value, line,
+                                 start - line_start + 1))
+                else:
+                    # [^\W\d] also admits numerals that are neither letters
+                    # nor digits (½, Ⅻ): such a character is an operator of
+                    # its own, and scanning resumes right after it.
+                    append(token("op", value[0], line,
+                                 start - line_start + 1))
+                    pos = start + 1
                     break
-                if text[i] in "eE" and i + 1 < n and text[i + 1] in "+-":
-                    i += 1
-                i += 1
-            tokens.append(Token("num", text[start:i], line, start_col))
-            continue
-
-        if _is_ident_start(c):
-            start = i
-            start_col = col(i)
-            i += 1
-            while i < n and _is_ident_part(text[i]):
-                i += 1
-            word = text[start:i]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, start_col))
-            continue
-
-        # Operators and punctuation, maximal munch.
-        for op in _MULTI_OPS:
-            if text.startswith(op, i):
-                tokens.append(Token("op", op, line, col(i)))
-                i += len(op)
-                break
+            elif kind is not None:  # None: blanks before the end of text
+                raise JavaSyntaxError(_UNTERMINATED[kind], line,
+                                      m.start(kind) - line_start + 1)
         else:
-            tokens.append(Token("op", c, line, col(i)))
-            i += 1
-
-    return tokens, comments
+            return tokens, comments

@@ -103,6 +103,8 @@ class _Parser:
         # (member, enclosing type stack, open brace idx, close brace idx)
         self.body_jobs: list[tuple[MemberFact, tuple[TypeFact, ...], int, int]] = []
         self.type_stack: list[TypeFact] = []
+        # (statement start, limit) -> index of the statement's last token
+        self.stmt_ends: dict[tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
     # token plumbing
@@ -874,30 +876,55 @@ class _Parser:
         return self.partner[i]
 
     def _stmt_end(self, i: int, limit: int) -> int:
-        """Index of the last token of the statement starting at i."""
+        """Index of the last token of the statement starting at i.
+
+        Walks down through loop heads, `if` conditions and `do` keywords
+        with an explicit stack of the `if`s and `do`s whose inner statement
+        is pending, then climbs back up through their `else` branches and
+        `while` tails. Every statement start passed on the way is recorded
+        with its end, so nested loops cost one walk, not one each.
+        """
         toks = self.tokens
-        while True:  # else branches and loop bodies continue the loop
-            v = toks[i].value
-            if v == "if":
-                end = self._stmt_end(self._matching_close(i + 1) + 1, limit)
-                if end + 1 > limit or toks[end + 1].value != "else":
+        ends = self.stmt_ends
+        starts: list[int] = []  # statements ending where the current one does
+        pending: list[tuple[str, list[int]]] = []  # ("if"|"do", outer starts)
+        while True:
+            end = ends.get((i, limit))
+            if end is None:
+                v = toks[i].value
+                if v not in ("for", "while", "if", "do"):
+                    end = self._simple_stmt_end(i, limit)
+                else:
+                    starts.append(i)
+                    i = i + 1 if v == "do" else self._matching_close(i + 1) + 1
+                    if v in ("if", "do"):
+                        pending.append((v, starts))
+                        starts = []
+                    continue
+            while True:
+                for start in starts:
+                    ends[(start, limit)] = end
+                if not pending:
                     return end
-                i = end + 2
-            elif v in ("for", "while"):
-                i = self._matching_close(i + 1) + 1
-            else:
-                break
+                what, starts = pending.pop()
+                j = end + 1
+                if what == "if":
+                    if j <= limit and toks[j].value == "else":
+                        i = j + 1  # the else branch ends the if statement
+                        break
+                elif j <= limit and toks[j].value == "while":
+                    close = self._matching_close(j + 1)
+                    if close + 1 <= limit and toks[close + 1].value == ";":
+                        end = close + 1
+                    else:
+                        end = close
+
+    def _simple_stmt_end(self, i: int, limit: int) -> int:
+        """End of a statement that is not a loop, `if` or `do`."""
+        toks = self.tokens
+        v = toks[i].value
         if v == "{":
             return self._matching_close(i)
-        if v == "do":
-            body_end = self._stmt_end(i + 1, limit)
-            j = body_end + 1
-            if j <= limit and toks[j].value == "while":
-                close = self._matching_close(j + 1)
-                if close + 1 <= limit and toks[close + 1].value == ";":
-                    return close + 1
-                return close
-            return body_end
         if v in ("switch", "synchronized"):
             close = self._matching_close(i + 1)
             return self._matching_close(close + 1)

@@ -1,10 +1,17 @@
 """Tokenizer behavior: token boundaries, positions, comments, errors."""
 
+import re
+import sys
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from javastyle.lexer import KEYWORDS, JavaSyntaxError, tokenize
+from javastyle.lexer import _DIGIT, KEYWORDS, JavaSyntaxError, tokenize
+from lexer_reference import tokenize as reference_tokenize
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def kinds_values(text):
@@ -109,3 +116,59 @@ def test_tokenize_returns_sound_tokens_or_syntax_error(text):
         assert t.line >= 1 and t.col >= 1
     for c in comments:
         assert c.end_line >= c.line
+
+
+def test_text_block_line_continuation_counts_its_newline():
+    text = 'String s = """\n  a \\\n  b""";\nint x;'
+    tokens, _ = tokenize(text)
+    assert [(t.value, t.line) for t in tokens][-4:] == [
+        (";", 3), ("int", 4), ("x", 4), (";", 4)]
+    assert tokens[-2].col == 5
+
+
+def test_escaped_newline_in_string_literal_is_not_counted():
+    tokens, _ = tokenize('s = "a\\\nb"; x')
+    assert (tokens[-1].value, tokens[-1].line) == ("x", 1)
+
+
+def test_digit_class_matches_str_isdigit():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(_DIGIT, every) == [c for c in every if c.isdigit()]
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("x²", [("ident", "x²")]),
+    ("²x 1.²", [("num", "²x"), ("num", "1.²")]),
+    ("½a Ⅻ", [("op", "½"), ("ident", "a"), ("op", "Ⅻ")]),
+    ("½1.5e+3 ٣", [("op", "½"), ("num", "1.5e+3"), ("num", "٣")]),
+    ("é$ \v\u00a0/", [("ident", "é$"), ("op", "\v"), ("op", "\u00a0"),
+                       ("op", "/")]),
+])
+def test_unicode_digits_letters_and_numerals(text, expected):
+    assert kinds_values(text) == expected
+
+
+def lex_outcome(tokenizer, text):
+    """Tokens and comments, or the error's (message, line, col)."""
+    try:
+        return tokenizer(text)
+    except JavaSyntaxError as err:
+        return (err.message, err.line, err.col)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.rglob("*.java")),
+                         ids=lambda p: str(p.relative_to(FIXTURES)))
+def test_matches_reference_tokenizer_on_fixtures(path):
+    text = path.read_text(encoding="utf-8")
+    assert lex_outcome(tokenize, text) == lex_outcome(reference_tokenize, text)
+
+
+_PIECES = st.sampled_from(
+    list("\"'\\/*.eE+-$_09 xa;{}()<>=!&|\n\r\f\v\u00a0²½Ⅻ٣é")
+    + ['"""', "/**", "/**/", "*/", "//", ">>>=", "..."])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_PIECES, max_size=40).map("".join))
+def test_matches_reference_tokenizer(text):
+    assert lex_outcome(tokenize, text) == lex_outcome(reference_tokenize, text)

@@ -3,12 +3,12 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from javastyle.lexer import JavaSyntaxError, Token, tokenize
 from javastyle.model import MEMBER_KINDS, TYPE_KINDS, VISIBILITIES
-from javastyle.parser import match_brackets
+from javastyle.parser import _Parser, match_brackets
 
 from helpers import parse_source
 
@@ -287,6 +287,94 @@ def test_deeply_nested_brace_less_loops():
     loops = m.types[0].members[0].body.loops
     assert len(loops) == depth
     assert {lp.end_line for lp in loops} == {depth + 2}
+
+
+def test_deeply_nested_brace_less_ifs_in_loop():
+    depth = 3000
+    m = parse_source(
+        "class A { void f() {\nwhile (b)\n" + "if (a)\n" * depth
+        + "f();\nelse g();\nh();\n} }\n",
+        "A.java")
+    loops = m.types[0].members[0].body.loops
+    assert [(lp.kind, lp.line, lp.end_line) for lp in loops] == [
+        ("while", 2, depth + 4)]
+
+
+def test_deeply_nested_do_loops():
+    depth = 3000
+    m = parse_source(
+        "class A { void f() {\n" + "do\n" * depth + "f();\n"
+        + "while (b);\n" * depth + "} }\n",
+        "A.java")
+    loops = m.types[0].members[0].body.loops
+    assert [(lp.kind, lp.line, lp.end_line) for lp in loops] == [
+        ("do", 2 + k, 2 * depth + 2 - k) for k in range(depth)]
+
+
+@pytest.mark.parametrize("nest", ["for(;;)\n", "while (b)\n", "do\n"])
+def test_nested_loop_ends_are_walked_once(monkeypatch, nest):
+    depth = 500
+    calls = 0
+    matching_close = _Parser._matching_close
+
+    def counted(self, i):
+        nonlocal calls
+        calls += 1
+        return matching_close(self, i)
+
+    monkeypatch.setattr(_Parser, "_matching_close", counted)
+    tail = "while (b);\n" * depth if nest == "do\n" else ""
+    m = parse_source(
+        "class A { void f() {\n" + nest * depth + "f();\n" + tail + "} }\n",
+        "A.java")
+    assert len(m.types[0].members[0].body.loops) == depth
+    assert calls <= 2 * depth
+
+
+_FIXTURE_TEXTS = [p.read_text("utf-8")
+                  for p in sorted(FIXTURE_ROOT.rglob("*.java"))]
+_SNIPPETS = ["if (a)", "do", "for(;;)", "while (b)", "else", "{", "}", "(",
+             ")", ";", "try", "catch (E e)", "class B {", "->", "<"]
+
+
+@st.composite
+def mutated_fixture(draw):
+    """A fixture file with tokens inserted, deleted or duplicated, mostly
+    inside member bodies (brace depth two or more)."""
+    text = draw(st.sampled_from(_FIXTURE_TEXTS))
+    line_offsets = [0]
+    for line in text.split("\n"):
+        line_offsets.append(line_offsets[-1] + len(line) + 1)
+    spans, in_bodies, depth = [], [], 0
+    for k, tok in enumerate(tokenize(text)[0]):
+        spans.append((line_offsets[tok.line - 1] + tok.col - 1, len(tok.value)))
+        if depth >= 2:
+            in_bodies.append(k)
+        depth += (tok.value == "{") - (tok.value == "}")
+    edits = draw(st.lists(
+        st.tuples(st.sampled_from(in_bodies) | st.integers(0, len(spans) - 1),
+                  st.sampled_from(["insert", "delete", "duplicate"]),
+                  st.sampled_from(_SNIPPETS),
+                  st.sampled_from([1, 2, 3000])),
+        min_size=1, max_size=3, unique_by=lambda edit: edit[0]))
+    for k, how, snippet, times in sorted(edits, reverse=True):
+        start, length = spans[k]
+        if how == "duplicate":
+            snippet = text[start:start + length]
+        if how == "delete":
+            text = text[:start] + text[start + length:]
+        else:
+            text = text[:start] + (snippet + "\n") * times + text[start:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_fixture())
+def test_mutated_fixture_parses_or_raises_syntax_error(text):
+    try:
+        parse_source(text)
+    except JavaSyntaxError:
+        pass
 
 
 def test_annotations_with_arguments():
