@@ -60,8 +60,15 @@ def _excluded(rel_path: str, excludes: tuple[str, ...]) -> bool:
     return False
 
 
-def analyze_repository(root: str,
-                       config: AnalysisConfig | None = None) -> AnalysisResult:
+def analyze_repository(root: str, config: AnalysisConfig | None = None, *,
+                       reuse: dict | None = None) -> AnalysisResult:
+    """Analyze the Java sources under `root`.
+
+    `reuse` maps (rel, text) to the model parsed from that text, or to the
+    diagnostic of its syntax error, so a caller analyzing snapshots of one
+    tree parses each unchanged file once. It is replaced by the entries
+    this call used, so it holds one snapshot at a time.
+    """
     config = config or AnalysisConfig()
     if config.ordering_id not in ORDERING_CONFIGS:
         raise ValueError(f"unknown ordering config: {config.ordering_id}")
@@ -70,6 +77,7 @@ def analyze_repository(root: str,
 
     diagnostics: list[str] = []
     models: list[SourceFileModel] = []
+    used: dict[tuple[str, str], SourceFileModel | str] = {}
     for rel in discover_sources(root):
         if _excluded(rel, config.excludes):
             continue
@@ -83,10 +91,23 @@ def analyze_repository(root: str,
         except OSError as exc:
             diagnostics.append(f"skipped {rel}: {exc.strerror or exc}")
             continue
-        try:
-            models.append(parse_compilation_unit(text, rel))
-        except JavaSyntaxError as exc:
-            diagnostics.append(f"skipped {rel}: {exc}")
+        parsed = reuse.get((rel, text)) if reuse else None
+        if parsed is None:
+            try:
+                parsed = parse_compilation_unit(text, rel)
+            except JavaSyntaxError as exc:
+                # The message, not the exception: its traceback holds the
+                # parser and its whole token list.
+                parsed = f"skipped {rel}: {exc}"
+        if reuse is not None:
+            used[rel, text] = parsed
+        if isinstance(parsed, str):
+            diagnostics.append(parsed)
+        else:
+            models.append(parsed)
+    if reuse is not None:
+        reuse.clear()
+        reuse.update(used)
 
     index = build_project_index(models)
     diagnostics.extend(index.diagnostics)

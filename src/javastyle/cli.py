@@ -140,8 +140,14 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
 
+    if args.months < 1:
+        print(f"error: --months must be at least 1, got {args.months}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    parsed: dict = {}  # each snapshot reuses the previous one's parses
+
     def analyze_fn(path: str):
-        result = analyze_repository(path, config)
+        result = analyze_repository(path, config, reuse=parsed)
         return result.scores, result.total_normalized
 
     samples = evolve(args.path, analyze_fn, months=args.months,

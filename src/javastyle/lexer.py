@@ -65,7 +65,8 @@ _DIGIT = (
 
 # Blanks are skipped, then the first alternative that matches wins. A bare
 # opener (groups 4, 6 and 9) matches only where its terminated form did not,
-# and is an error. Operators come longest first (maximal munch), and any
+# and is an error; a string or char literal cannot span lines, not even
+# after a backslash. Operators come longest first (maximal munch), and any
 # other character is a one-character operator. The empty match at the end
 # of the text (no group) lets trailing blanks go in one step. Since `[\s\S]`
 # or `\Z` always matches after the blanks, the greedy blank prefix never
@@ -78,8 +79,8 @@ _TOKEN_RE = re.compile(
     | (/\*)                                              # 4 open comment
     | ("{{3}}(?:\\[\s\S]|[^\\])*?"{{3}})                 # 5 text block
     | ("{{3}})                                           # 6 open text block
-    | ("(?:\\[\s\S]|[^"\\\n])*")                         # 7 string
-    | ('(?:\\[\s\S]|[^'\\\n])*')                         # 8 char
+    | ("(?:\\[^\n]|[^"\\\n])*")                          # 7 string
+    | ('(?:\\[^\n]|[^'\\\n])*')                          # 8 char
     | (["'])                                             # 9 open literal
     | ((?:{_DIGIT}|\.{_DIGIT})
        (?:[eE][+-]|\.(?={_DIGIT}|[eEfFdD_])|\w)*)        # 10 number

@@ -113,7 +113,7 @@ def tokenize(text: str) -> tuple[list[Token], list[RawComment]]:
             start_line, start_col = line, col(i)
             i += 1
             while i < n and text[i] != quote:
-                if text[i] == "\\":
+                if text[i] == "\\" and text[i + 1:i + 2] != "\n":
                     i += 1
                 elif text[i] == "\n":
                     raise JavaSyntaxError("unterminated literal",

@@ -1,11 +1,17 @@
 """Repository-level analysis: discovery, skips, excludes, verdict wiring."""
 
+from pathlib import Path
+
 import pytest
 
+from javastyle import analysis
 from javastyle.analysis import AnalysisConfig, analyze_repository
 from javastyle.checkers import Category
 
 from helpers import write_tree
+from test_acceptance import build_large_tree
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 GOOD = ("package p;\nclass Alpha {\n  private int count;\n"
         "  int getCount() { return count; }\n}\n")
@@ -117,3 +123,41 @@ def test_empty_repository_analyzes_clean(tmp_path):
 def test_missing_root_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         analyze_repository(str(tmp_path / "nowhere"))
+
+
+@pytest.mark.parametrize("tree", ["fixtures", "clean", "seeded", "large"])
+def test_models_are_not_mutated_after_parsing(tmp_path, monkeypatch, tree):
+    # evolve hands a parsed model to every later snapshot whose file is
+    # unchanged, which is only sound if nothing after parsing changes it.
+    if tree == "large":
+        build_large_tree(str(tmp_path))
+        root = tmp_path
+    else:
+        root = FIXTURES if tree == "fixtures" else FIXTURES / tree
+    parsed = []
+    parse = analysis.parse_compilation_unit
+
+    def recording_parse(text, path):
+        model = parse(text, path)
+        parsed.append((model, repr(model)))
+        return model
+
+    monkeypatch.setattr(analysis, "parse_compilation_unit", recording_parse)
+    result = analyze_repository(str(root))
+    assert len(parsed) == len(result.models) > 0
+    changed = [model.path for model, before in parsed if repr(model) != before]
+    assert changed == []
+
+
+def test_reuse_holds_the_last_snapshot_only(tmp_path):
+    write_tree(tmp_path, {"src/p/Alpha.java": GOOD,
+                          "src/p/Broken.java": BAD_SYNTAX})
+    reuse = {}
+    first = analyze_repository(str(tmp_path), reuse=reuse)
+    assert reuse == {("src/p/Alpha.java", GOOD): first.models[0],
+                     ("src/p/Broken.java", BAD_SYNTAX): first.diagnostics[0]}
+    (tmp_path / "src/p/Broken.java").unlink()
+    second = analyze_repository(str(tmp_path), reuse=reuse)
+    assert second.models[0] is first.models[0]
+    assert second.diagnostics == []
+    assert reuse == {("src/p/Alpha.java", GOOD): first.models[0]}

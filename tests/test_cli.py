@@ -6,6 +6,8 @@ import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
 
+import pytest
+
 from javastyle.cli import main
 
 from helpers import write_tree
@@ -234,6 +236,19 @@ def test_evolve_bad_date_is_usage_error(tmp_path, capsysbinary):
     code, _ = run_captured(capsysbinary, "evolve", str(repo),
                            "--as-of", "May 2024")
     assert code == 2
+
+
+@pytest.mark.parametrize("months", ["0", "-3"])
+def test_evolve_months_below_one_is_usage_error(tmp_path, capsysbinary,
+                                                months):
+    repo = make_repo(tmp_path / "repo")
+    add_commit(repo, datetime(2024, 1, 15, tzinfo=timezone.utc), {"a": "1"})
+    code = main(["evolve", str(repo), "--as-of", "2024-05-01",
+                 "--months", months, "--force"])
+    captured = capsysbinary.readouterr()
+    assert code == 2
+    assert captured.out == b""
+    assert b"--months must be at least 1" in captured.err
 
 
 def test_evolve_ineligible_is_fatal(tmp_path, capsysbinary):

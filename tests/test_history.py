@@ -1,17 +1,23 @@
 """Git history sampling against purpose-built throwaway repositories."""
 
+import json
 import os
 import subprocess
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from javastyle.history import (CommitRecord, HistoryError, check_eligibility,
-                               evolve, list_commits, monthly_activity,
-                               select_monthly_commit, spacing_report,
-                               window_labels)
+from javastyle import analysis
+from javastyle.analysis import AnalysisConfig, analyze_repository
+from javastyle.cli import main
+from javastyle.history import (CommitRecord, EvolutionSample, HistoryError,
+                               check_eligibility, evolve, list_commits,
+                               monthly_activity, select_monthly_commit,
+                               spacing_report, window_labels)
+from javastyle.report import evolution_rows
 
 UTC = timezone.utc
 AS_OF = datetime(2024, 7, 1, tzinfo=UTC)
@@ -390,3 +396,78 @@ def test_selected_commits_from_sparse_months(tmp_path):
                       "2024-04": 1, "2024-05": 24, "2024-06": 13}
     gap = spacing_report([s.commit for s in samples])
     assert gap is not None and gap >= 10
+
+
+# --- parse reuse across snapshots ---------------------------------------------
+
+BASE_RUN = "package p;\npublic class Base {\n  public void run() {}\n}\n"
+BASE_GO = "package p;\npublic class Base {\n  public void go() {}\n}\n"
+CHILD = ("package p;\npublic class Child extends Base {\n"
+         "  public void run() {}\n}\n")
+BROKEN = "package p;\nclass Widget {\n  void f( {\n}\n"
+GENERATED = "package gen;\nclass lower_case {}\n"
+
+
+def test_evolve_parses_each_file_version_once(tmp_path, monkeypatch,
+                                              capsysbinary):
+    # One commit a month, each month changing the tree in another way. The
+    # Child's missing @Override depends on Base, so a reused model must
+    # still be checked against the current snapshot's other files.
+    repo = make_repo(tmp_path / "repo")
+    months = [
+        {"src/p/Base.java": BASE_RUN, "src/p/Child.java": CHILD,
+         "src/p/Widget.java": CLEAN_JAVA, "src/p/Old.java": GENERATED,
+         "src/p/Gone.java": CATCH_JAVA.replace("Widget", "Gone"),
+         "src/gen/Gen.java": GENERATED},
+        {"src/p/Base.java": BASE_GO},                   # edited
+        {"src/p/Old.java": None, "src/p/New.java": GENERATED,  # renamed
+         "src/p/Gone.java": None},                      # deleted
+        {"src/p/Widget.java": BROKEN},                  # syntax error
+        {"src/gen/Gen.java": GENERATED + "\n"},         # excluded edit
+        {"src/p/Widget.java": CATCH_JAVA},              # fixed
+    ]
+    for i, change in enumerate(months):
+        for rel, text in change.items():
+            if text is None:
+                (repo / rel).unlink()
+        add_commit(repo, at(2024, i + 1, 15),
+                   {rel: text for rel, text in change.items()
+                    if text is not None})
+
+    parse = analysis.parse_compilation_unit
+    parsed = []
+
+    def counting_parse(text, path):
+        parsed.append((path, text))
+        return parse(text, path)
+
+    monkeypatch.setattr(analysis, "parse_compilation_unit", counting_parse)
+    code = main(["evolve", str(repo), "--as-of", "2024-07-01", "--months",
+                 str(len(months)), "--force", "--exclude", "src/gen"])
+    assert code == 0
+    rows = json.loads(capsysbinary.readouterr().out)["samples"]
+    reused_parses = Counter(parsed)
+
+    config = AnalysisConfig(excludes=("src/gen",))
+    parsed.clear()
+    diagnostics = []
+    try:
+        for row in rows:
+            run_git(repo, "checkout", "--quiet", row["commit"])
+            fresh = analyze_repository(str(repo), config)
+            diagnostics.append(fresh.diagnostics)
+            commit = CommitRecord(row["commit"],
+                                  datetime.fromisoformat(row["timestamp"]))
+            assert row == evolution_rows([EvolutionSample(
+                row["month"], commit, fresh.scores,
+                fresh.total_normalized)])[0]
+    finally:
+        run_git(repo, "checkout", "--quiet", "main")
+
+    assert len(rows) == len(months)
+    assert [bool(d) for d in diagnostics] == [False] * 3 + [True] * 2 + [False]
+    assert len({row["totalNormalized"] for row in rows}) > 2
+    assert not any(path.startswith("src/gen/") for path, _ in reused_parses)
+    # Five files at first, then one new version in months 2, 3, 4 and 6.
+    assert reused_parses == Counter(set(parsed))
+    assert len(reused_parses) == 9

@@ -126,9 +126,14 @@ def test_text_block_line_continuation_counts_its_newline():
     assert tokens[-2].col == 5
 
 
-def test_escaped_newline_in_string_literal_is_not_counted():
-    tokens, _ = tokenize('s = "a\\\nb"; x')
-    assert (tokens[-1].value, tokens[-1].line) == ("x", 1)
+@pytest.mark.parametrize("tokenizer", [tokenize, reference_tokenize],
+                         ids=["regex", "reference"])
+@pytest.mark.parametrize("quote", ['"', "'"], ids=["string", "char"])
+def test_escaped_newline_in_literal_is_unterminated(tokenizer, quote):
+    # A Java string or char literal cannot span lines, not even after a
+    # backslash (only a text block can).
+    text = f"s = {quote}a\\\nb{quote}; x"
+    assert lex_outcome(tokenizer, text) == ("unterminated literal", 1, 5)
 
 
 def test_digit_class_matches_str_isdigit():
