@@ -138,7 +138,7 @@ def check_class_names(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
                 Category.CLASS_NAMES, model.path, t.line,
                 "type name is not UpperCamelCase", t.name))
             continue
-        last = split_identifier(t.name).words[-1]
+        last = split_identifier(t.name)[-1]
         cats = ctx.lexicon.categories_with_fallback(last)
         if cats and NOUN not in cats:
             out.append(Violation(
@@ -157,7 +157,7 @@ def check_method_names(model: SourceFileModel, ctx: CheckContext) -> CheckResult
                     Category.METHOD_NAMES, model.path, m.line,
                     "method name is not lowerCamelCase", m.name))
                 continue
-            first = split_identifier(m.name).words[0]
+            first = split_identifier(m.name)[0]
             if first in METHOD_NAME_ALLOWLIST:
                 continue
             cats = ctx.lexicon.categories_with_fallback(first)
@@ -363,7 +363,7 @@ def check_unqualified_static(model: SourceFileModel,
                 if not r.resolved:
                     continue
                 inspected += 1
-                if r.is_static_member and not r.qualified_correctly:
+                if not r.qualified_correctly:
                     out.append(Violation(
                         Category.UNQUALIFIED_STATIC_ACCESS, model.path, a.line,
                         "static member accessed through an instance expression",

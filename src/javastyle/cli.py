@@ -192,6 +192,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
                 data = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FatalError(f"{full}: not a valid JSON report: {exc}") from exc
+        if not isinstance(data, dict):
+            raise FatalError(f"{full}: not a JSON report object")
         try:
             violations = [
                 Violation(Category(v["category"]), v["file"], v["line"],
@@ -228,6 +230,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}",
+              file=sys.stderr)
+        return EXIT_USAGE
     config = merged_config(args)
     try:
         with open(args.paths_file, encoding="utf-8") as fh:

@@ -9,7 +9,6 @@ the tool has no runtime dependency on a dictionary library.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
@@ -26,8 +25,6 @@ CATEGORY_BY_LETTER = {
     "r": ADVERB,
     "o": OTHER,
 }
-
-CASING_CONVENTIONS = ("upperCamel", "lowerCamel", "constant")
 
 _CASING_RE = {
     "upperCamel": re.compile(r"^[A-Z][A-Za-z0-9]*$"),
@@ -145,27 +142,15 @@ def _suffix_candidates(word: str):
             yield stem[:-1]
 
 
-@dataclass
-class IdentifierWords:
-    """An identifier decomposed into lowercase word tokens."""
-
-    raw: str
-    words: list[str] = field(default_factory=list)
-    casing_valid: dict[str, bool] = field(default_factory=dict)
-
-
-def split_identifier(name: str) -> IdentifierWords:
-    """Split a Java identifier into its constituent words.
+def split_identifier(name: str) -> list[str]:
+    """Split a Java identifier into its lowercase constituent words.
 
     Boundaries fall at lower-to-upper transitions, digit runs and
     underscores; an all-caps run keeps together except for a trailing
     capital that starts the next word (HTTPServer -> http, server).
     """
     words = [w.lower() for w in _WORD_RE.findall(name)]
-    if not words:
-        words = [name.lower()]
-    valid = {conv: matches_casing(name, conv) for conv in CASING_CONVENTIONS}
-    return IdentifierWords(raw=name, words=words, casing_valid=valid)
+    return words or [name.lower()]
 
 
 def matches_casing(name: str, convention: str) -> bool:

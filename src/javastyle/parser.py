@@ -14,6 +14,7 @@ permissively and produce no facts.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from typing import NoReturn
 
@@ -93,6 +94,8 @@ class _Parser:
         self.partner = match_brackets(self.tokens)
         self.pos = 0
         self.line_count = sum(1 for ln in text.split("\n") if ln.strip())
+        # Index of the token after each comment, in source order.
+        self.comment_next = [com.next_token_index for com in self.comments]
         self.doc_by_next: dict[int, object] = {}
         for com in self.comments:
             if com.is_javadoc:
@@ -850,21 +853,17 @@ class _Parser:
             return close_paren + 1
         bclose = self._matching_close(bopen)
         body_empty = bclose == bopen + 1
-        has_comment = self._comment_between(toks[bopen], toks[bclose])
+        # A comment lies inside the braces when the next token after it
+        # is past the `{` and no later than the `}`.
+        after = bisect_right(self.comment_next, bopen)
+        has_comment = (after < len(self.comment_next)
+                       and self.comment_next[after] <= bclose)
         facts.catches.append(
             CatchFact(line=catch_tok.line, exception_var=var,
                       body_empty=body_empty, has_comment=has_comment,
                       in_test_method=in_test)
         )
         return bopen + 1
-
-    def _comment_between(self, open_tok: Token, close_tok: Token) -> bool:
-        lo = (open_tok.line, open_tok.col)
-        hi = (close_tok.line, close_tok.col)
-        for com in self.comments:
-            if lo < (com.line, com.col) < hi:
-                return True
-        return False
 
     def _matching_close(self, i: int) -> int:
         tok = self.tokens[i]

@@ -10,7 +10,7 @@ is skipped by the callers.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -22,12 +22,7 @@ OBJECT_TYPE = "java.lang.Object"
 @dataclass(frozen=True)
 class MethodSignature:
     name: str
-    arity: int
     param_type_names: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.arity != len(self.param_type_names):
-            raise ValueError("arity must equal len(param_type_names)")
 
 
 def erased_simple_type(type_name: str) -> str:
@@ -42,7 +37,7 @@ def erased_simple_type(type_name: str) -> str:
 
 def method_signature(member: MemberFact) -> MethodSignature:
     params = tuple(erased_simple_type(p.type_name) for p in member.params)
-    return MethodSignature(member.name, len(params), params)
+    return MethodSignature(member.name, params)
 
 
 # Built-in model of the one JDK type everything inherits from. The
@@ -50,11 +45,11 @@ def method_signature(member: MemberFact) -> MethodSignature:
 # methods; finalize is modeled deprecated as in current JDKs, which also
 # keeps an unannotated finalize() from being double-flagged.
 OBJECT_METHODS: tuple[tuple[MethodSignature, bool], ...] = (
-    (MethodSignature("equals", 1, ("Object",)), False),
-    (MethodSignature("hashCode", 0, ()), False),
-    (MethodSignature("toString", 0, ()), False),
-    (MethodSignature("clone", 0, ()), False),
-    (MethodSignature("finalize", 0, ()), True),
+    (MethodSignature("equals", ("Object",)), False),
+    (MethodSignature("hashCode", ()), False),
+    (MethodSignature("toString", ()), False),
+    (MethodSignature("clone", ()), False),
+    (MethodSignature("finalize", ()), True),
 )
 
 
@@ -63,19 +58,19 @@ class MethodEntry:
     signature: MethodSignature
     visibility: str
     deprecated: bool
-    is_static: bool
 
 
 @dataclass
 class TypeEntry:
     qualified: str
-    simple: str
     fact: TypeFact
     file: str
     package: str | None
-    supertype_names: tuple[str, ...] = ()
     resolved_supertypes: list[str] = field(default_factory=list)
     external_supertypes: list[str] = field(default_factory=list)
+    static_names: set[str] = field(default_factory=set)
+    instance_names: set[str] = field(default_factory=set)
+    methods: list[MethodEntry] = field(default_factory=list)  # instance only
 
 
 @dataclass
@@ -95,7 +90,6 @@ class OverrideResolution:
 
 @dataclass(frozen=True)
 class StaticAccessResolution:
-    is_static_member: bool
     qualified_correctly: bool
     resolved: bool
 
@@ -103,12 +97,6 @@ class StaticAccessResolution:
 class ProjectIndex:
     def __init__(self):
         self.by_qualified: dict[str, TypeEntry] = {}
-        self.by_simple: dict[str, TypeEntry] = {}
-        self.hierarchy: dict[str, list[str]] = {}
-        self.static_member_names_local: dict[str, set[str]] = {}
-        self.instance_member_names_local: dict[str, set[str]] = {}
-        self.methods: dict[str, list[MethodEntry]] = {}
-        self.deprecated_methods: set[tuple[str, MethodSignature]] = set()
         self.diagnostics: list[str] = []
         # Project-wide usedness aggregates for the dead-code check.
         self.access_names: set[str] = set()
@@ -116,13 +104,8 @@ class ProjectIndex:
         self.method_decl_counts: Counter = Counter()
         self._entry_by_fact: dict[int, TypeEntry] = {}
         self._contexts: dict[str, _FileContext] = {}
-        self._facts_alive: list[TypeFact] = []
 
     # -- lookups ----------------------------------------------------------
-
-    def lookup(self, name: str) -> TypeEntry | None:
-        """typesByName view: qualified first, then simple."""
-        return self.by_qualified.get(name) or self.by_simple.get(name)
 
     def entry_for(self, fact: TypeFact) -> TypeEntry | None:
         return self._entry_by_fact.get(id(fact))
@@ -175,35 +158,28 @@ class ProjectIndex:
 
     def supertype_chain(self, qualified: str) -> list[str]:
         """Transitive project-local supertypes, BFS order, Object last."""
-        seen: list[str] = []
-        visited = {qualified}
-        queue = deque(self.hierarchy.get(qualified, []))
-        saw_object = False
-        while queue:
-            q = queue.popleft()
-            if q in visited:
-                continue
-            visited.add(q)
-            if q == OBJECT_TYPE:
-                saw_object = True
-                continue
-            seen.append(q)
-            queue.extend(self.hierarchy.get(q, []))
-        if saw_object:
-            seen.append(OBJECT_TYPE)
-        return seen
+        if qualified not in self.by_qualified:
+            return []
+        chain = [qualified]
+        visited = {qualified, OBJECT_TYPE}  # never walk into Object
+        for q in chain:
+            for sup in self.by_qualified[q].resolved_supertypes:
+                if sup not in visited:
+                    visited.add(sup)
+                    chain.append(sup)
+        if qualified != OBJECT_TYPE:
+            chain.append(OBJECT_TYPE)
+        return chain[1:]
 
-    def static_member_names(self, qualified: str) -> set[str]:
-        names = set(self.static_member_names_local.get(qualified, ()))
-        for q in self.supertype_chain(qualified):
-            names |= self.static_member_names_local.get(q, set())
-        return names
-
-    def instance_member_names(self, qualified: str) -> set[str]:
-        names = set(self.instance_member_names_local.get(qualified, ()))
-        for q in self.supertype_chain(qualified):
-            names |= self.instance_member_names_local.get(q, set())
-        return names
+    def member_names(self, entry: TypeEntry) -> tuple[set[str], set[str]]:
+        """Static and instance member names of a type and its supertypes."""
+        statics, instances = set(entry.static_names), set(entry.instance_names)
+        for q in self.supertype_chain(entry.qualified):
+            parent = self.by_qualified.get(q)
+            if parent is not None:
+                statics |= parent.static_names
+                instances |= parent.instance_names
+        return statics, instances
 
 
 def build_project_index(models: list[SourceFileModel]) -> ProjectIndex:
@@ -243,16 +219,8 @@ def _register(index: ProjectIndex, model: SourceFileModel, ctx: _FileContext,
     else:
         qualified = fact.name
 
-    entry = TypeEntry(
-        qualified=qualified,
-        simple=fact.name,
-        fact=fact,
-        file=model.path,
-        package=model.package,
-        supertype_names=tuple(fact.supertypes),
-    )
+    entry = TypeEntry(qualified, fact, model.path, model.package)
     index._entry_by_fact[id(fact)] = entry
-    index._facts_alive.append(fact)
 
     if qualified in index.by_qualified:
         first = index.by_qualified[qualified]
@@ -261,7 +229,6 @@ def _register(index: ProjectIndex, model: SourceFileModel, ctx: _FileContext,
         )
     else:
         index.by_qualified[qualified] = entry
-        index.by_simple.setdefault(fact.name, entry)
         ctx.local_simple.setdefault(fact.name, qualified)
         _register_members(index, entry)
 
@@ -271,43 +238,32 @@ def _register(index: ProjectIndex, model: SourceFileModel, ctx: _FileContext,
 
 
 def _register_members(index: ProjectIndex, entry: TypeEntry) -> None:
-    statics: set[str] = set()
-    instances: set[str] = set()
-    methods: list[MethodEntry] = []
     for m in entry.fact.members:
         if m.kind == "staticField":
-            statics.add(m.name)
+            entry.static_names.add(m.name)
         elif m.kind == "instanceField":
-            instances.add(m.name)
-        elif m.kind in ("staticMethod", "instanceMethod"):
+            entry.instance_names.add(m.name)
+        elif m.kind == "staticMethod":
             index.method_decl_counts[m.name] += 1
-            is_static = m.kind == "staticMethod"
-            (statics if is_static else instances).add(m.name)
-            sig = method_signature(m)
-            deprecated = "Deprecated" in m.annotations
-            methods.append(MethodEntry(sig, m.visibility, deprecated, is_static))
-            if deprecated:
-                index.deprecated_methods.add((entry.qualified, sig))
+            entry.static_names.add(m.name)
+        elif m.kind == "instanceMethod":
+            index.method_decl_counts[m.name] += 1
+            entry.instance_names.add(m.name)
+            entry.methods.append(MethodEntry(
+                method_signature(m), m.visibility, "Deprecated" in m.annotations))
         if m.body is not None:
             for access in m.body.accesses:
                 index.access_names.add(access.member_name)
-    index.static_member_names_local[entry.qualified] = statics
-    index.instance_member_names_local[entry.qualified] = instances
-    index.methods[entry.qualified] = methods
 
 
 def _resolve_supertypes(index: ProjectIndex) -> None:
     for entry in index.by_qualified.values():
-        edges: list[str] = []
-        for name in entry.supertype_names:
+        for name in entry.fact.supertypes:
             target = index.resolve_type(name, entry.file)
             if target is not None and target.qualified != entry.qualified:
                 entry.resolved_supertypes.append(target.qualified)
-                edges.append(target.qualified)
             else:
                 entry.external_supertypes.append(name)
-        edges.append(OBJECT_TYPE)
-        index.hierarchy[entry.qualified] = edges
 
 
 def _drop_hierarchy_cycles(index: ProjectIndex) -> None:
@@ -321,9 +277,9 @@ def _drop_hierarchy_cycles(index: ProjectIndex) -> None:
 
     def enter(node: str) -> tuple[str, Iterator[str]]:
         color[node] = GRAY
-        return node, iter(list(index.hierarchy.get(node, [])))
+        return node, iter(list(index.by_qualified[node].resolved_supertypes))
 
-    for root in sorted(index.hierarchy):
+    for root in sorted(index.by_qualified):
         if color.get(root, WHITE) != WHITE:
             continue
         path = [enter(root)]
@@ -334,11 +290,9 @@ def _drop_hierarchy_cycles(index: ProjectIndex) -> None:
                     continue
                 state = color.get(succ, WHITE)
                 if state == GRAY:
-                    index.hierarchy[node].remove(succ)
-                    entry = index.by_qualified.get(node)
-                    if entry is not None and succ in entry.resolved_supertypes:
-                        entry.resolved_supertypes.remove(succ)
-                        entry.external_supertypes.append(succ)
+                    entry = index.by_qualified[node]
+                    entry.resolved_supertypes.remove(succ)
+                    entry.external_supertypes.append(succ)
                     index.diagnostics.append(
                         f"inheritance cycle: dropped edge {node} -> {succ}"
                     )
@@ -363,8 +317,7 @@ def resolve_override(method: MemberFact, owner: TypeFact,
     if entry is None or method.kind != "instanceMethod":
         return OverrideResolution(False, False, False)
 
-    declared = entry.supertype_names
-    parent_resolved = not declared or bool(entry.resolved_supertypes)
+    parent_resolved = not entry.fact.supertypes or bool(entry.resolved_supertypes)
     sig = method_signature(method)
 
     for qual in index.supertype_chain(entry.qualified):
@@ -373,15 +326,12 @@ def resolve_override(method: MemberFact, owner: TypeFact,
                 if obj_sig == sig:
                     return OverrideResolution(True, deprecated, parent_resolved)
             continue
-        parent_entry = index.by_qualified.get(qual)
-        for cand in index.methods.get(qual, ()):
-            if cand.is_static or cand.signature != sig:
+        parent_entry = index.by_qualified[qual]
+        for cand in parent_entry.methods:
+            if cand.signature != sig or cand.visibility == "private":
                 continue
-            if cand.visibility == "private":
-                continue
-            if cand.visibility == "package" and (
-                parent_entry is None or parent_entry.package != entry.package
-            ):
+            if (cand.visibility == "package"
+                    and parent_entry.package != entry.package):
                 continue
             return OverrideResolution(True, cand.deprecated, parent_resolved)
     return OverrideResolution(False, False, parent_resolved)
@@ -398,7 +348,7 @@ def resolve_static_access(access, enclosing: TypeFact,
     receivers (bare same-class access) are never flagged: the rule
     governs how explicit receivers qualify the member.
     """
-    unresolved = StaticAccessResolution(False, False, False)
+    unresolved = StaticAccessResolution(False, False)
     if access.receiver_form == "implicit" or access.receiver_type is None:
         return unresolved
     entry = index.entry_for(enclosing)
@@ -406,13 +356,10 @@ def resolve_static_access(access, enclosing: TypeFact,
     target = index.resolve_type(access.receiver_type, file)
     if target is None:
         return unresolved
-    statics = index.static_member_names(target.qualified)
-    if access.member_name not in statics:
-        return unresolved
-    if access.member_name in index.instance_member_names(target.qualified):
+    statics, instances = index.member_names(target)
+    if access.member_name not in statics or access.member_name in instances:
         return unresolved
     return StaticAccessResolution(
-        is_static_member=True,
         qualified_correctly=access.receiver_form == "className",
         resolved=True,
     )

@@ -251,6 +251,19 @@ def test_evolve_months_below_one_is_usage_error(tmp_path, capsysbinary,
     assert b"--months must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_corpus_jobs_below_one_is_usage_error(tmp_path, capsysbinary, jobs):
+    clean = tmp_path / "clean"
+    write_tree(clean, CLEAN_REPO)
+    paths_file = tmp_path / "paths.txt"
+    paths_file.write_text(f"{clean}\n", encoding="utf-8")
+    code = main(["corpus", str(paths_file), "--jobs", jobs])
+    captured = capsysbinary.readouterr()
+    assert code == 2
+    assert captured.out == b""
+    assert b"--jobs must be at least 1" in captured.err
+
+
 def test_evolve_ineligible_is_fatal(tmp_path, capsysbinary):
     repo = make_repo(tmp_path / "repo")
     add_commit(repo, datetime(2024, 1, 15, tzinfo=timezone.utc), {"a": "1"})
@@ -295,10 +308,11 @@ def test_sample_too_many_groups_is_usage_error(tmp_path, capsysbinary):
 def test_sample_garbage_json_is_fatal(tmp_path, capsysbinary):
     reports_dir = tmp_path / "reports"
     reports_dir.mkdir()
-    (reports_dir / "bad.json").write_text("{nope", encoding="utf-8")
-    code, _ = run_captured(capsysbinary, "sample", str(reports_dir),
-                           "--groups", "1")
-    assert code == 3
+    for text in ("{nope", "[]", '"x"', "3"):
+        (reports_dir / "bad.json").write_text(text, encoding="utf-8")
+        code, _ = run_captured(capsysbinary, "sample", str(reports_dir),
+                               "--groups", "1")
+        assert code == 3, text
 
 
 def test_corpus_subcommand(tmp_path, capsysbinary):

@@ -146,30 +146,23 @@ def test_exact_hit_wins_over_fallback(tmp_path):
     ("a1b2", ["a", "1", "b", "2"]),
 ])
 def test_split_identifier_words(name, words):
-    assert split_identifier(name).words == words
+    assert split_identifier(name) == words
 
 
 def test_split_identifier_degenerate():
-    assert split_identifier("___").words == ["___"]
-    assert split_identifier("$").words == ["$"]
-
-
-def test_split_reports_casing_validity():
-    info = split_identifier("FooBar")
-    assert info.raw == "FooBar"
-    assert info.casing_valid["upperCamel"] is True
-    assert info.casing_valid["lowerCamel"] is False
+    assert split_identifier("___") == ["___"]
+    assert split_identifier("$") == ["$"]
 
 
 @given(st.from_regex(r"[A-Za-z0-9]+", fullmatch=True))
 def test_split_reconstructs_alphanumeric_names(name):
-    words = split_identifier(name).words
+    words = split_identifier(name)
     assert "".join(words) == name.lower()
 
 
 @given(st.from_regex(r"[A-Za-z0-9_$]+", fullmatch=True))
 def test_split_always_yields_words(name):
-    assert split_identifier(name).words
+    assert split_identifier(name)
 
 
 # --- casing conventions ------------------------------------------------------

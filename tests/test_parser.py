@@ -311,6 +311,32 @@ def test_deeply_nested_do_loops():
         ("do", 2 + k, 2 * depth + 2 - k) for k in range(depth)]
 
 
+@pytest.mark.parametrize("catch, commented", [
+    ("catch (E e) { // why\n}", True),
+    ("catch (E e) { /* why */ }", True),
+    ("catch (E /* why */ e) {}", False),
+    ("catch (E e) /* why */ {}", False),
+    ("catch (E e) {} // why", False),
+])
+def test_catch_comment_counts_only_inside_the_braces(catch, commented):
+    m = parse_source(
+        "class A { void f() {\ntry { g(); } " + catch + "\n} }\n", "A.java")
+    (c,) = m.types[0].members[0].body.catches
+    assert c.body_empty
+    assert c.has_comment is commented
+
+
+def test_many_catches_with_trailing_comments():
+    n = 4000
+    m = parse_source(
+        "class A { void f() {\n" + "".join(
+            f"try {{ f(); }} catch (E e{k}) {{ }} // c{k}\n" for k in range(n)
+        ) + "} }\n", "A.java")
+    catches = m.types[0].members[0].body.catches
+    assert [c.exception_var for c in catches] == [f"e{k}" for k in range(n)]
+    assert not any(c.has_comment for c in catches)
+
+
 @pytest.mark.parametrize("nest", ["for(;;)\n", "while (b)\n", "do\n"])
 def test_nested_loop_ends_are_walked_once(monkeypatch, nest):
     depth = 500

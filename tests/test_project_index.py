@@ -18,7 +18,7 @@ def index_of(files: dict[str, str]):
 
 
 def entry(index, qualified):
-    e = index.lookup(qualified)
+    e = index.by_qualified.get(qualified)
     assert e is not None, qualified
     return e
 
@@ -40,9 +40,8 @@ def test_qualified_names_and_nesting():
         "a/Outer.java": "package a;\npublic class Outer {\n"
                         "    public static class Inner {}\n}e".replace("}e", "}"),
     })
-    assert index.lookup("a.Outer") is not None
-    assert index.lookup("a.Outer.Inner") is not None
-    assert index.lookup("a.Outer.Inner").simple == "Inner"
+    assert "a.Outer" in index.by_qualified
+    assert index.by_qualified["a.Outer.Inner"].fact.name == "Inner"
 
 
 def test_resolution_order_same_file_first():
@@ -269,21 +268,21 @@ def test_class_name_receiver_is_correctly_qualified():
     results = run_accesses("        Utils.doWork();")
     (a, r), = [x for x in results if x[0].member_name == "doWork"]
     assert a.receiver_form == "className"
-    assert r.resolved and r.is_static_member and r.qualified_correctly
+    assert r.resolved and r.qualified_correctly
 
 
 def test_instance_receiver_is_flagged_form():
     results = run_accesses("        utilInstance.doWork();")
     (a, r), = [x for x in results if x[0].member_name == "doWork"]
     assert a.receiver_form == "instanceExpr"
-    assert r.resolved and r.is_static_member and not r.qualified_correctly
+    assert r.resolved and not r.qualified_correctly
 
 
 def test_method_return_receiver_is_flagged_form():
     results = run_accesses("        getUtils().doWork();")
     (a, r), = [x for x in results if x[0].member_name == "doWork"]
     assert a.receiver_form == "methodReturn"
-    assert r.resolved and r.is_static_member and not r.qualified_correctly
+    assert r.resolved and not r.qualified_correctly
 
 
 def test_external_receiver_unresolved():
@@ -326,7 +325,7 @@ def test_field_static_access_through_instance():
     hits = [(a, r) for a, r in results if a.member_name == "LIMIT"]
     assert hits
     a, r = hits[0]
-    assert r.resolved and r.is_static_member and not r.qualified_correctly
+    assert r.resolved and not r.qualified_correctly
 
 
 # --- randomized override oracle ----------------------------------------------
@@ -406,11 +405,68 @@ def test_override_resolution_matches_brute_force():
                     assert got.parent_deprecated == want_depr, (trial, i, sig)
 
 
+# --- randomized static-access oracle -----------------------------------------
+
+MEMBER_DECLS = ("static int {}", "int {}", "static void {}() {{}}",
+                "void {}() {{}}")
+STATIC_KINDS = {0, 2}
+
+
+def test_static_access_resolution_matches_brute_force():
+    rng = random.Random(20240817)
+    names = ["alpha", "beta", "gamma", "delta"]
+    pool = [(name, kind) for name in names for kind in range(4)]
+    for trial in range(60):
+        n_types = rng.randint(1, 5)
+        parents = [None] + [rng.randrange(i) if rng.random() < 0.8 else None
+                            for i in range(1, n_types)]
+        decls = [rng.sample(pool, rng.randint(0, 5)) for _ in range(n_types)]
+
+        files = {}
+        for i in range(n_types):
+            ext = f" extends T{parents[i]}" if parents[i] is not None else ""
+            members = "".join(f"    {MEMBER_DECLS[kind].format(name)};\n"
+                              for name, kind in decls[i])
+            files[f"z/T{i}.java"] = (f"package z;\npublic class T{i}{ext} {{\n"
+                                     f"{members}}}\n")
+        stmts = []
+        for i in range(n_types):
+            for name in names:
+                for receiver in (f"T{i}", f"p{i}"):
+                    stmts.append(f"        {receiver}.{name}();"
+                                 if rng.random() < 0.5
+                                 else f"        x = {receiver}.{name};")
+        params = ", ".join(f"T{i} p{i}" for i in range(n_types))
+        files["z/Caller.java"] = (
+            "package z;\npublic class Caller {\n"
+            f"    void run({params}) {{\n        int x = 0;\n"
+            + "\n".join(stmts) + "\n    }\n}\n")
+
+        models, index = index_of(files)
+        caller = [m for m in models if m.path == "z/Caller.java"][0]
+        m, t = find_method(caller, "Caller", "run")
+        accesses = [a for a in m.body.accesses if a.member_name in names]
+        assert len(accesses) == len(stmts), trial
+        for a in accesses:
+            i = int(a.receiver_type[1:])
+            kinds = set()
+            j = i
+            while j is not None:
+                kinds |= {kind for name, kind in decls[j]
+                          if name == a.member_name}
+                j = parents[j]
+            want = bool(kinds & STATIC_KINDS) and kinds <= STATIC_KINDS
+            got = resolve_static_access(a, t, index)
+            assert got.resolved == want, (trial, i, a)
+            assert got.qualified_correctly == (
+                want and a.receiver_form == "className"), (trial, i, a)
+
+
 def test_method_signature_erases_dotted_and_array_types():
     model = parse_compilation_unit(
         "class S { void f(java.lang.String[] a, int b) {} }", "S.java")
     m = model.types[0].members[0]
     sig = method_signature(m)
     assert sig.name == "f"
-    assert sig.arity == 2
+    assert len(sig.param_type_names) == 2
     assert sig.param_type_names == ("String[]", "int")

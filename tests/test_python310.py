@@ -1,20 +1,83 @@
 """The package still runs on Python 3.10, the oldest version it supports.
 
 Tier-1 runs on a newer interpreter, which accepts `re` syntax (possessive
-quantifiers, atomic groups) and library calls that 3.10 does not. This test
-finds a 3.10 interpreter, if one is installed, and checks that it produces
-the golden fixture report byte for byte.
+quantifiers, atomic groups) and library calls that 3.10 does not. The
+static checks below run on any interpreter: every module parses as 3.10
+grammar, and no module-level pattern uses 3.11-only `re` syntax. The last
+test finds a 3.10 interpreter, if one is installed, and checks that it
+produces the golden fixture report byte for byte.
 """
 
+import ast
 import glob
+import importlib
 import os
+import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+try:
+    from re import _parser as sre_parse
+except ImportError:  # Python 3.10
+    import sre_parse
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_DIR = REPO_ROOT / "src" / "javastyle"
+NEW_IN_311 = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}
+
+
+def test_modules_parse_as_python310():
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=(3, 10))
+
+
+def new_in_311_opcodes(pattern: re.Pattern) -> set[str]:
+    found, stack = set(), [sre_parse.parse(pattern.pattern, pattern.flags)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, sre_parse.SubPattern):
+            for op, arg in node:
+                found.add(str(op))
+                stack.append(arg)
+        elif isinstance(node, (tuple, list)):
+            stack.extend(node)
+    return found & NEW_IN_311
+
+
+def module_patterns() -> dict[int, tuple[str, re.Pattern]]:
+    """Every compiled pattern a module holds, also inside containers."""
+    patterns: dict[int, tuple[str, re.Pattern]] = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        module = importlib.import_module(f"javastyle.{path.stem}")
+        stack = [(f"{path.stem}.{name}", value)
+                 for name, value in vars(module).items()]
+        while stack:
+            where, value = stack.pop()
+            if isinstance(value, re.Pattern):
+                patterns.setdefault(id(value), (where, value))
+            elif isinstance(value, (tuple, list)):
+                stack.extend((where, item) for item in value)
+            elif isinstance(value, dict):
+                stack.extend((where, item) for item in value.values())
+    return patterns
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="the syntax itself needs Python 3.11")
+def test_new_in_311_regex_syntax_is_detected():
+    assert new_in_311_opcodes(re.compile("a*+(?>b)")) == NEW_IN_311
+
+
+def test_module_patterns_avoid_new_in_311_syntax():
+    patterns = module_patterns()
+    assert len(patterns) >= 10
+    for where, pattern in patterns.values():
+        assert not new_in_311_opcodes(pattern), (where, pattern.pattern)
 
 
 def find_python310() -> str | None:
