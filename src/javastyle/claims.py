@@ -17,8 +17,6 @@ NO_MENTION = "NoMention"
 MENTION_CODE_STYLE = "MentionCodeStyle"
 GOOGLE_EXPLICIT = "GoogleExplicit"
 
-CLAIM_CATEGORIES = (NO_MENTION, MENTION_CODE_STYLE, GOOGLE_EXPLICIT)
-
 # Pattern sets are applied case-insensitively, line by line.
 GOOGLE_PATTERNS = (
     r"google java style",

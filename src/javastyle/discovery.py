@@ -13,13 +13,6 @@ import os
 _SKIP_DIRS = frozenset({".git", "target", "build"})
 
 
-def _is_test_path(parts: tuple[str, ...]) -> bool:
-    for i in range(len(parts) - 1):
-        if parts[i] == "src" and parts[i + 1] == "test":
-            return True
-    return False
-
-
 def discover_sources(root: str) -> list[str]:
     """Return repo-relative paths (``/`` separators) of all .java files to
     analyze, in lexicographic order.
@@ -29,37 +22,16 @@ def discover_sources(root: str) -> list[str]:
     if not os.path.isdir(root):
         raise NotADirectoryError(f"not a directory: {root}")
 
-    main_roots: list[str] = []
-    for dirpath, dirnames, _ in os.walk(root):
+    saw_main_root = False
+    found: list[tuple[str, bool]] = []  # (path, under a src/main/java root)
+    for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = [d for d in dirnames if d not in _SKIP_DIRS]
-        rel = os.path.relpath(dirpath, root)
-        parts = tuple(p for p in rel.split(os.sep) if p not in (".",))
-        if len(parts) >= 3 and parts[-3:] == ("src", "main", "java"):
-            main_roots.append(dirpath)
-
-    found: list[str] = []
-    if main_roots:
-        for mroot in main_roots:
-            for dirpath, dirnames, filenames in os.walk(mroot):
-                dirnames[:] = [d for d in dirnames if d not in _SKIP_DIRS]
-                for name in filenames:
-                    if name.endswith(".java"):
-                        rel = os.path.relpath(os.path.join(dirpath, name), root)
-                        parts = tuple(rel.split(os.sep))
-                        if not _is_test_path(parts):
-                            found.append("/".join(parts))
-    else:
-        for dirpath, dirnames, filenames in os.walk(root):
-            dirnames[:] = [d for d in dirnames if d not in _SKIP_DIRS]
-            rel_dir = os.path.relpath(dirpath, root)
-            dparts = tuple(p for p in rel_dir.split(os.sep) if p != ".")
-            if _is_test_path(dparts + ("",)):
-                dirnames[:] = []
-                continue
-            for name in filenames:
-                if name.endswith(".java"):
-                    parts = dparts + (name,)
-                    if not _is_test_path(parts):
-                        found.append("/".join(parts))
-
-    return sorted(set(found))
+        rel = os.path.relpath(dirpath, root).replace(os.sep, "/")
+        prefix = "" if rel == "." else rel + "/"
+        in_main = "/src/main/java/" in "/" + prefix
+        saw_main_root = saw_main_root or in_main
+        if "/src/test/" not in "/" + prefix:
+            found.extend((prefix + name, in_main)
+                         for name in filenames if name.endswith(".java"))
+    return sorted(path for path, in_main in found
+                  if in_main or not saw_main_root)

@@ -17,7 +17,6 @@ from .scoring import CategoryScore
 
 DEFAULT_MIN_AGE_MONTHS = 36
 DEFAULT_WINDOW_MONTHS = 12
-MIN_COMFORTABLE_GAP_DAYS = 10
 
 AnalyzeFn = Callable[[str], "tuple[list[CategoryScore], float]"]
 

@@ -59,12 +59,6 @@ class Lexicon:
     def __init__(self, entries: dict[str, frozenset[str]]):
         self._entries = {w.lower(): frozenset(c) for w, c in entries.items()}
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self._entries
-
     def categories(self, word: str) -> frozenset[str]:
         """Exact lookup; unknown words map to the empty set."""
         return self._entries.get(word.lower(), frozenset())

@@ -126,7 +126,6 @@ class MemberFact:
     name: str
     visibility: str
     line: int
-    is_final: bool = False
     is_static_final: bool = False
     javadoc: JavadocFact | None = None
     annotations: list[str] = field(default_factory=list)

@@ -100,14 +100,11 @@ class _Parser:
         for com in self.comments:
             if com.is_javadoc:
                 self.doc_by_next[com.next_token_index] = com
-        # Token-index ranges of package/import statements, excluded from
-        # identifier-occurrence counting.
-        self.excluded: list[tuple[int, int]] = []
         # (member, enclosing type stack, open brace idx, close brace idx)
         self.body_jobs: list[tuple[MemberFact, tuple[TypeFact, ...], int, int]] = []
         self.type_stack: list[TypeFact] = []
-        # (statement start, limit) -> index of the statement's last token
-        self.stmt_ends: dict[tuple[int, int], int] = {}
+        # statement start -> index of its last token (bodies are disjoint)
+        self.stmt_ends: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # token plumbing
@@ -170,11 +167,16 @@ class _Parser:
 
     def dims(self) -> str:
         """Consume [] pairs; returns them as a type suffix."""
-        suffix = ""
-        while self.at("[") and self.peek(1).value == "]":
-            self.pos += 2
-            suffix += "[]"
-        return suffix
+        start = self.pos
+        self.pos = self._dims_end(start, self.last)
+        return "[]" * ((self.pos - start) // 2)
+
+    def _dims_end(self, j: int, limit: int) -> int:
+        """Index after the [] pairs starting at token j, up to limit."""
+        toks = self.tokens
+        while j + 1 <= limit and toks[j].value == "[" and toks[j + 1].value == "]":
+            j += 2
+        return j
 
     def skip_angles(self) -> None:
         """Skip a balanced <...> region; >> and >>> close two/three."""
@@ -200,16 +202,12 @@ class _Parser:
             if tok.value == ";":
                 self.pop()
             elif tok.value == "package" and model.package is None:
-                start = self.pos
                 self.pop()
                 model.package = self.dotted_name()
                 self.expect(";")
                 model.package_line = tok.line
-                self.excluded.append((start, self.pos - 1))
             elif tok.value == "import":
-                start = self.pos
                 model.imports.append(self.parse_import())
-                self.excluded.append((start, self.pos - 1))
             elif tok.value == "module" or (
                 tok.value == "open" and self.peek(1).value == "module"
             ):
@@ -232,17 +230,13 @@ class _Parser:
     def parse_import(self) -> ImportFact:
         tok = self.expect("import")
         is_static = self.match("static")
-        parts = [self.expect_ident().value]
-        is_wildcard = False
-        while self.match("."):
-            if self.match("*"):
-                is_wildcard = True
-                break
-            parts.append(self.expect_ident().value)
+        target = self.dotted_name()
+        is_wildcard = self.match(".")
+        if is_wildcard and not self.match("*"):
+            self.fail("expected identifier")
         self.expect(";")
-        target = ".".join(parts) + (".*" if is_wildcard else "")
-        return ImportFact(target=target, line=tok.line, is_static=is_static,
-                          is_wildcard=is_wildcard)
+        return ImportFact(target=target + (".*" if is_wildcard else ""), line=tok.line,
+                          is_static=is_static, is_wildcard=is_wildcard)
 
     # ------------------------------------------------------------------
     # declarations
@@ -532,7 +526,6 @@ class _Parser:
                     name=name_tok.value,
                     visibility=self._visibility(mods, container_kind),
                     line=name_tok.line,
-                    is_final=is_final,
                     is_static_final=is_static and is_final,
                     annotations=annotations,
                     javadoc=javadoc,
@@ -608,18 +601,19 @@ class _Parser:
     # body scanning (phase two)
 
     def finish(self, model: SourceFileModel) -> None:
-        method_returns = self._file_method_returns(model)
+        # Receiver names that denote a class: the file's types, single imports.
+        class_names = {imp.simple_name for imp in model.imports if not imp.is_wildcard}
+        returns: dict[str, set[str]] = {}
         field_types_by_type: dict[int, dict[str, str]] = {}
         for tf in model.all_types():
-            field_types_by_type[id(tf)] = {
-                m.name: _simple(m.return_type or "")
-                for m in tf.members
-                if m.kind in ("instanceField", "staticField")
-            }
-        file_type_names = {tf.name for tf in model.all_types()}
-        import_names = {
-            imp.simple_name for imp in model.imports if not imp.is_wildcard
-        }
+            class_names.add(tf.name)
+            field_types = field_types_by_type[id(tf)] = {}
+            for m in tf.members:
+                if m.kind in ("instanceField", "staticField"):
+                    field_types[m.name] = _simple(m.return_type or "")
+                elif m.kind in ("instanceMethod", "staticMethod") and m.return_type:
+                    returns.setdefault(m.name, set()).add(_simple(m.return_type))
+        method_returns = {n: next(iter(s)) for n, s in returns.items() if len(s) == 1}
 
         for member, stack, open_idx, close_idx in self.body_jobs:
             fields: dict[str, str] = {}
@@ -627,21 +621,20 @@ class _Parser:
                 fields.update(field_types_by_type[id(tf)])
             self._scan_body(
                 member, stack, open_idx, close_idx, fields,
-                file_type_names, import_names, method_returns,
+                class_names, method_returns,
             )
 
         # Identifier occurrences outside comments and package/import lines.
-        excluded_idx: set[int] = set()
-        for lo, hi in self.excluded:
-            excluded_idx.update(range(lo, hi + 1))
-        counts: Counter[str] = Counter()
-        for idx, tok in enumerate(self.tokens):
-            if tok.kind == "ident" and idx not in excluded_idx:
-                counts[tok.value] += 1
-        model.ident_counts = dict(counts)
+        # The only identifiers in those lines are the parts of their names.
+        counts = Counter(tok.value for tok in self.tokens if tok.kind == "ident")
+        for imp in model.imports:
+            counts.subtract(imp.target.removesuffix(".*").split("."))
+        if model.package is not None:
+            counts.subtract(model.package.split("."))
+        model.ident_counts = {name: n for name, n in counts.items() if n}
 
         for imp in model.imports:
-            imp.used = imp.is_wildcard or counts.get(imp.simple_name, 0) > 0
+            imp.used = imp.is_wildcard or counts[imp.simple_name] > 0
 
         model.comments = [
             CommentFact(line=c.line, end_line=c.end_line, text=c.text,
@@ -650,14 +643,6 @@ class _Parser:
         ]
         model.line_count = self.line_count
 
-    def _file_method_returns(self, model: SourceFileModel) -> dict[str, str]:
-        seen: dict[str, set[str]] = {}
-        for tf in model.all_types():
-            for m in tf.members:
-                if m.kind in ("instanceMethod", "staticMethod") and m.return_type:
-                    seen.setdefault(m.name, set()).add(_simple(m.return_type))
-        return {n: next(iter(s)) for n, s in seen.items() if len(s) == 1}
-
     def _scan_body(
         self,
         member: MemberFact,
@@ -665,8 +650,7 @@ class _Parser:
         open_idx: int,
         close_idx: int,
         field_types: dict[str, str],
-        file_type_names: set[str],
-        import_names: set[str],
+        class_names: set[str],
         method_returns: dict[str, str],
     ) -> None:
         facts = member.body
@@ -676,10 +660,13 @@ class _Parser:
         enclosing = stack[-1].name if stack else None
 
         locals_map: dict[str, str] = {}
-        decl_counts: Counter[str] = Counter()
         param_types = {p.name: _simple(p.type_name) for p in member.params}
         loop_stack: list[int] = []
         do_while_skips: set[int] = set()
+        # Receivers of this.x / super.x chains; their accesses go last.
+        self_forms = {"this": ("instanceExpr", enclosing), "super": ("implicit", None)}
+        self_accesses: list[AccessFact] = []
+        accesses = facts.accesses
 
         def resolve_receiver(name: str) -> tuple[str, str | None]:
             if name in locals_map:
@@ -688,20 +675,30 @@ class _Parser:
                 return "instanceExpr", param_types[name]
             if name in field_types:
                 return "instanceExpr", field_types[name] or None
-            if name in file_type_names or name in import_names:
+            if name in class_names:
                 return "className", name
             if name[:1].isupper():
                 return "className", name
             return "instanceExpr", None
 
-        i = open_idx + 1
+        # Before `quiet` lies a catch or declaration head: this./super. only.
+        i = quiet = open_idx + 1
         while i < close_idx:
-            while loop_stack and i > loop_stack[-1]:
-                loop_stack.pop()
             tok = toks[i]
             v = tok.value
             kind = tok.kind
             prev_v = toks[i - 1].value
+
+            if v in self_forms and prev_v not in (".", "::") and \
+                    toks[i + 1].value == "." and toks[i + 2].kind == "ident":
+                i = self._walk_chain(self_accesses, i + 2, close_idx,
+                                     *self_forms[v]) + 1
+                continue
+            if i < quiet:
+                i += 1
+                continue
+            while loop_stack and i > loop_stack[-1]:
+                loop_stack.pop()
 
             if kind == "keyword":
                 if v in ("for", "while", "do") and i not in do_while_skips:
@@ -718,21 +715,22 @@ class _Parser:
                     i += 1
                     continue
                 if v == "catch":
-                    i = self._scan_catch(i, close_idx, facts, in_test)
+                    quiet = self._scan_catch(i, close_idx, facts, in_test)
+                    i += 1
                     continue
 
             if kind == "keyword" or (kind == "ident" and prev_v in _LOCAL_DECL_PREV):
                 local = self._try_local_decl(i, close_idx)
                 if local is not None:
-                    names, base, i = local
+                    names, base, quiet = local
                     for name_tok in names:
-                        decl_counts[name_tok.value] += 1
                         locals_map[name_tok.value] = _simple(base)
                         facts.local_vars.append(
                             LocalVarFact(name=name_tok.value,
                                          type_name=_simple(base),
                                          line=name_tok.line)
                         )
+                    i += 1
                     continue
 
             if kind == "ident" and prev_v not in (".", "::"):
@@ -740,10 +738,10 @@ class _Parser:
                 if nxt_v in (".", "::") and i + 2 <= close_idx and \
                         toks[i + 2].kind == "ident":
                     form, rtype = resolve_receiver(v)
-                    i = self._walk_chain(facts, i + 2, close_idx, form, rtype) + 1
+                    i = self._walk_chain(accesses, i + 2, close_idx, form, rtype) + 1
                     continue
                 if nxt_v == "(" and prev_v != "new":
-                    facts.accesses.append(
+                    accesses.append(
                         AccessFact(line=tok.line, member_name=v,
                                    receiver_form="implicit", receiver_type=None,
                                    is_call=True)
@@ -777,46 +775,30 @@ class _Parser:
                             if open_paren - 2 > open_idx else ""
                         if callee.kind == "ident" and before_v not in (".", "::"):
                             rtype = method_returns.get(callee.value)
-                    i = self._walk_chain(facts, i + 2, close_idx,
+                    i = self._walk_chain(accesses, i + 2, close_idx,
                                          "methodReturn", rtype) + 1
                     continue
 
             i += 1
+        accesses.extend(self_accesses)
 
-        # this.x / super.x accesses: the keyword head is skipped by the
-        # ident rules above, so pick them up in one extra pass.
-        i = open_idx + 1
-        while i < close_idx - 1:
-            tok = toks[i]
-            if tok.kind == "keyword" and tok.value in ("this", "super") and \
-                    toks[i + 1].value == "." and toks[i + 2].kind == "ident":
-                prev_v = toks[i - 1].value if i - 1 > open_idx else ""
-                if prev_v not in (".", "::"):
-                    if tok.value == "this":
-                        form, rtype = "instanceExpr", enclosing
-                    else:
-                        form, rtype = "implicit", None
-                    i = self._walk_chain(facts, i + 2, close_idx, form, rtype) + 1
-                    continue
-            i += 1
+        if facts.local_vars:
+            occurrences = Counter(tok.value for tok in toks[open_idx + 1:close_idx]
+                                  if tok.kind == "ident")
+            occurrences.subtract(lv.name for lv in facts.local_vars)
+            for lv in facts.local_vars:
+                lv.used = occurrences[lv.name] > 0
 
-        occurrences: Counter[str] = Counter()
-        for j in range(open_idx + 1, close_idx):
-            if toks[j].kind == "ident":
-                occurrences[toks[j].value] += 1
-        for lv in facts.local_vars:
-            lv.used = occurrences.get(lv.name, 0) > decl_counts.get(lv.name, 0)
-
-    def _walk_chain(self, facts: BodyFacts, j: int, close_idx: int,
+    def _walk_chain(self, out: list[AccessFact], j: int, close_idx: int,
                     form: str, rtype: str | None) -> int:
-        """Record member accesses along a dotted chain starting at the
-        member token j. Stops after a call so the `).member` rule can
-        resume with methodReturn form. Returns last consumed index."""
+        """Append to out the member accesses along a dotted chain starting
+        at the member token j. Stops after a call so the `).member` rule
+        can resume with methodReturn form. Returns last consumed index."""
         toks = self.tokens
         while True:
             mem = toks[j]
             is_call = j + 1 <= close_idx and toks[j + 1].value == "("
-            facts.accesses.append(
+            out.append(
                 AccessFact(line=mem.line, member_name=mem.value,
                            receiver_form=form, receiver_type=rtype,
                            is_call=is_call)
@@ -888,7 +870,7 @@ class _Parser:
         starts: list[int] = []  # statements ending where the current one does
         pending: list[tuple[str, list[int]]] = []  # ("if"|"do", outer starts)
         while True:
-            end = ends.get((i, limit))
+            end = ends.get(i)
             if end is None:
                 v = toks[i].value
                 if v not in ("for", "while", "if", "do"):
@@ -902,7 +884,7 @@ class _Parser:
                     continue
             while True:
                 for start in starts:
-                    ends[(start, limit)] = end
+                    ends[start] = end
                 if not pending:
                     return end
                 what, starts = pending.pop()
@@ -994,15 +976,13 @@ class _Parser:
                 j = closed + 1
         else:
             return None
-        while j + 1 <= limit and toks[j].value == "[" and toks[j + 1].value == "]":
-            base += "[]"
-            j += 2
+        dims_end = self._dims_end(j, limit)
+        base += "[]" * ((dims_end - j) // 2)
+        j = dims_end
         if j > limit or toks[j].kind != "ident":
             return None
         names = [toks[j]]
-        j += 1
-        while j + 1 <= limit and toks[j].value == "[" and toks[j + 1].value == "]":
-            j += 2
+        j = self._dims_end(j + 1, limit)
         if j > limit or toks[j].value not in ("=", ";", ",", ":"):
             return None
         resume = j
@@ -1030,9 +1010,7 @@ class _Parser:
         toks = self.tokens
         if toks[j].kind != "ident":
             return False
-        j += 1
-        while j + 1 <= limit and toks[j].value == "[" and toks[j + 1].value == "]":
-            j += 2
+        j = self._dims_end(j + 1, limit)
         return j <= limit and toks[j].value in ("=", ",", ";")
 
     def _skip_angles_at(self, i: int, limit: int) -> int | None:

@@ -171,16 +171,6 @@ class ProjectIndex:
             chain.append(OBJECT_TYPE)
         return chain[1:]
 
-    def member_names(self, entry: TypeEntry) -> tuple[set[str], set[str]]:
-        """Static and instance member names of a type and its supertypes."""
-        statics, instances = set(entry.static_names), set(entry.instance_names)
-        for q in self.supertype_chain(entry.qualified):
-            parent = self.by_qualified.get(q)
-            if parent is not None:
-                statics |= parent.static_names
-                instances |= parent.instance_names
-        return statics, instances
-
 
 def build_project_index(models: list[SourceFileModel]) -> ProjectIndex:
     index = ProjectIndex()
@@ -356,8 +346,11 @@ def resolve_static_access(access, enclosing: TypeFact,
     target = index.resolve_type(access.receiver_type, file)
     if target is None:
         return unresolved
-    statics, instances = index.member_names(target)
-    if access.member_name not in statics or access.member_name in instances:
+    chain = index.supertype_chain(target.qualified)
+    entries = [target, *filter(None, map(index.by_qualified.get, chain))]
+    name = access.member_name
+    if any(name in e.instance_names for e in entries) or \
+            not any(name in e.static_names for e in entries):
         return unresolved
     return StaticAccessResolution(
         qualified_correctly=access.receiver_form == "className",

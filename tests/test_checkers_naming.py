@@ -193,6 +193,9 @@ def test_public_method_and_constructor_docs():
            "void helper() {}\n}")
     ctor_out = presence(src, "constructor")
     assert len(ctor_out) == 1 and ctor_out[0].detail == "A"
+    # The 10-word rule holds for constructors too: a short doc is flagged.
+    short = "public class B {\n/** Builds a B. */\npublic B(long n) {}\n}"
+    assert [v.line for v in presence(short, "constructor")] == [3]
     method_out = presence(src, "method")
     assert len(method_out) == 1 and method_out[0].detail == "stop"
 

@@ -199,6 +199,17 @@ def test_this_receiver_flagged(lexicon):
     assert len(out) == 1 and out[0].line == 4
 
 
+def test_same_line_accesses_report_this_last(lexicon):
+    # this.x / super.x accesses are recorded after a body's other accesses,
+    # so on one line the other receiver's violation comes first.
+    out = static_access({
+        "p/Own.java": ("package p;\nclass Own {\n"
+                       "  static int M = 1;\n  static int N = 2;\n"
+                       "  int f(Own other) { return this.M + other.N; }\n}\n"),
+    }, lexicon)
+    assert [v.detail for v in out] == ["N", "M"]
+
+
 def test_external_type_unresolved_ok(lexicon):
     out = static_access({
         "p/Use.java": ("package p;\nimport com.vendor.Widget;\n"

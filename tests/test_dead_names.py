@@ -1,0 +1,106 @@
+"""Every name the package defines is referred to somewhere.
+
+Definitions are the module-level functions, classes and constants of
+``src/javastyle/*.py`` and every non-dunder method of a module-level
+class. A reference is a loaded name, an attribute, an imported name, a
+keyword argument or a word inside a string literal (the benchmark names
+the functions it wraps in strings), in any Python file under ``src/``,
+``tests/``, ``perfbench/`` or ``scripts/``, or an entry point in
+``pyproject.toml``.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "javastyle"
+SEARCHED = ("src", "tests", "perfbench", "scripts")
+_WORD = re.compile(r"[A-Za-z_]\w*")
+# A `name = "module:function"` line; tomllib is not in Python 3.10.
+_ENTRY_POINT = re.compile(r'^\s*[\w.-]+\s*=\s*"[\w.]+:(\w+)"', re.MULTILINE)
+
+
+def defined_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each definition the guard requires a reference to."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            found += [(item.name, item.lineno) for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [(name, line) for name, line in found
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    refs: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            refs.add(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.update(_WORD.findall(node.value))
+    return refs
+
+
+def entry_point_names(pyproject: Path) -> set[str]:
+    """Functions named in the ``[project.scripts]`` table."""
+    text = pyproject.read_text(encoding="utf-8")
+    table = text.split("[project.scripts]", 1)[-1].split("\n[", 1)[0]
+    return set(_ENTRY_POINT.findall(table))
+
+
+def dead_names(modules: dict[str, str], sources: list[str],
+               extra_refs: set[str]) -> list[str]:
+    """``module:line name`` of each definition in modules that no source
+    refers to."""
+    refs = set(extra_refs)
+    for text in sources:
+        refs |= referenced_names(ast.parse(text))
+    return [f"{module}:{line} {name}"
+            for module, text in sorted(modules.items())
+            for name, line in defined_names(ast.parse(text))
+            if name not in refs]
+
+
+def test_every_package_name_is_referenced():
+    modules = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))}
+    sources = [p.read_text(encoding="utf-8")
+               for d in SEARCHED for p in sorted((ROOT / d).rglob("*.py"))]
+    assert dead_names(modules, sources,
+                      entry_point_names(ROOT / "pyproject.toml")) == []
+
+
+def test_guard_flags_an_unused_function():
+    module = ("LIMIT = 3\n"
+              "def helper():\n    return LIMIT\n"
+              "def orphan():\n    return 1\n"
+              "class Box:\n"
+              "    def __len__(self):\n        return 0\n"
+              "    def used(self):\n        return helper()\n"
+              "    def unused(self):\n        return 2\n")
+    caller = "from m import Box\nBox().used()\n"
+    assert dead_names({"m.py": module}, [module, caller], set()) == [
+        "m.py:4 orphan", "m.py:11 unused"]
+
+
+def test_string_words_and_entry_points_count_as_references(tmp_path):
+    module = "def wrapped():\n    pass\ndef run():\n    pass\n"
+    pyproject = tmp_path / "pyproject.toml"
+    pyproject.write_text('[project.scripts]\ntool = "m:run"\n\n[tool.x]\n'
+                         'other = "m:wrapped"\n')
+    assert dead_names({"m.py": module}, ['SPANS = ("m.wrapped",)'],
+                      entry_point_names(pyproject)) == []

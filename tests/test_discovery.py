@@ -64,6 +64,23 @@ def test_results_sorted_and_slash_separated(tmp_path):
     assert all("\\" not in p for p in found)
 
 
+@pytest.mark.parametrize("files, empty_dirs, expected", [
+    # a main root nested in another lists its files once
+    ({"src/main/java/x/src/main/java/A.java": "class A {}"}, [],
+     ["src/main/java/x/src/main/java/A.java"]),
+    # an empty main root still switches to main-root mode
+    ({"lib/D.java": "class D {}"}, ["src/main/java"], []),
+    # a main root under test sources switches modes and is excluded
+    ({"src/test/x/src/main/java/T.java": "class T {}",
+      "lib/D.java": "class D {}"}, [], []),
+])
+def test_main_root_selection(tmp_path, files, empty_dirs, expected):
+    write_tree(tmp_path, files)
+    for rel in empty_dirs:
+        (tmp_path / rel).mkdir(parents=True)
+    assert discover_sources(str(tmp_path)) == expected
+
+
 def test_missing_root_raises(tmp_path):
     with pytest.raises(NotADirectoryError):
         discover_sources(str(tmp_path / "nope"))

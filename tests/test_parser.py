@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from javastyle.lexer import JavaSyntaxError, Token, tokenize
-from javastyle.model import MEMBER_KINDS, TYPE_KINDS, VISIBILITIES
+from javastyle.model import MEMBER_KINDS, RECEIVER_FORMS, TYPE_KINDS, VISIBILITIES
 from javastyle.parser import _Parser, match_brackets
 
 from helpers import parse_source
@@ -171,6 +171,8 @@ def test_access_facts(model):
              for a in process_body.accesses}
     assert ("run", "implicit") in forms
     assert ("length", "instanceExpr") in forms
+    assert all(a.receiver_form in RECEIVER_FORMS
+               for a in body.accesses + process_body.accesses)
 
 
 def test_nested_type(model):
@@ -187,6 +189,9 @@ def test_ident_counts_and_line_count(model):
     assert model.ident_counts["count"] == 2
     assert model.ident_counts["total"] == 3
     assert "com" not in model.ident_counts  # package/import names excluded
+    # Also named in import lines; only the body occurrence counts.
+    for name in ("List", "max", "java", "util"):
+        assert model.ident_counts[name] == 1
     assert model.line_count == SAMPLE.count("\n") + (
         0 if SAMPLE.endswith("\n") else 1) - sum(
         1 for ln in SAMPLE.splitlines() if not ln.strip())
