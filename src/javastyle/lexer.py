@@ -1,14 +1,21 @@
 """Tokenizer for the supported Java subset.
 
-Produces a flat token stream plus a side list of comments. Comments never
-enter the token stream; each one records the index of the token that
-follows it so Javadoc can be attached to the right declaration later.
+`tokenize` returns the tokens as parallel lists: a kind code, the text
+and the start offset of each token. It keeps no line count; `line_col`
+turns an offset into a 1-based line and column by bisecting the offsets
+of the text's newlines, which the parser does only for a fact or an
+error. Only "\\n" ends a line. The same pass pairs every bracket with its
+partner. Comments never enter the token lists; each one records the
+index of the token that follows it so Javadoc can be attached to the
+right declaration later.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class JavaSyntaxError(Exception):
@@ -21,14 +28,6 @@ class JavaSyntaxError(Exception):
         self.col = col
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str  # ident | keyword | num | str | char | op
-    value: str
-    line: int
-    col: int
-
-
 @dataclass
 class RawComment:
     line: int
@@ -37,6 +36,15 @@ class RawComment:
     text: str
     is_javadoc: bool
     next_token_index: int  # index into the token list of the token after it
+
+
+class Tokens(NamedTuple):
+    kinds: list[int]  # one code per token of the text, nothing else
+    values: list[str]
+    starts: list[int]  # offset of each token's first character
+    partner: dict[int, int]  # matched bracket index -> its partner's
+    comments: list[RawComment]
+    newlines: list[int]  # offset of every "\n", for line_col
 
 
 # Reserved words only. Contextual keywords (sealed, permits, module, yield,
@@ -63,39 +71,54 @@ _DIGIT = (
     "\U0001f100-\U0001f10a]"
 )
 
-# Blanks are skipped, then the first alternative that matches wins. A bare
-# opener (groups 4, 6 and 9) matches only where its terminated form did not,
-# and is an error; a string or char literal cannot span lines, not even
-# after a backslash. Operators come longest first (maximal munch), and any
-# other character is a one-character operator. The empty match at the end
-# of the text (no group) lets trailing blanks go in one step. Since `[\s\S]`
-# or `\Z` always matches after the blanks, the greedy blank prefix never
-# backtracks.
+# Blanks, newlines included, are skipped, then the first alternative that
+# matches wins. Alternatives that can start on the same character keep
+# their order of precedence: comments before the `/` operator, a text
+# block before a string, a number before the `.` operator and before a
+# non-ASCII word. Words, brackets and the one-character operators that
+# start no longer token (group 4) come first: the engine tries the
+# alternatives in order, these are the most common tokens, and no other
+# alternative starts on their characters. A bare opener (groups 7, 9 and
+# 12) matches only where its terminated form did not, and is an error; a
+# string or char literal cannot span lines, not even after a backslash.
+# Operators come longest first (maximal munch), and any other character
+# is a one-character operator. The empty match at the end of the text
+# lets trailing blanks go in one step. Since `[\s\S]` or `\Z` always
+# matches after the blanks, the greedy blank prefix never backtracks.
 _TOKEN_RE = re.compile(
-    rf"""[ \t\r\f]*(?:
-      (\n)                                               # 1 newline
-    | (//[^\n]*)                                         # 2 line comment
-    | (/\*[\s\S]*?\*/)                                   # 3 block comment
-    | (/\*)                                              # 4 open comment
-    | ("{{3}}(?:\\[\s\S]|[^\\])*?"{{3}})                 # 5 text block
-    | ("{{3}})                                           # 6 open text block
-    | ("(?:\\[^\n]|[^"\\\n])*")                          # 7 string
-    | ('(?:\\[^\n]|[^'\\\n])*')                          # 8 char
-    | (["'])                                             # 9 open literal
+    rf"""[ \t\r\f\n]*(?:
+      ([A-Za-z_$][\w$]*)                                 # 1 word
+    | ([(\[{{])                                          # 2 open bracket
+    | ([)\]}}])                                          # 3 close bracket
+    | ([;,@?~]|\.(?!\.|{_DIGIT}))                       # 4 lone operator
+    | (//[^\n]*)                                         # 5 line comment
+    | (/\*[\s\S]*?\*/)                                   # 6 block comment
+    | (/\*)                                              # 7 open comment
+    | ("{{3}}(?:\\[\s\S]|[^\\])*?"{{3}})                 # 8 text block
+    | ("{{3}})                                           # 9 open text block
+    | ("(?:\\[^\n]|[^"\\\n])*")                          # 10 string
+    | ('(?:\\[^\n]|[^'\\\n])*')                          # 11 char
+    | (["'])                                             # 12 open literal
     | ((?:{_DIGIT}|\.{_DIGIT})
-       (?:[eE][+-]|\.(?={_DIGIT}|[eEfFdD_])|\w)*)        # 10 number
-    | ([A-Za-z_$][\w$]*)                                 # 11 word
-    | ([^\W\d][\w$]*)                                    # 12 non-ASCII word
+       (?:[eE][+-]|\.(?={_DIGIT}|[eEfFdD_])|\w)*)        # 13 number
+    | ([^\W\d][\w$]*)                                    # 14 non-ASCII word
     | (>>>=|>>>|<<=|>>=|\.\.\.|->|::|==|!=|<=|>=|&&|\|\||\+\+|--
-       |[-+*/%&|^]=|<<|>>|[\s\S])                        # 13 operator
-    | \Z)""",
+       |[-+*/%&|^]=|<<|>>|[\s\S])                        # 15 operator
+    | (\Z))                                              # 16 end of text""",
     re.VERBOSE,
 )
-(_NEWLINE, _LINE_COMMENT, _BLOCK_COMMENT, _OPEN_COMMENT, _TEXT_BLOCK,
- _OPEN_TEXT_BLOCK, _STRING, _CHAR, _OPEN_LITERAL, _NUMBER, _WORD,
- _OTHER_WORD, _OP) = range(1, 14)
+(_WORD, _OPEN, _CLOSE, _LONE_OP, _LINE_COMMENT, _BLOCK_COMMENT, _OPEN_COMMENT,
+ _TEXT_BLOCK, _OPEN_TEXT_BLOCK, _STRING, _CHAR, _OPEN_LITERAL, _NUMBER,
+ _OTHER_WORD, _OP, _END) = range(1, 17)
+_NEWLINE_RE = re.compile("\n")
 
-_LITERALS = {_NUMBER: "num", _STRING: "str", _CHAR: "char"}
+# Token kind codes: the number of the group that matched the token, except
+# that a keyword is KEYWORD, every operator is OP and a text block is STR.
+# EOF marks the sentinel the parser appends, never a token of the text.
+IDENT, KEYWORD, NUM, STR, CHAR, OP, EOF = _WORD, 0, _NUMBER, _STRING, _CHAR, _OP, -1
+KIND_NAMES = {IDENT: "ident", KEYWORD: "keyword", NUM: "num", STR: "str",
+              CHAR: "char", OP: "op", EOF: "eof"}
+_PLAIN = frozenset({OP, NUM, STR, CHAR})  # groups that are their own kind code
 _UNTERMINATED = {
     _OPEN_COMMENT: "unterminated block comment",
     _OPEN_TEXT_BLOCK: "unterminated text block",
@@ -103,71 +126,79 @@ _UNTERMINATED = {
 }
 
 
-def tokenize(text: str) -> tuple[list[Token], list[RawComment]]:
+def line_col(newlines: list[int], offset: int) -> tuple[int, int]:
+    """1-based line and column of a text offset; newlines as in Tokens."""
+    line = bisect_left(newlines, offset)
+    return line + 1, offset - (newlines[line - 1] if line else -1)
+
+
+def tokenize(text: str) -> Tokens:
     """Split source text into tokens and comments.
 
     Raises JavaSyntaxError on unterminated strings, chars, text blocks or
     block comments.
     """
-    tokens: list[Token] = []
-    comments: list[RawComment] = []
-    append = tokens.append
-    token = Token
+    kinds: list[int] = []
+    values: list[str] = []
+    starts: list[int] = []
+    add_kind, add_value, add_start = kinds.append, values.append, starts.append
+    partner: dict[int, int] = {}
+    open_at: dict[str, list[int]] = {"(": [], "[": [], "{": []}
+    close_at = {")": open_at["("], "]": open_at["["], "}": open_at["{"]}
+    comments: list[tuple[int, str, int]] = []  # (start, text, next index)
     keywords = KEYWORDS
-    line = 1
-    line_start = 0  # offset of the first char of the current line
     pos = 0
     while True:
         for m in _TOKEN_RE.finditer(text, pos):
             kind = m.lastindex
-            if kind == _OP:
-                append(token("op", m.group(kind), line,
-                             m.start(kind) - line_start + 1))
-            elif kind == _WORD:
-                value = m.group(kind)
-                append(token("keyword" if value in keywords else "ident",
-                             value, line, m.start(kind) - line_start + 1))
-            elif kind == _NEWLINE:
-                line += 1
-                line_start = m.end()
-            elif kind in _LITERALS:
-                append(token(_LITERALS[kind], m.group(kind), line,
-                             m.start(kind) - line_start + 1))
-            elif kind == _BLOCK_COMMENT or kind == _TEXT_BLOCK:
-                value = m.group(kind)
-                start = m.start(kind)
-                start_line, start_col = line, start - line_start + 1
-                newlines = value.count("\n")
-                if newlines:
-                    line += newlines
-                    line_start = start + value.rindex("\n") + 1
+            value = m[kind]
+            start = m.start(kind)
+            if kind == _WORD:
+                if value in keywords:
+                    kind = KEYWORD
+            elif kind <= _LONE_OP:  # a bracket or a lone operator
+                if kind == _OPEN:
+                    open_at[value].append(len(kinds))
+                elif kind == _CLOSE:
+                    opens = close_at[value]
+                    if opens:
+                        j = opens.pop()
+                        partner[j] = len(kinds)
+                        partner[len(kinds)] = j
+                kind = OP
+            elif kind not in _PLAIN:
+                if kind == _LINE_COMMENT or kind == _BLOCK_COMMENT:
+                    comments.append((start, value, len(kinds)))
+                    continue
                 if kind == _TEXT_BLOCK:
-                    append(token("str", value, start_line, start_col))
-                else:
-                    comments.append(RawComment(
-                        start_line, start_col, line, value,
-                        value.startswith("/**") and value != "/**/",
-                        len(tokens)))
-            elif kind == _LINE_COMMENT:
-                comments.append(RawComment(
-                    line, m.start(kind) - line_start + 1, line,
-                    m.group(kind), False, len(tokens)))
-            elif kind == _OTHER_WORD:
-                value = m.group(kind)
-                start = m.start(kind)
-                if value[0].isalpha():
-                    append(token("ident", value, line,
-                                 start - line_start + 1))
-                else:
+                    kind = STR
+                elif kind == _OTHER_WORD and value[0].isalpha():
+                    kind = IDENT
+                elif kind == _OTHER_WORD:
                     # [^\W\d] also admits numerals that are neither letters
                     # nor digits (½, Ⅻ): such a character is an operator of
                     # its own, and scanning resumes right after it.
-                    append(token("op", value[0], line,
-                                 start - line_start + 1))
+                    add_kind(OP)
+                    add_value(value[0])
+                    add_start(start)
                     pos = start + 1
                     break
-            elif kind is not None:  # None: blanks before the end of text
-                raise JavaSyntaxError(_UNTERMINATED[kind], line,
-                                      m.start(kind) - line_start + 1)
+                elif kind == _END:
+                    continue
+                else:
+                    raise JavaSyntaxError(_UNTERMINATED[kind],
+                                          *line_col(_newlines(text), start))
+            add_kind(kind)
+            add_value(value)
+            add_start(start)
         else:
-            return tokens, comments
+            newlines = _newlines(text)
+            return Tokens(kinds, values, starts, partner, [
+                RawComment(*line_col(newlines, start),
+                           line_col(newlines, start + len(body) - 1)[0], body,
+                           body.startswith("/**") and body != "/**/", after)
+                for start, body, after in comments], newlines)
+
+
+def _newlines(text: str) -> list[int]:
+    return [m.start() for m in _NEWLINE_RE.finditer(text)]

@@ -14,12 +14,13 @@ permissively and produce no facts.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
+from itertools import compress
 from typing import NoReturn
 
 from .javadoc import extract_javadoc
-from .lexer import JavaSyntaxError, Token, tokenize
+from .lexer import EOF, IDENT, KEYWORD, OP, JavaSyntaxError, line_col, tokenize
 from .model import (
     AccessFact,
     BodyFacts,
@@ -47,6 +48,10 @@ _MODIFIER_WORDS = frozenset(
     }
 )
 _LOCAL_DECL_PREV = frozenset({";", "{", "}", "(", ","})
+# The keywords that can be a local variable's type, and those that can
+# start its declaration.
+_LOCAL_TYPES = _PRIMITIVES - {"void"} | {"var"}
+_DECL_START = _LOCAL_TYPES | {"final"}
 # Deepest type nesting parsed; deeper files are skipped with a diagnostic
 # instead of exhausting the interpreter's recursion limit.
 MAX_TYPE_NESTING = 100
@@ -65,33 +70,17 @@ def parse_compilation_unit(text: str, path: str) -> SourceFileModel:
     return _Parser(text, path).parse()
 
 
-def match_brackets(tokens: list[Token]) -> list[int]:
-    """Index of each bracket's partner, -1 for unmatched and non-brackets.
-
-    One stack per bracket kind, so every bracket pairs as a same-kind
-    depth count would pair it, unbalanced text included.
-    """
-    partner = [-1] * len(tokens)
-    opens: dict[str, list[int]] = {"(": [], "[": [], "{": []}
-    closes = {")": opens["("], "]": opens["["], "}": opens["{"]}
-    for i, tok in enumerate(tokens):
-        v = tok.value
-        if v in opens:
-            opens[v].append(i)
-        elif v in closes and closes[v]:
-            j = closes[v].pop()
-            partner[i], partner[j] = j, i
-    return partner
-
-
 class _Parser:
     def __init__(self, text: str, path: str) -> None:
         self.path = path
-        self.tokens, self.comments = tokenize(text)
-        last = self.tokens[-1] if self.tokens else Token("eof", "", 1, 1)
-        self.tokens.append(Token("eof", "", last.line, last.col))
-        self.last = len(self.tokens) - 1  # the end-of-file sentinel
-        self.partner = match_brackets(self.tokens)
+        # Parallel token lists, read by index; see lexer.Tokens. The
+        # end-of-file sentinel sits at the last token's offset.
+        (self.kinds, self.values, self.starts, self.partner, self.comments,
+         self.newlines) = tokenize(text)
+        self.starts.append(self.starts[-1] if self.starts else 0)
+        self.kinds.append(EOF)
+        self.values.append("")
+        self.last = len(self.kinds) - 1  # the end-of-file sentinel
         self.pos = 0
         self.line_count = sum(1 for ln in text.split("\n") if ln.strip())
         # Index of the token after each comment, in source order.
@@ -107,49 +96,56 @@ class _Parser:
         self.stmt_ends: dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    # token plumbing
+    # token plumbing: positions are token indexes into the parallel lists;
+    # a line or column is worked out from the token's offset only when a
+    # fact or an error needs it.
 
-    def peek(self, off: int = 0) -> Token:
-        return self.tokens[min(self.pos + off, self.last)]
+    def line(self, i: int) -> int:
+        return bisect_left(self.newlines, self.starts[i]) + 1
 
-    def peek_more(self) -> Token:
-        """The current token; fails at the end of the file."""
-        tok = self.tokens[self.pos]
-        if tok.kind == "eof":
+    def peek(self, off: int = 0) -> str:
+        """Value of the token off ahead; the sentinel's past the end."""
+        return self.values[min(self.pos + off, self.last)]
+
+    def peek_kind(self, off: int = 0) -> int:
+        return self.kinds[min(self.pos + off, self.last)]
+
+    def peek_more(self) -> int:
+        """The current token's index; fails at the end of the file."""
+        if self.kinds[self.pos] == EOF:
             self.fail("unexpected end of file")
-        return tok
+        return self.pos
 
-    def pop(self) -> Token:
-        tok = self.peek_more()
+    def pop(self) -> int:
+        i = self.peek_more()
         self.pos += 1
-        return tok
+        return i
 
     def at(self, value: str) -> bool:
-        return self.tokens[self.pos].value == value
+        return self.values[self.pos] == value
 
     def match(self, value: str) -> bool:
-        if self.at(value):
+        if self.values[self.pos] == value:
             self.pos += 1
             return True
         return False
 
-    def expect(self, value: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.value != value:
+    def expect(self, value: str) -> int:
+        if self.values[self.pos] != value:
             self.fail(f"expected '{value}'")
         self.pos += 1
-        return tok
+        return self.pos - 1
 
-    def expect_ident(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "ident":
+    def expect_ident(self) -> int:
+        if self.kinds[self.pos] != IDENT:
             self.fail("expected identifier")
         self.pos += 1
-        return tok
+        return self.pos - 1
 
-    def fail(self, message: str) -> NoReturn:
-        tok = self.tokens[self.pos]
-        raise JavaSyntaxError(message, tok.line, tok.col)
+    def fail(self, message: str, i: int | None = None) -> NoReturn:
+        """Raise at token i, by default the current one."""
+        offset = self.starts[self.pos if i is None else i]
+        raise JavaSyntaxError(message, *line_col(self.newlines, offset))
 
     def skip_balanced(self, open_val: str) -> tuple[int, int]:
         """Skip from the current open token past its matching close.
@@ -158,7 +154,7 @@ class _Parser:
         """
         open_idx = self.pos
         self.expect(open_val)
-        close_idx = self.partner[open_idx]
+        close_idx = self.partner.get(open_idx, -1)
         if close_idx < 0:
             self.pos = self.last
             self.fail("unexpected end of file")
@@ -173,8 +169,8 @@ class _Parser:
 
     def _dims_end(self, j: int, limit: int) -> int:
         """Index after the [] pairs starting at token j, up to limit."""
-        toks = self.tokens
-        while j + 1 <= limit and toks[j].value == "[" and toks[j + 1].value == "]":
+        values = self.values
+        while j + 1 <= limit and values[j] == "[" and values[j + 1] == "]":
             j += 2
         return j
 
@@ -183,14 +179,14 @@ class _Parser:
         self.expect("<")
         depth = 1
         while depth > 0:
-            tok = self.pop()
-            if tok.value == "<":
+            v = self.values[self.pop()]
+            if v == "<":
                 depth += 1
-            elif tok.value == ">":
+            elif v == ">":
                 depth -= 1
-            elif tok.value == ">>":
+            elif v == ">>":
                 depth -= 2
-            elif tok.value == ">>>":
+            elif v == ">>>":
                 depth -= 3
 
     # ------------------------------------------------------------------
@@ -198,20 +194,18 @@ class _Parser:
 
     def parse(self) -> SourceFileModel:
         model = SourceFileModel(path=self.path, package=None)
-        while (tok := self.peek()).kind != "eof":
-            if tok.value == ";":
+        while self.kinds[self.pos] != EOF:
+            v = self.values[self.pos]
+            if v == ";":
                 self.pop()
-            elif tok.value == "package" and model.package is None:
-                self.pop()
+            elif v == "package" and model.package is None:
+                model.package_line = self.line(self.pop())
                 model.package = self.dotted_name()
                 self.expect(";")
-                model.package_line = tok.line
-            elif tok.value == "import":
+            elif v == "import":
                 model.imports.append(self.parse_import())
-            elif tok.value == "module" or (
-                tok.value == "open" and self.peek(1).value == "module"
-            ):
-                while not self.at("{") and self.peek().kind != "eof":
+            elif v == "module" or (v == "open" and self.peek(1) == "module"):
+                while not self.at("{") and self.kinds[self.pos] != EOF:
                     self.pop()
                 self.skip_balanced("{")
             else:
@@ -221,21 +215,21 @@ class _Parser:
         return model
 
     def dotted_name(self) -> str:
-        parts = [self.expect_ident().value]
-        while self.at(".") and self.peek(1).kind == "ident":
+        parts = [self.values[self.expect_ident()]]
+        while self.at(".") and self.peek_kind(1) == IDENT:
             self.pop()
-            parts.append(self.pop().value)
+            parts.append(self.values[self.pop()])
         return ".".join(parts)
 
     def parse_import(self) -> ImportFact:
-        tok = self.expect("import")
+        line = self.line(self.expect("import"))
         is_static = self.match("static")
         target = self.dotted_name()
         is_wildcard = self.match(".")
         if is_wildcard and not self.match("*"):
             self.fail("expected identifier")
         self.expect(";")
-        return ImportFact(target=target + (".*" if is_wildcard else ""), line=tok.line,
+        return ImportFact(target=target + (".*" if is_wildcard else ""), line=line,
                           is_static=is_static, is_wildcard=is_wildcard)
 
     # ------------------------------------------------------------------
@@ -254,36 +248,32 @@ class _Parser:
         mods: set[str] = set()
         ann_type = False
         while True:
-            tok = self.peek()
-            if tok.value == "@":
-                if self.peek(1).value == "interface":
+            v = self.peek()
+            if v == "@":
+                if self.peek(1) == "interface":
                     self.pop()
                     ann_type = True
                     break
                 annotations.append(self.parse_annotation())
-            elif tok.value in _MODIFIER_WORDS:
-                mods.add(tok.value)
+            elif v in _MODIFIER_WORDS:
+                mods.add(v)
                 self.pop()
-            elif (
-                tok.value == "non" and self.peek(1).value == "-"
-                and self.peek(2).value == "sealed"
-            ):
+            elif v == "non" and self.peek(1) == "-" and self.peek(2) == "sealed":
                 self.pos += 3
             else:
                 break
 
-        tok = self.peek_more()
+        v = self.values[self.peek_more()]
         javadoc = None
         if doc is not None:
             javadoc = extract_javadoc(doc.text, doc.line)
 
         is_record = (
-            tok.value == "record" and self.peek(1).kind == "ident"
-            and self.peek(2).value == "("
+            v == "record" and self.peek_kind(1) == IDENT and self.peek(2) == "("
         )
-        if ann_type or tok.value in ("class", "enum", "interface") or is_record:
+        if ann_type or v in ("class", "enum", "interface") or is_record:
             tf = self.parse_type_tail(
-                "annotation" if ann_type else tok.value,
+                "annotation" if ann_type else v,
                 annotations, mods, javadoc, container_kind,
             )
             if container_name is None:
@@ -322,7 +312,7 @@ class _Parser:
         if len(self.type_stack) >= MAX_TYPE_NESTING:
             self.fail("type nesting too deep")
         self.pop()  # class/enum/interface/record/interface-after-@
-        name_tok = self.expect_ident()
+        name_idx = self.expect_ident()
         if self.at("<"):
             self.skip_angles()
         if kind == "record" and self.at("("):
@@ -344,9 +334,9 @@ class _Parser:
 
         tf = TypeFact(
             kind=kind,
-            name=name_tok.value,
+            name=self.values[name_idx],
             visibility=self._visibility(mods, container_kind),
-            line=name_tok.line,
+            line=self.line(name_idx),
             is_nested=container_kind is not None,
             supertypes=supertypes,
             javadoc=javadoc,
@@ -395,16 +385,15 @@ class _Parser:
         if self.at("<"):
             self.skip_angles()
 
-        tok = self.peek_more()
+        first = self.peek_more()
         # Constructor: TypeName followed directly by (
         if (
-            tok.kind == "ident"
-            and tok.value == container_name
-            and self.peek(1).value == "("
+            self.kinds[first] == IDENT
+            and self.values[first] == container_name
+            and self.peek(1) == "("
         ):
-            name_tok = self.pop()
             return [self.finish_callable(
-                "constructor", name_tok, None, annotations, mods,
+                "constructor", self.pop(), None, annotations, mods,
                 javadoc, container_kind,
             )]
 
@@ -416,28 +405,28 @@ class _Parser:
                 kind="constructor",
                 name=container_name,
                 visibility=self._visibility(mods, container_kind),
-                line=tok.line,
+                line=self.line(first),
                 annotations=annotations,
                 javadoc=javadoc,
             )
             self.skip_body(member)
             return [member]
 
-        name_tok = self.expect_ident()
+        name_idx = self.expect_ident()
         if self.at("("):
             member = self.finish_callable(
                 "staticMethod" if "static" in mods else "instanceMethod",
-                name_tok, rtype, annotations, mods, javadoc, container_kind,
+                name_idx, rtype, annotations, mods, javadoc, container_kind,
             )
             return [member]
         return self.finish_fields(
-            name_tok, rtype, annotations, mods, javadoc, container_kind
+            name_idx, rtype, annotations, mods, javadoc, container_kind
         )
 
     def finish_callable(
         self,
         kind: str,
-        name_tok: Token,
+        name_idx: int,
         rtype: str | None,
         annotations: list[str],
         mods: set[str],
@@ -455,9 +444,9 @@ class _Parser:
                 thrown.append(_simple(self.parse_type_ref()))
         member = MemberFact(
             kind=kind,
-            name=name_tok.value,
+            name=self.values[name_idx],
             visibility=self._visibility(mods, container_kind),
-            line=name_tok.line,
+            line=self.line(name_idx),
             annotations=annotations,
             javadoc=javadoc,
             params=params,
@@ -496,9 +485,9 @@ class _Parser:
             if self.at("this"):  # receiver parameter: not a real param
                 self.pop()
             else:
-                name_tok = self.expect_ident()
+                name = self.values[self.expect_ident()]
                 ptype += self.dims()
-                params.append(ParamFact(name=name_tok.value, type_name=ptype))
+                params.append(ParamFact(name=name, type_name=ptype))
             if self.match(","):
                 continue
             self.expect(")")
@@ -506,7 +495,7 @@ class _Parser:
 
     def finish_fields(
         self,
-        first_name: Token,
+        name_idx: int,
         ftype: str,
         annotations: list[str],
         mods: set[str],
@@ -517,15 +506,14 @@ class _Parser:
         is_static = "static" in mods or container_kind == "interface"
         is_final = "final" in mods or container_kind == "interface"
         members: list[MemberFact] = []
-        name_tok = first_name
         while True:
             dtype = ftype + self.dims()
             members.append(
                 MemberFact(
                     kind="staticField" if is_static else "instanceField",
-                    name=name_tok.value,
+                    name=self.values[name_idx],
                     visibility=self._visibility(mods, container_kind),
-                    line=name_tok.line,
+                    line=self.line(name_idx),
                     is_static_final=is_static and is_final,
                     annotations=annotations,
                     javadoc=javadoc,
@@ -535,7 +523,7 @@ class _Parser:
             if self.match("="):
                 self.skip_initializer()
             if self.match(","):
-                name_tok = self.expect_ident()
+                name_idx = self.expect_ident()
                 continue
             self.expect(";")
             return members
@@ -549,10 +537,9 @@ class _Parser:
         """
         depth = 0
         while True:
-            tok = self.peek()
-            if tok.kind == "eof":
+            if self.kinds[self.pos] == EOF:
                 self.fail("unexpected end of file in initializer")
-            v = tok.value
+            v = self.values[self.pos]
             if v in ("(", "[", "{"):
                 depth += 1
             elif v in (")", "]", "}"):
@@ -569,21 +556,17 @@ class _Parser:
     def parse_type_ref(self) -> str:
         while self.at("@"):
             self.parse_annotation()
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.value in _PRIMITIVES:
-            base = tok.value
+        base = self.values[self.pos]
+        if base in _PRIMITIVES or base == "var":
             self.pop()
-        elif tok.value == "var":
-            base = "var"
+        elif self.kinds[self.pos] == IDENT:
             self.pop()
-        elif tok.kind == "ident":
-            base = self.pop().value
             while True:
                 if self.at("<"):
                     self.skip_angles()
-                if self.at(".") and self.peek(1).kind == "ident":
+                if self.at(".") and self.peek_kind(1) == IDENT:
                     self.pop()
-                    base += "." + self.pop().value
+                    base += "." + self.values[self.pop()]
                 else:
                     break
         else:
@@ -626,7 +609,7 @@ class _Parser:
 
         # Identifier occurrences outside comments and package/import lines.
         # The only identifiers in those lines are the parts of their names.
-        counts = Counter(tok.value for tok in self.tokens if tok.kind == "ident")
+        counts = Counter(compress(self.values, map(IDENT.__eq__, self.kinds)))
         for imp in model.imports:
             counts.subtract(imp.target.removesuffix(".*").split("."))
         if model.package is not None:
@@ -655,7 +638,7 @@ class _Parser:
     ) -> None:
         facts = member.body
         assert facts is not None
-        toks = self.tokens
+        kinds, values, line = self.kinds, self.values, self.line
         in_test = member.name.startswith("test") or "Test" in member.annotations
         enclosing = stack[-1].name if stack else None
 
@@ -681,125 +664,115 @@ class _Parser:
                 return "className", name
             return "instanceExpr", None
 
-        # Before `quiet` lies a catch or declaration head: this./super. only.
+        def declare(i: int) -> int | None:
+            """Record the local declaration at token i, if any; returns
+            the index to resume the scan at."""
+            local = self._try_local_decl(i, close_idx)
+            if local is None:
+                return None
+            names, base, resume = local
+            for k in names:
+                locals_map[values[k]] = _simple(base)
+                facts.local_vars.append(
+                    LocalVarFact(name=values[k], type_name=_simple(base), line=line(k))
+                )
+            return resume
+
+        # Before `quiet` lies a catch or declaration head: this./super.
+        # chains only. Literals and the operators other than `+=`, `=` and
+        # `)` start no fact.
         i = quiet = open_idx + 1
         while i < close_idx:
-            tok = toks[i]
-            v = tok.value
-            kind = tok.kind
-            prev_v = toks[i - 1].value
-
-            if v in self_forms and prev_v not in (".", "::") and \
-                    toks[i + 1].value == "." and toks[i + 2].kind == "ident":
-                i = self._walk_chain(self_accesses, i + 2, close_idx,
-                                     *self_forms[v]) + 1
-                continue
-            if i < quiet:
-                i += 1
-                continue
-            while loop_stack and i > loop_stack[-1]:
-                loop_stack.pop()
-
-            if kind == "keyword":
-                if v in ("for", "while", "do") and i not in do_while_skips:
+            kind = kinds[i]
+            if kind == IDENT:
+                prev_v = values[i - 1]
+                nxt_v = values[i + 1]
+                if i < quiet or prev_v in (".", "::"):
+                    pass
+                elif prev_v in _LOCAL_DECL_PREV and (
+                        kinds[i + 1] == IDENT or nxt_v in (".", "<", "[")
+                ) and (resume := declare(i)) is not None:
+                    quiet = resume
+                elif nxt_v in (".", "::") and i + 2 <= close_idx and \
+                        kinds[i + 2] == IDENT:
+                    form, rtype = resolve_receiver(values[i])
+                    i = self._walk_chain(accesses, i + 2, close_idx, form, rtype) + 1
+                    continue
+                elif nxt_v == "(" and prev_v != "new":
+                    accesses.append(
+                        AccessFact(line=line(i), member_name=values[i],
+                                   receiver_form="implicit", receiver_type=None,
+                                   is_call=True)
+                    )
+            elif kind == KEYWORD:
+                v = values[i]
+                if v in self_forms and values[i - 1] not in (".", "::") and \
+                        values[i + 1] == "." and kinds[i + 2] == IDENT:
+                    i = self._walk_chain(self_accesses, i + 2, close_idx,
+                                         *self_forms[v]) + 1
+                    continue
+                if i < quiet:
+                    pass
+                elif v in ("for", "while", "do") and i not in do_while_skips:
                     end = self._stmt_end(i, close_idx)
                     facts.loops.append(
-                        LoopFact(line=tok.line, end_line=toks[end].line, kind=v)
+                        LoopFact(line=line(i), end_line=line(end), kind=v)
                     )
                     loop_stack.append(end)
                     if v == "do":
                         body_end = self._stmt_end(i + 1, close_idx)
                         if body_end + 1 <= close_idx and \
-                                toks[body_end + 1].value == "while":
+                                values[body_end + 1] == "while":
                             do_while_skips.add(body_end + 1)
-                    i += 1
-                    continue
-                if v == "catch":
+                elif v == "catch":
                     quiet = self._scan_catch(i, close_idx, facts, in_test)
-                    i += 1
-                    continue
-
-            if kind == "keyword" or (kind == "ident" and prev_v in _LOCAL_DECL_PREV):
-                local = self._try_local_decl(i, close_idx)
-                if local is not None:
-                    names, base, quiet = local
-                    for name_tok in names:
-                        locals_map[name_tok.value] = _simple(base)
-                        facts.local_vars.append(
-                            LocalVarFact(name=name_tok.value,
-                                         type_name=_simple(base),
-                                         line=name_tok.line)
-                        )
-                    i += 1
-                    continue
-
-            if kind == "ident" and prev_v not in (".", "::"):
-                nxt_v = toks[i + 1].value
-                if nxt_v in (".", "::") and i + 2 <= close_idx and \
-                        toks[i + 2].kind == "ident":
-                    form, rtype = resolve_receiver(v)
-                    i = self._walk_chain(accesses, i + 2, close_idx, form, rtype) + 1
-                    continue
-                if nxt_v == "(" and prev_v != "new":
-                    accesses.append(
-                        AccessFact(line=tok.line, member_name=v,
-                                   receiver_form="implicit", receiver_type=None,
-                                   is_call=True)
-                    )
-
-            elif kind == "op":
-                if v == "+=" and loop_stack:
-                    prev = toks[i - 1]
-                    if prev.kind == "ident":
+                elif v in _DECL_START and (resume := declare(i)) is not None:
+                    quiet = resume
+            elif kind == OP and i >= quiet:
+                v = values[i]
+                if v == "+=" or v == "=":
+                    # Loops that ended before i leave the stack only here.
+                    while loop_stack and i > loop_stack[-1]:
+                        loop_stack.pop()
+                    prev_v = values[i - 1]
+                    if loop_stack and kinds[i - 1] == IDENT and (v == "+=" or (
+                        kinds[i + 1] == IDENT and values[i + 1] == prev_v
+                        and i + 2 <= close_idx and values[i + 2] == "+"
+                    )):
                         facts.concat_sites.append(
-                            ConcatSiteFact(line=tok.line, target=prev.value)
-                        )
-                elif v == "=" and loop_stack:
-                    prev = toks[i - 1]
-                    n1 = toks[i + 1]
-                    if (
-                        prev.kind == "ident"
-                        and n1.kind == "ident" and n1.value == prev.value
-                        and i + 2 <= close_idx and toks[i + 2].value == "+"
-                    ):
-                        facts.concat_sites.append(
-                            ConcatSiteFact(line=tok.line, target=prev.value)
+                            ConcatSiteFact(line=line(i), target=prev_v)
                         )
                 elif v == ")" and i + 2 <= close_idx and \
-                        toks[i + 1].value == "." and toks[i + 2].kind == "ident":
+                        values[i + 1] == "." and kinds[i + 2] == IDENT:
                     rtype = None
-                    open_paren = self.partner[i]  # -1 when unmatched
-                    if open_paren - 1 > open_idx:
-                        callee = toks[open_paren - 1]
-                        before_v = toks[open_paren - 2].value \
-                            if open_paren - 2 > open_idx else ""
-                        if callee.kind == "ident" and before_v not in (".", "::"):
-                            rtype = method_returns.get(callee.value)
+                    callee = self.partner.get(i, -1) - 1  # -2 when unmatched
+                    if callee > open_idx:
+                        before_v = values[callee - 1] if callee - 1 > open_idx else ""
+                        if kinds[callee] == IDENT and before_v not in (".", "::"):
+                            rtype = method_returns.get(values[callee])
                     i = self._walk_chain(accesses, i + 2, close_idx,
                                          "methodReturn", rtype) + 1
                     continue
-
             i += 1
         accesses.extend(self_accesses)
 
         if facts.local_vars:
-            occurrences = Counter(tok.value for tok in toks[open_idx + 1:close_idx]
-                                  if tok.kind == "ident")
-            occurrences.subtract(lv.name for lv in facts.local_vars)
+            # A token spelled like a local's name is always an identifier.
+            body = values[open_idx + 1:close_idx]
+            declared = [lv.name for lv in facts.local_vars]
             for lv in facts.local_vars:
-                lv.used = occurrences[lv.name] > 0
+                lv.used = body.count(lv.name) > declared.count(lv.name)
 
     def _walk_chain(self, out: list[AccessFact], j: int, close_idx: int,
                     form: str, rtype: str | None) -> int:
         """Append to out the member accesses along a dotted chain starting
         at the member token j. Stops after a call so the `).member` rule
         can resume with methodReturn form. Returns last consumed index."""
-        toks = self.tokens
+        kinds, values = self.kinds, self.values
         while True:
-            mem = toks[j]
-            is_call = j + 1 <= close_idx and toks[j + 1].value == "("
+            is_call = j + 1 <= close_idx and values[j + 1] == "("
             out.append(
-                AccessFact(line=mem.line, member_name=mem.value,
+                AccessFact(line=self.line(j), member_name=values[j],
                            receiver_form=form, receiver_type=rtype,
                            is_call=is_call)
             )
@@ -807,8 +780,8 @@ class _Parser:
                 return j
             if (
                 j + 2 <= close_idx
-                and toks[j + 1].value in (".", "::")
-                and toks[j + 2].kind == "ident"
+                and values[j + 1] in (".", "::")
+                and kinds[j + 2] == IDENT
             ):
                 form, rtype = "instanceExpr", None
                 j += 2
@@ -817,21 +790,20 @@ class _Parser:
 
     def _scan_catch(self, i: int, close_idx: int, facts: BodyFacts,
                     in_test: bool) -> int:
-        toks = self.tokens
-        catch_tok = toks[i]
+        kinds, values = self.kinds, self.values
         j = i + 1
-        if j > close_idx or toks[j].value != "(":
+        if j > close_idx or values[j] != "(":
             return i + 1
         close_paren = self._matching_close(j)
         var = ""
         k = close_paren - 1
         while k > j:
-            if toks[k].kind == "ident":
-                var = toks[k].value
+            if kinds[k] == IDENT:
+                var = values[k]
                 break
             k -= 1
         bopen = close_paren + 1
-        if bopen > close_idx or toks[bopen].value != "{":
+        if bopen > close_idx or values[bopen] != "{":
             return close_paren + 1
         bclose = self._matching_close(bopen)
         body_empty = bclose == bopen + 1
@@ -841,19 +813,18 @@ class _Parser:
         has_comment = (after < len(self.comment_next)
                        and self.comment_next[after] <= bclose)
         facts.catches.append(
-            CatchFact(line=catch_tok.line, exception_var=var,
+            CatchFact(line=self.line(i), exception_var=var,
                       body_empty=body_empty, has_comment=has_comment,
                       in_test_method=in_test)
         )
         return bopen + 1
 
     def _matching_close(self, i: int) -> int:
-        tok = self.tokens[i]
-        if tok.value not in ("(", "[", "{"):
-            raise JavaSyntaxError(f"expected a bracket, found {tok.value!r}",
-                                  tok.line, tok.col)
-        if self.partner[i] < 0:
-            raise JavaSyntaxError("unbalanced delimiter", tok.line, tok.col)
+        v = self.values[i]
+        if v not in ("(", "[", "{"):
+            self.fail(f"expected a bracket, found {v!r}", i)
+        if i not in self.partner:
+            self.fail("unbalanced delimiter", i)
         return self.partner[i]
 
     def _stmt_end(self, i: int, limit: int) -> int:
@@ -865,14 +836,14 @@ class _Parser:
         `while` tails. Every statement start passed on the way is recorded
         with its end, so nested loops cost one walk, not one each.
         """
-        toks = self.tokens
+        values = self.values
         ends = self.stmt_ends
         starts: list[int] = []  # statements ending where the current one does
         pending: list[tuple[str, list[int]]] = []  # ("if"|"do", outer starts)
         while True:
             end = ends.get(i)
             if end is None:
-                v = toks[i].value
+                v = values[i]
                 if v not in ("for", "while", "if", "do"):
                     end = self._simple_stmt_end(i, limit)
                 else:
@@ -890,20 +861,20 @@ class _Parser:
                 what, starts = pending.pop()
                 j = end + 1
                 if what == "if":
-                    if j <= limit and toks[j].value == "else":
+                    if j <= limit and values[j] == "else":
                         i = j + 1  # the else branch ends the if statement
                         break
-                elif j <= limit and toks[j].value == "while":
+                elif j <= limit and values[j] == "while":
                     close = self._matching_close(j + 1)
-                    if close + 1 <= limit and toks[close + 1].value == ";":
+                    if close + 1 <= limit and values[close + 1] == ";":
                         end = close + 1
                     else:
                         end = close
 
     def _simple_stmt_end(self, i: int, limit: int) -> int:
         """End of a statement that is not a loop, `if` or `do`."""
-        toks = self.tokens
-        v = toks[i].value
+        values = self.values
+        v = values[i]
         if v == "{":
             return self._matching_close(i)
         if v in ("switch", "synchronized"):
@@ -911,12 +882,12 @@ class _Parser:
             return self._matching_close(close + 1)
         if v == "try":
             j = i + 1
-            if toks[j].value == "(":
+            if values[j] == "(":
                 j = self._matching_close(j) + 1
             end = self._matching_close(j)
             j = end + 1
-            while j <= limit and toks[j].value in ("catch", "finally"):
-                if toks[j].value == "catch":
+            while j <= limit and values[j] in ("catch", "finally"):
+                if values[j] == "catch":
                     j = self._matching_close(j + 1) + 1
                 else:
                     j += 1
@@ -927,7 +898,7 @@ class _Parser:
         depth = 0
         j = i
         while j <= limit:
-            val = toks[j].value
+            val = values[j]
             if val in ("(", "[", "{"):
                 depth += 1
             elif val in (")", "]", "}"):
@@ -941,35 +912,26 @@ class _Parser:
 
     def _try_local_decl(
         self, i: int, limit: int
-    ) -> tuple[list[Token], str, int] | None:
+    ) -> tuple[list[int], str, int] | None:
         """Trial-parse a local variable declaration at token i.
 
-        Returns (declarator name tokens, base type, resume index) where
+        Returns (declarator name indexes, base type, resume index) where
         the resume index points at the token after the last declarator
         name (so initializer expressions still get scanned), or None.
         """
-        toks = self.tokens
+        kinds, values = self.kinds, self.values
         j = i
-        if toks[j].value == "final":
+        if values[j] == "final":
             j += 1
-        tok = toks[j]
-        if tok.kind == "keyword" and tok.value in _PRIMITIVES and tok.value != "void":
-            base = tok.value
+        base = values[j]
+        if base in _LOCAL_TYPES:
             j += 1
-        elif tok.value == "var" and tok.kind in ("ident", "keyword"):
-            base = "var"
+        elif kinds[j] == IDENT:
             j += 1
-        elif tok.kind == "ident":
-            base = tok.value
-            j += 1
-            while (
-                j + 1 <= limit
-                and toks[j].value == "."
-                and toks[j + 1].kind == "ident"
-            ):
-                base += "." + toks[j + 1].value
+            while j + 1 <= limit and values[j] == "." and kinds[j + 1] == IDENT:
+                base += "." + values[j + 1]
                 j += 2
-            if j <= limit and toks[j].value == "<":
+            if j <= limit and values[j] == "<":
                 closed = self._skip_angles_at(j, limit)
                 if closed is None:
                     return None
@@ -979,11 +941,11 @@ class _Parser:
         dims_end = self._dims_end(j, limit)
         base += "[]" * ((dims_end - j) // 2)
         j = dims_end
-        if j > limit or toks[j].kind != "ident":
+        if j > limit or kinds[j] != IDENT:
             return None
-        names = [toks[j]]
+        names = [j]
         j = self._dims_end(j + 1, limit)
-        if j > limit or toks[j].value not in ("=", ";", ",", ":"):
+        if j > limit or values[j] not in ("=", ";", ",", ":"):
             return None
         resume = j
         # Walk the declarator list for additional names; generic-argument
@@ -991,7 +953,7 @@ class _Parser:
         depth = 0
         k = j
         while k <= limit:
-            val = toks[k].value
+            val = values[k]
             if val in ("(", "[", "{"):
                 depth += 1
             elif val in (")", "]", "}"):
@@ -1001,24 +963,23 @@ class _Parser:
             elif val in (";", ":") and depth == 0:
                 break
             elif val == "," and depth == 0 and self._declarator_ahead(k + 1, limit):
-                names.append(toks[k + 1])
+                names.append(k + 1)
                 k += 1
             k += 1
         return names, base, resume
 
     def _declarator_ahead(self, j: int, limit: int) -> bool:
-        toks = self.tokens
-        if toks[j].kind != "ident":
+        if self.kinds[j] != IDENT:
             return False
         j = self._dims_end(j + 1, limit)
-        return j <= limit and toks[j].value in ("=", ",", ";")
+        return j <= limit and self.values[j] in ("=", ",", ";")
 
     def _skip_angles_at(self, i: int, limit: int) -> int | None:
         """Balanced <...> skip by index; None when it does not close."""
         depth = 0
         j = i
         while j <= limit:
-            v = self.tokens[j].value
+            v = self.values[j]
             if v == "<":
                 depth += 1
             elif v == ">":

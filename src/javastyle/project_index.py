@@ -104,6 +104,7 @@ class ProjectIndex:
         self.method_decl_counts: Counter = Counter()
         self._entry_by_fact: dict[int, TypeEntry] = {}
         self._contexts: dict[str, _FileContext] = {}
+        self._chains: dict[str, tuple[str, ...]] = {}
 
     # -- lookups ----------------------------------------------------------
 
@@ -170,6 +171,18 @@ class ProjectIndex:
         if qualified != OBJECT_TYPE:
             chain.append(OBJECT_TYPE)
         return chain[1:]
+
+    def supertypes_of(self, qualified: str) -> tuple[str, ...]:
+        """supertype_chain, walked once per type and then kept.
+
+        The resolvers ask for the same type's chain once per method or
+        access; they run only after the index is built and its cycles
+        are dropped, so a kept chain never goes stale.
+        """
+        chain = self._chains.get(qualified)
+        if chain is None:
+            chain = self._chains[qualified] = tuple(self.supertype_chain(qualified))
+        return chain
 
 
 def build_project_index(models: list[SourceFileModel]) -> ProjectIndex:
@@ -310,7 +323,7 @@ def resolve_override(method: MemberFact, owner: TypeFact,
     parent_resolved = not entry.fact.supertypes or bool(entry.resolved_supertypes)
     sig = method_signature(method)
 
-    for qual in index.supertype_chain(entry.qualified):
+    for qual in index.supertypes_of(entry.qualified):
         if qual == OBJECT_TYPE:
             for obj_sig, deprecated in OBJECT_METHODS:
                 if obj_sig == sig:
@@ -346,7 +359,7 @@ def resolve_static_access(access, enclosing: TypeFact,
     target = index.resolve_type(access.receiver_type, file)
     if target is None:
         return unresolved
-    chain = index.supertype_chain(target.qualified)
+    chain = index.supertypes_of(target.qualified)
     entries = [target, *filter(None, map(index.by_qualified.get, chain))]
     name = access.member_name
     if any(name in e.instance_names for e in entries) or \

@@ -2,13 +2,26 @@
 
 Kept as the reference for the differential tests in test_lexer.py: the
 compiled-regex tokenizer must give the same tokens, comments and errors.
-The only change from the original loop is the text-block fix: a newline
-escaped with a backslash inside a text block starts a new line.
+This loop counts lines as it goes and returns one Token, with its line
+and column, per token; test_lexer.py turns the regex tokenizer's flat
+lists into the same form. The only change from the original loop is the
+text-block fix: a newline escaped with a backslash inside a text block
+starts a new line.
 """
 
 from __future__ import annotations
 
-from javastyle.lexer import KEYWORDS, JavaSyntaxError, RawComment, Token
+from dataclasses import dataclass
+
+from javastyle.lexer import KEYWORDS, JavaSyntaxError, RawComment
+
+
+@dataclass(slots=True)
+class Token:
+    kind: str  # ident | keyword | num | str | char | op
+    value: str
+    line: int
+    col: int
 
 
 # Multi-character operators, longest first for maximal munch.

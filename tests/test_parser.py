@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from javastyle.lexer import JavaSyntaxError, Token, tokenize
+from javastyle.lexer import JavaSyntaxError, tokenize
 from javastyle.model import MEMBER_KINDS, RECEIVER_FORMS, TYPE_KINDS, VISIBILITIES
-from javastyle.parser import _Parser, match_brackets
+from javastyle.parser import _Parser
 
 from helpers import parse_source
 
@@ -252,24 +252,27 @@ def scanned_partner(values: list[str], i: int) -> int:
     return -1
 
 
-def assert_table_matches_scan(tokens: list[Token]) -> None:
-    values = [t.value for t in tokens]
-    expected = [scanned_partner(values, i) if v in _PARTNER_OF else -1
-                for i, v in enumerate(values)]
-    assert match_brackets(tokens) == expected
+def assert_table_matches_scan(text: str) -> None:
+    """The lexer's partner table pairs each bracket of text as the depth
+    scan does, and leaves the unmatched ones out."""
+    stream = tokenize(text)
+    values = stream.values
+    expected = {i: scanned_partner(values, i) for i, v in enumerate(values)
+                if v in _PARTNER_OF}
+    assert stream.partner == {i: j for i, j in expected.items() if j >= 0}
 
 
 def test_bracket_table_matches_depth_scan_on_fixtures():
     paths = sorted(FIXTURE_ROOT.rglob("*.java"))
     assert paths
     for path in paths:
-        assert_table_matches_scan(tokenize(path.read_text("utf-8"))[0])
+        assert_table_matches_scan(path.read_text("utf-8"))
 
 
 @given(st.lists(st.sampled_from("()[]{};"), max_size=60))
 def test_bracket_table_matches_depth_scan(values):
-    assert_table_matches_scan(
-        [Token("op", v, 1, k + 1) for k, v in enumerate(values)])
+    assert tokenize(" ".join(values)).values == values
+    assert_table_matches_scan(" ".join(values))
 
 
 def test_long_else_if_chain_in_loop_is_one_loop():
@@ -373,15 +376,13 @@ def mutated_fixture(draw):
     """A fixture file with tokens inserted, deleted or duplicated, mostly
     inside member bodies (brace depth two or more)."""
     text = draw(st.sampled_from(_FIXTURE_TEXTS))
-    line_offsets = [0]
-    for line in text.split("\n"):
-        line_offsets.append(line_offsets[-1] + len(line) + 1)
+    stream = tokenize(text)
     spans, in_bodies, depth = [], [], 0
-    for k, tok in enumerate(tokenize(text)[0]):
-        spans.append((line_offsets[tok.line - 1] + tok.col - 1, len(tok.value)))
+    for k, (value, start) in enumerate(zip(stream.values, stream.starts)):
+        spans.append((start, len(value)))
         if depth >= 2:
             in_bodies.append(k)
-        depth += (tok.value == "{") - (tok.value == "}")
+        depth += (value == "{") - (value == "}")
     edits = draw(st.lists(
         st.tuples(st.sampled_from(in_bodies) | st.integers(0, len(spans) - 1),
                   st.sampled_from(["insert", "delete", "duplicate"]),

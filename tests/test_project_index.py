@@ -1,12 +1,16 @@
 """Cross-file type/member resolution and override/static-access logic."""
 
 import random
+from pathlib import Path
+
+import pytest
 
 from javastyle.analysis import analyze_repository
 from javastyle.parser import parse_compilation_unit
-from javastyle.project_index import (OBJECT_TYPE, build_project_index,
-                                     erased_simple_type, method_signature,
-                                     resolve_override, resolve_static_access)
+from javastyle.project_index import (OBJECT_TYPE, ProjectIndex,
+                                     build_project_index, erased_simple_type,
+                                     method_signature, resolve_override,
+                                     resolve_static_access)
 
 from helpers import write_tree
 
@@ -121,6 +125,59 @@ def test_supertype_chain_ends_at_object():
     assert index.supertype_chain("p.C") == ["p.B", "p.A", OBJECT_TYPE]
 
 
+def bfs_chain(index, qualified):
+    """Breadth-first walk of the resolved supertypes, Object last."""
+    chain, seen = [], {qualified, OBJECT_TYPE}
+    queue = [qualified]
+    for q in queue:
+        for sup in index.by_qualified[q].resolved_supertypes:
+            if sup not in seen:
+                seen.add(sup)
+                chain.append(sup)
+                queue.append(sup)
+    return tuple(chain) + (OBJECT_TYPE,)
+
+
+def fixture_trees():
+    root = Path(__file__).parent / "fixtures"
+    for tree in sorted(root.glob("*/*")):
+        yield {str(p.relative_to(tree)): p.read_text("utf-8")
+               for p in sorted(tree.rglob("*.java"))}
+
+
+DIAMOND = {
+    "p/Top.java": "package p;\ninterface Top {}\n",
+    "p/Left.java": "package p;\ninterface Left extends Top {}\n",
+    "p/Right.java": "package p;\ninterface Right extends Top {}\n",
+    "p/Bottom.java": "package p;\nclass Bottom implements Left, Right {}\n",
+    "p/Below.java": "package p;\nclass Below extends Bottom implements Top {}\n",
+}
+CYCLE = {
+    "p/A.java": "package p;\nclass A extends C {}\n",
+    "p/B.java": "package p;\nclass B extends A {}\n",
+    "p/C.java": "package p;\nclass C extends B implements D {}\n",
+    "p/D.java": "package p;\ninterface D {}\n",
+}
+
+
+@pytest.mark.parametrize("files", [*fixture_trees(), DIAMOND, CYCLE])
+def test_kept_supertype_chain_equals_a_fresh_walk(files):
+    _, index = index_of(files)
+    for qualified in index.by_qualified:
+        chain = index.supertypes_of(qualified)
+        assert chain == bfs_chain(index, qualified)
+        assert type(chain) is tuple
+        assert index.supertypes_of(qualified) is chain
+
+
+def test_diamond_chain_lists_each_supertype_once():
+    _, index = index_of(DIAMOND)
+    assert index.supertypes_of("p.Bottom") == ("p.Left", "p.Right", "p.Top",
+                                               OBJECT_TYPE)
+    assert index.supertypes_of("p.Below") == ("p.Bottom", "p.Top", "p.Left",
+                                              "p.Right", OBJECT_TYPE)
+
+
 def test_erased_simple_type():
     # package prefix goes away, array dims stay: f(int[]) is not f(int)
     assert erased_simple_type("java.util.List") == "List"
@@ -140,6 +197,29 @@ PARENT_CHILD = {
                     "    public void sized(String s) {}\n"
                     "    public void other() {}\n}\n",
 }
+
+
+def test_resolvers_walk_each_chain_once(monkeypatch):
+    walks = []
+    walk = ProjectIndex.supertype_chain
+
+    def counted(self, qualified):
+        walks.append(qualified)
+        return walk(self, qualified)
+
+    monkeypatch.setattr(ProjectIndex, "supertype_chain", counted)
+    files = dict(PARENT_CHILD)
+    files["p/User.java"] = ("package p;\nclass User {\n    void f(Child c) {\n"
+                            "        c.work(); c.other(); Child.work();\n"
+                            "    }\n}\n")
+    models, index = index_of(files)
+    for model in models:
+        for t in model.all_types():
+            for m in t.members:
+                resolve_override(m, t, index)
+                for access in m.body.accesses if m.body else ():
+                    resolve_static_access(access, t, index)
+    assert sorted(walks) == ["p.Child", "p.Parent", "p.User"]
 
 
 def test_override_same_signature():
