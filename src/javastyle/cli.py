@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 from . import __version__
@@ -229,6 +228,16 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _corpus_scores(path: str, config: AnalysisConfig) -> dict[Category, float]:
+    """One corpus repository's normalized score per category.
+
+    Top-level so that a worker process can run it: only the path, the
+    config and this dict cross the process boundary.
+    """
+    result = analyze_repository(path, config)
+    return {s.category: s.normalized for s in result.scores}
+
+
 def _cmd_corpus(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be at least 1, got {args.jobs}",
@@ -244,15 +253,22 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     if not paths:
         raise FatalError(f"no repository paths in {args.paths_file}")
 
-    def one(path: str) -> dict[Category, float]:
-        result = analyze_repository(path, config)
-        return {s.category: s.normalized for s in result.scores}
-
     if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            per_repo = list(pool.map(one, paths))
+        # Imported here: loading the CLI should not pay for processes.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Forked workers inherit the imported package instead of importing
+        # it again. Nothing has started a thread yet, so forking is safe.
+        context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else None)
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths)),
+                                 mp_context=context) as pool:
+            per_repo = list(pool.map(_corpus_scores, paths,
+                                     [config] * len(paths)))
     else:
-        per_repo = [one(p) for p in paths]
+        per_repo = [_corpus_scores(p, config) for p in paths]
 
     stats = aggregate(per_repo)
     table = threshold_table(per_repo)

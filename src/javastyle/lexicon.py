@@ -52,6 +52,11 @@ class LexiconError(ValueError):
         listed = ", ".join(str(n) for n in lines)
         super().__init__(f"{path}: malformed lexicon line(s): {listed}")
 
+    def __reduce__(self):
+        # Rebuilt from (path, lines), so it survives a trip between
+        # processes; the default would pass the message as `path`.
+        return type(self), (self.path, self.lines)
+
 
 class Lexicon:
     """Immutable word -> category-set table with case-insensitive lookup."""

@@ -168,13 +168,10 @@ class SourceFileModel:
     def all_types(self) -> list[TypeFact]:
         """Top-level and nested types, in declaration order."""
         out: list[TypeFact] = []
-
-        def walk(t: TypeFact) -> None:
+        stack = self.types[::-1]
+        while stack:
+            t = stack.pop()
             out.append(t)
-            for m in t.members:
-                if m.nested is not None:
-                    walk(m.nested)
-
-        for t in self.types:
-            walk(t)
+            stack.extend(m.nested for m in reversed(t.members)
+                         if m.nested is not None)
         return out

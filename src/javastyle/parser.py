@@ -598,10 +598,15 @@ class _Parser:
                     returns.setdefault(m.name, set()).add(_simple(m.return_type))
         method_returns = {n: next(iter(s)) for n, s in returns.items() if len(s) == 1}
 
+        # The enclosing stack follows from its innermost type, so bodies of
+        # one type share its merged, read-only field map.
+        merged: dict[int, dict[str, str]] = {}
         for member, stack, open_idx, close_idx in self.body_jobs:
-            fields: dict[str, str] = {}
-            for tf in stack:  # inner shadows outer
-                fields.update(field_types_by_type[id(tf)])
+            fields = merged.get(id(stack[-1]))
+            if fields is None:
+                fields = merged[id(stack[-1])] = {}
+                for tf in stack:  # inner shadows outer
+                    fields.update(field_types_by_type[id(tf)])
             self._scan_body(
                 member, stack, open_idx, close_idx, fields,
                 class_names, method_returns,

@@ -339,6 +339,60 @@ def test_corpus_subcommand(tmp_path, capsysbinary):
     assert out.splitlines()[0] == b"category,min,max,mean,median"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_corpus_output_is_the_same_for_every_job_count(tmp_path, capsysbinary,
+                                                        fmt):
+    write_tree(tmp_path / "clean", CLEAN_REPO)
+    write_tree(tmp_path / "messy", MESSY_REPO)
+    paths_file = tmp_path / "paths.txt"
+    paths_file.write_text(f"{tmp_path / 'clean'}\n{tmp_path / 'messy'}\n",
+                          encoding="utf-8")
+    outputs = set()
+    for jobs in ("1", "2", "3"):  # 3 jobs for 2 repositories is fine
+        code, out = run_captured(capsysbinary, "corpus", str(paths_file),
+                                 "--format", fmt, "--jobs", jobs)
+        assert code == 0
+        outputs.add(out)
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("case", ["lexicon", "path"])
+def test_corpus_errors_are_the_same_for_every_job_count(tmp_path,
+                                                         capsysbinary, case):
+    write_tree(tmp_path / "clean", CLEAN_REPO)
+    listed = [tmp_path / "clean", tmp_path / "clean"]
+    extra = []
+    if case == "lexicon":
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("foo\tbad\n", encoding="utf-8")
+        extra = ["--lexicon", str(bad)]
+        expected = f"error: {bad}: malformed lexicon line(s): 1\n"
+    else:
+        listed.insert(1, tmp_path / "gone")
+        expected = f"error: not a directory: {tmp_path / 'gone'}\n"
+    paths_file = tmp_path / "paths.txt"
+    paths_file.write_text("".join(f"{p}\n" for p in listed), encoding="utf-8")
+    for jobs in ("1", "2"):
+        code = main(["corpus", str(paths_file), "--jobs", jobs, *extra])
+        captured = capsysbinary.readouterr()
+        assert code == 3, jobs
+        assert captured.out == b""
+        assert captured.err.decode() == expected, jobs
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        ["python3", "-c",
+         "import sys, javastyle.cli; print(sorted(m for m in "
+         "('multiprocessing', 'concurrent.futures.process') "
+         "if m in sys.modules))"],
+        capture_output=True, text=True, cwd=pkg_root,
+        env={**os.environ, "PYTHONPATH": os.path.join(pkg_root, "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_corpus_empty_paths_file_is_fatal(tmp_path, capsysbinary):
     paths_file = tmp_path / "paths.txt"
     paths_file.write_text("# nothing\n", encoding="utf-8")

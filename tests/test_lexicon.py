@@ -1,5 +1,6 @@
 """Word lexicon, identifier splitting, and casing conventions."""
 
+import pickle
 import re
 
 import pytest
@@ -98,6 +99,17 @@ def test_malformed_lines_all_reported(tmp_path):
     message = str(err.value)
     assert str(p) in message
     assert "2, 3, 5, 6" in message
+
+
+def test_lexicon_error_survives_pickling(tmp_path):
+    # A corpus worker process sends the error back to the parent.
+    p = make_lexicon(tmp_path, "good\tn\nbad line\nworse\tx\n")
+    with pytest.raises(LexiconError) as err:
+        Lexicon.from_file(str(p))
+    copy = pickle.loads(pickle.dumps(err.value))
+    assert type(copy) is LexiconError
+    assert (copy.path, copy.lines) == (str(p), [2, 3])
+    assert str(copy) == str(err.value)
 
 
 def test_blank_and_comment_lines_are_malformed(tmp_path):

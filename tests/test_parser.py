@@ -1,5 +1,6 @@
 """Parsing facts: declarations, members, bodies, comments, counts."""
 
+import gc
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,55 @@ def test_type_declaration_facts(model):
     assert sample.supertypes == ["Base", "Runnable"]
     assert sample.javadoc is not None and sample.javadoc.word_count >= 10
     assert [t.name for t in model.all_types()] == ["Sample", "Helper"]
+
+
+NESTED = """\
+class A {
+  class B { class C {} void m() {} class D { enum E { X } } }
+  int x;
+  interface F { class G { class H {} } }
+}
+class I { record J(int y) {} }
+"""
+
+
+def recursive_types(model):
+    """Reference pre-order walk of a model's types."""
+    out = []
+
+    def walk(t):
+        out.append(t)
+        for m in t.members:
+            if m.nested is not None:
+                walk(m.nested)
+
+    for t in model.types:
+        walk(t)
+    return out
+
+
+def test_all_types_is_a_pre_order_walk():
+    nested = parse_source(NESTED)
+    assert [t.name for t in nested.all_types()] == list("ABCDEFGHIJ")
+    paths = sorted(FIXTURE_ROOT.rglob("*.java"))
+    assert paths
+    for m in [nested] + [parse_source(p.read_text("utf-8")) for p in paths]:
+        assert [id(t) for t in m.all_types()] == \
+            [id(t) for t in recursive_types(m)]
+
+
+def test_all_types_leaves_no_garbage_cycle():
+    nested = parse_source(NESTED)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            nested.all_types()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_member_kinds_and_order(model):

@@ -4,13 +4,15 @@ Tier-1 runs on a newer interpreter, which accepts `re` syntax (possessive
 quantifiers, atomic groups) and library calls that 3.10 does not. The
 static checks below run on any interpreter: every module parses as 3.10
 grammar, and no module-level pattern uses 3.11-only `re` syntax. The last
-test finds a 3.10 interpreter, if one is installed, and checks that it
-produces the golden fixture report byte for byte.
+tests find a 3.10 interpreter, if one is installed, and check that it
+produces the golden fixture report byte for byte, and the same corpus
+bytes with worker processes as without.
 """
 
 import ast
 import glob
 import importlib
+import json
 import os
 import re
 import shutil
@@ -98,7 +100,8 @@ def find_python310() -> str | None:
     return None
 
 
-def test_fixture_report_on_python310_matches_golden_bytes():
+def run_on_python310(*argv: str) -> bytes:
+    """stdout of the CLI under a Python 3.10 interpreter; skips if none."""
     exe = find_python310()
     if exe is None:
         pytest.skip("no working Python 3.10 interpreter found")
@@ -106,9 +109,23 @@ def test_fixture_report_on_python310_matches_golden_bytes():
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     proc = subprocess.run(
         [exe, "-c", "import sys; from javastyle.cli import main; "
-                    "sys.exit(main(sys.argv[1:]))",
-         "analyze", "tests/fixtures", "--format", "json"],
+                    "sys.exit(main(sys.argv[1:]))", *argv],
         capture_output=True, cwd=REPO_ROOT, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def test_fixture_report_on_python310_matches_golden_bytes():
+    out = run_on_python310("analyze", "tests/fixtures", "--format", "json")
     golden = REPO_ROOT / "tests" / "golden" / "fixtures.json"
-    assert proc.stdout == golden.read_bytes()
+    assert out == golden.read_bytes()
+
+
+def test_corpus_jobs_on_python310_give_the_same_bytes(tmp_path):
+    paths_file = tmp_path / "paths.txt"
+    paths_file.write_text("".join(
+        f"{p}\n" for p in sorted((REPO_ROOT / "tests" / "fixtures").glob("*/*"))
+        if p.is_dir()), encoding="utf-8")
+    serial = run_on_python310("corpus", str(paths_file), "--jobs", "1")
+    assert json.loads(serial)["repos"] > 2
+    assert run_on_python310("corpus", str(paths_file), "--jobs", "2") == serial
