@@ -20,9 +20,8 @@ from typing import Callable
 
 from .lexer import KEYWORDS
 from .lexicon import NOUN, VERB, Lexicon, matches_casing, split_identifier
-from .model import MemberFact, SourceFileModel, TypeFact
-from .project_index import (ProjectIndex, erased_simple_type,
-                            resolve_override, resolve_static_access)
+from .model import MemberFact, SourceFileModel, TypeFact, simple_name_of
+from .project_index import ProjectIndex, resolve_override, resolve_static_access
 
 
 class Category(enum.Enum):
@@ -285,7 +284,7 @@ def check_javadoc_formatting(model: SourceFileModel,
             has_return = any(tag.name == "return" for tag in doc.tags)
             tag_throws = [tag.arg_name for tag in doc.tags
                           if tag.name in ("throws", "exception") and tag.arg_name]
-            thrown = [erased_simple_type(x) for x in m.thrown_types]
+            thrown = [simple_name_of(x) for x in m.thrown_types]
 
             if any(p not in tag_params for p in param_names):
                 hits.append("a parameter has no @param tag")
@@ -296,7 +295,7 @@ def check_javadoc_formatting(model: SourceFileModel,
                 hits.append("non-void method lacks @return")
             if is_void and has_return:
                 hits.append("void method documents a @return")
-            documented_throws = {erased_simple_type(a) for a in tag_throws}
+            documented_throws = {simple_name_of(a) for a in tag_throws}
             if any(x not in documented_throws for x in thrown):
                 hits.append("a declared exception has no @throws tag")
             if any(tag.description_word_count == 0 for tag in doc.tags):
@@ -456,11 +455,14 @@ def looks_like_code(comment_line: str) -> bool:
     return False
 
 
+# The member kinds that declare a name, by the noun a finding uses.
+_NAMED_MEMBER = {"instanceField": "field", "staticField": "field",
+                 "instanceMethod": "method", "staticMethod": "method"}
+
+
 def check_useless(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
     """Inspects every non-blank line of the file."""
     out = []
-    index = ctx.index
-
     for imp in model.imports:
         if not imp.used:
             out.append(Violation(
@@ -469,12 +471,12 @@ def check_useless(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
 
     # Declared entities per name in this file; each declaration site
     # contributes one identifier occurrence, so a name used anywhere else
-    # strictly exceeds its declaration count.
+    # strictly exceeds its declaration count. A private member is reachable
+    # only from its own top-level class, so this file decides its use.
     decl_counts: Counter = Counter()
     for t in model.all_types():
         for m in t.members:
-            if m.kind in ("instanceField", "staticField",
-                          "instanceMethod", "staticMethod"):
+            if m.kind in _NAMED_MEMBER:
                 decl_counts[m.name] += 1
             for p in m.params:
                 decl_counts[p.name] += 1
@@ -484,24 +486,15 @@ def check_useless(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
 
     for t in model.all_types():
         for m in t.members:
-            if (m.kind in ("instanceMethod", "staticMethod")
-                    and m.visibility == "private" and not m.annotations):
-                referenced = (
-                    m.name in index.access_names
-                    or index.ident_totals.get(m.name, 0)
-                    > index.method_decl_counts.get(m.name, 0)
-                )
-                if not referenced:
-                    out.append(Violation(
-                        Category.USELESS, model.path, m.line,
-                        "unused private method", m.name))
-            if (m.kind in ("instanceField", "staticField")
-                    and m.visibility == "private"
-                    and m.name != "serialVersionUID"):
-                if model.ident_counts.get(m.name, 0) <= decl_counts[m.name]:
-                    out.append(Violation(
-                        Category.USELESS, model.path, m.line,
-                        "unused private field", m.name))
+            what = _NAMED_MEMBER.get(m.kind)
+            # Annotations often mark reflective entry points of a method.
+            exempt = (m.annotations if what == "method"
+                      else m.name == "serialVersionUID")
+            if (what and m.visibility == "private" and not exempt
+                    and model.ident_counts.get(m.name, 0) <= decl_counts[m.name]):
+                out.append(Violation(
+                    Category.USELESS, model.path, m.line,
+                    "unused private " + what, m.name))
             if m.body is not None:
                 for lv in m.body.local_vars:
                     if not lv.used:

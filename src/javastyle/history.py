@@ -15,7 +15,7 @@ from typing import Callable
 
 from .scoring import CategoryScore
 
-DEFAULT_MIN_AGE_MONTHS = 36
+MIN_AGE_MONTHS = 36
 DEFAULT_WINDOW_MONTHS = 12
 
 AnalyzeFn = Callable[[str], "tuple[list[CategoryScore], float]"]
@@ -101,17 +101,16 @@ def monthly_activity(commits: list[CommitRecord], as_of: datetime,
 
 
 def check_eligibility(commits: list[CommitRecord], as_of: datetime,
-                      min_age_months: int = DEFAULT_MIN_AGE_MONTHS,
                       window: int = DEFAULT_WINDOW_MONTHS) -> EligibilityResult:
     if not commits:
         return EligibilityResult(False, ["no commit history"])
     reasons = []
     age = _month_index(as_of) - _month_index(commits[0].timestamp)
-    if age < min_age_months:
+    if age < MIN_AGE_MONTHS:
         reasons.append(
             f"age: first commit in {month_label(commits[0].timestamp)} is "
             f"{age} months before {month_label(as_of)}, "
-            f"need {min_age_months}")
+            f"need {MIN_AGE_MONTHS}")
     silent = [label for label, count
               in monthly_activity(commits, as_of, window).items()
               if count == 0]

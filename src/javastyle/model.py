@@ -51,6 +51,11 @@ class CommentFact:
     is_javadoc: bool
 
 
+def simple_name_of(dotted: str) -> str:
+    """The last segment of a dotted name; array dims on it stay."""
+    return dotted.rsplit(".", 1)[-1]
+
+
 @dataclass
 class ImportFact:
     target: str
@@ -61,7 +66,7 @@ class ImportFact:
 
     @property
     def simple_name(self) -> str:
-        return self.target.rsplit(".", 1)[-1]
+        return simple_name_of(self.target)
 
 
 @dataclass

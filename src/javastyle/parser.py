@@ -35,6 +35,7 @@ from .model import (
     ParamFact,
     SourceFileModel,
     TypeFact,
+    simple_name_of,
 )
 
 _PRIMITIVES = frozenset(
@@ -55,10 +56,6 @@ _DECL_START = _LOCAL_TYPES | {"final"}
 # Deepest type nesting parsed; deeper files are skipped with a diagnostic
 # instead of exhausting the interpreter's recursion limit.
 MAX_TYPE_NESTING = 100
-
-
-def _simple(type_name: str) -> str:
-    return type_name.rsplit(".", 1)[-1]
 
 
 def parse_compilation_unit(text: str, path: str) -> SourceFileModel:
@@ -299,7 +296,7 @@ class _Parser:
         name = self.dotted_name()
         if self.at("("):
             self.skip_balanced("(")
-        return _simple(name)
+        return simple_name_of(name)
 
     def parse_type_tail(
         self,
@@ -439,9 +436,9 @@ class _Parser:
             rtype += dims
         thrown: list[str] = []
         if self.match("throws"):
-            thrown.append(_simple(self.parse_type_ref()))
+            thrown.append(simple_name_of(self.parse_type_ref()))
             while self.match(","):
-                thrown.append(_simple(self.parse_type_ref()))
+                thrown.append(simple_name_of(self.parse_type_ref()))
         member = MemberFact(
             kind=kind,
             name=self.values[name_idx],
@@ -593,9 +590,9 @@ class _Parser:
             field_types = field_types_by_type[id(tf)] = {}
             for m in tf.members:
                 if m.kind in ("instanceField", "staticField"):
-                    field_types[m.name] = _simple(m.return_type or "")
+                    field_types[m.name] = simple_name_of(m.return_type or "")
                 elif m.kind in ("instanceMethod", "staticMethod") and m.return_type:
-                    returns.setdefault(m.name, set()).add(_simple(m.return_type))
+                    returns.setdefault(m.name, set()).add(simple_name_of(m.return_type))
         method_returns = {n: next(iter(s)) for n, s in returns.items() if len(s) == 1}
 
         # The enclosing stack follows from its innermost type, so bodies of
@@ -648,7 +645,7 @@ class _Parser:
         enclosing = stack[-1].name if stack else None
 
         locals_map: dict[str, str] = {}
-        param_types = {p.name: _simple(p.type_name) for p in member.params}
+        param_types = {p.name: simple_name_of(p.type_name) for p in member.params}
         loop_stack: list[int] = []
         do_while_skips: set[int] = set()
         # Receivers of this.x / super.x chains; their accesses go last.
@@ -676,10 +673,11 @@ class _Parser:
             if local is None:
                 return None
             names, base, resume = local
+            type_name = simple_name_of(base)
             for k in names:
-                locals_map[values[k]] = _simple(base)
+                locals_map[values[k]] = type_name
                 facts.local_vars.append(
-                    LocalVarFact(name=values[k], type_name=_simple(base), line=line(k))
+                    LocalVarFact(name=values[k], type_name=type_name, line=line(k))
                 )
             return resume
 

@@ -10,11 +10,10 @@ is skipped by the callers.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .model import MemberFact, SourceFileModel, TypeFact
+from .model import MemberFact, SourceFileModel, TypeFact, simple_name_of
 
 OBJECT_TYPE = "java.lang.Object"
 
@@ -25,18 +24,8 @@ class MethodSignature:
     param_type_names: tuple[str, ...]
 
 
-def erased_simple_type(type_name: str) -> str:
-    """Reduce a textual type to its simple name, keeping array dims."""
-    base = type_name
-    dims = ""
-    while base.endswith("[]"):
-        base = base[:-2]
-        dims += "[]"
-    return base.rsplit(".", 1)[-1] + dims
-
-
 def method_signature(member: MemberFact) -> MethodSignature:
-    params = tuple(erased_simple_type(p.type_name) for p in member.params)
+    params = tuple(simple_name_of(p.type_name) for p in member.params)
     return MethodSignature(member.name, params)
 
 
@@ -98,10 +87,6 @@ class ProjectIndex:
     def __init__(self):
         self.by_qualified: dict[str, TypeEntry] = {}
         self.diagnostics: list[str] = []
-        # Project-wide usedness aggregates for the dead-code check.
-        self.access_names: set[str] = set()
-        self.ident_totals: Counter = Counter()
-        self.method_decl_counts: Counter = Counter()
         self._entry_by_fact: dict[int, TypeEntry] = {}
         self._contexts: dict[str, _FileContext] = {}
         self._chains: dict[str, tuple[str, ...]] = {}
@@ -189,7 +174,6 @@ def build_project_index(models: list[SourceFileModel]) -> ProjectIndex:
     index = ProjectIndex()
 
     for model in models:
-        index.ident_totals.update(model.ident_counts)
         ctx = _FileContext(
             package=model.package,
             single_imports={
@@ -233,30 +217,22 @@ def _register(index: ProjectIndex, model: SourceFileModel, ctx: _FileContext,
     else:
         index.by_qualified[qualified] = entry
         ctx.local_simple.setdefault(fact.name, qualified)
-        _register_members(index, entry)
+        _register_members(entry)
 
     for member in fact.members:
         if member.nested is not None:
             _register(index, model, ctx, member.nested, parent_qual=qualified)
 
 
-def _register_members(index: ProjectIndex, entry: TypeEntry) -> None:
+def _register_members(entry: TypeEntry) -> None:
     for m in entry.fact.members:
-        if m.kind == "staticField":
+        if m.kind in ("staticField", "staticMethod"):
             entry.static_names.add(m.name)
-        elif m.kind == "instanceField":
+        elif m.kind in ("instanceField", "instanceMethod"):
             entry.instance_names.add(m.name)
-        elif m.kind == "staticMethod":
-            index.method_decl_counts[m.name] += 1
-            entry.static_names.add(m.name)
-        elif m.kind == "instanceMethod":
-            index.method_decl_counts[m.name] += 1
-            entry.instance_names.add(m.name)
+        if m.kind == "instanceMethod":
             entry.methods.append(MethodEntry(
                 method_signature(m), m.visibility, "Deprecated" in m.annotations))
-        if m.body is not None:
-            for access in m.body.accesses:
-                index.access_names.add(access.member_name)
 
 
 def _resolve_supertypes(index: ProjectIndex) -> None:

@@ -32,8 +32,6 @@ class Report:
     claim: ClaimResult | None
     violations: list[Violation]
     diagnostics: list[str] = field(default_factory=list)
-    evolution: list[dict] | None = None
-    tool_version: str = __version__
 
 
 def config_digest(threshold: float, ordering_id: int, lexicon_path: str | None,
@@ -75,7 +73,7 @@ def _violation_row(v: Violation) -> dict:
 def report_to_dict(report: Report) -> dict:
     verdict = report.verdict
     data = {
-        "tool": {"name": TOOL_NAME, "version": report.tool_version},
+        "tool": {"name": TOOL_NAME, "version": __version__},
         "repo": report.repo_path,
         "configDigest": report.config_digest,
         "counts": {c.value: report.counts.get(c, 0) for c in Category},
@@ -97,7 +95,8 @@ def report_to_dict(report: Report) -> dict:
         },
         "violations": [_violation_row(v) for v in report.violations],
         "diagnostics": list(report.diagnostics),
-        "evolution": report.evolution,
+        # Kept for schema stability; `evolve` writes its own document.
+        "evolution": None,
     }
     return data
 
@@ -116,7 +115,7 @@ def _emit_markdown(report: Report) -> str:
     out = io.StringIO()
     w = out.write
     w(f"# Style report: {report.repo_path}\n\n")
-    w(f"Tool {TOOL_NAME} {report.tool_version}, "
+    w(f"Tool {TOOL_NAME} {__version__}, "
       f"config `{report.config_digest}`.\n\n")
     w(f"Total normalized score: **{report.total_normalized:.4f}** "
       f"(threshold {report.verdict.threshold:.4f})\n\n")

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from .checkers import (CODE_STYLE_CATEGORIES, PRACTICE_CATEGORIES,
                        TABLE_CATEGORIES, Category, Violation)
 
-DEFAULT_THRESHOLDS = (0.25, 0.20, 0.15, 0.10, 0.05, 0.04, 0.03, 0.02, 0.01, 0.0)
+# The threshold table's columns, from lenient to exactly zero.
+THRESHOLDS = (0.25, 0.20, 0.15, 0.10, 0.05, 0.04, 0.03, 0.02, 0.01, 0.0)
 DEFAULT_ADHERENCE_THRESHOLD = 0.05
 
 
@@ -114,8 +115,7 @@ def aggregate(per_repo: list[dict[Category, float]]) -> dict[Category, CorpusSta
     return out
 
 
-def threshold_table(per_repo: list[dict[Category, float]],
-                    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
+def threshold_table(per_repo: list[dict[Category, float]]
                     ) -> dict[Category, list[tuple[float, float]]]:
     """Percentage of repositories scoring under each threshold.
 
@@ -129,7 +129,7 @@ def threshold_table(per_repo: list[dict[Category, float]],
     for cat in Category:
         values = [repo.get(cat, 0.0) for repo in per_repo]
         row = []
-        for t in thresholds:
+        for t in THRESHOLDS:
             if t == 0:
                 hits = sum(1 for v in values if v <= 0)
             else:

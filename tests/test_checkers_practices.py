@@ -1,21 +1,23 @@
 """Best-practice checks: overrides, catches, statics, finalize, fields,
 concatenation, and dead code."""
 
-from javastyle.checkers import (Category, check_empty_catch,
+from pathlib import Path
+
+from javastyle.analysis import analyze_repository
+from javastyle.checkers import (CHECKS, ORDERING_CONFIGS, Category,
+                                CheckContext, check_empty_catch,
                                 check_finalize_override,
                                 check_private_instances,
                                 check_string_concatenation,
                                 check_useless)
-from javastyle.project_index import build_project_index
 
 from helpers import analyze_files, of_category, parse_source, run_check
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
 
 def single(src, checker, path="p/Demo.java"):
-    model = parse_source(src, path)
-    if checker is check_useless:
-        return run_check(checker, model, index=build_project_index([model]))
-    return run_check(checker, model)
+    return run_check(checker, parse_source(src, path))
 
 
 # --- missing @Override ------------------------------------------------------
@@ -376,6 +378,25 @@ def test_unused_private_method_flagged():
     assert len(out) == 1 and out[0].detail == "orphan"
 
 
+def test_private_method_called_only_in_another_file_is_unused(lexicon):
+    # A private method is reachable only from its own top-level class, so
+    # a same-named method declared and called in another file is no use.
+    out = of_category(analyze_files({
+        "p/A.java": "package p;\nclass A { private void helper() {} }\n",
+        "p/B.java": ("package p;\nclass B { private void helper() {}\n"
+                     "  void run() { helper(); } }\n"),
+    }, lexicon), Category.USELESS)
+    assert [(v.file_path, v.message, v.detail) for v in out] == [
+        ("p/A.java", "unused private method", "helper")]
+
+
+def test_private_method_named_like_an_unused_local_is_unused():
+    src = ("class A { private void tmp() {}\n"
+           "void f() { int tmp = 0; } }")
+    assert [(v.line, v.message) for v in useless(src)] == [
+        (1, "unused private method"), (2, "unused local variable")]
+
+
 def test_unused_local_flagged():
     src = "class A { void f() { int ghost = 1; int used = 2; g(used); } void g(int n) {} }"
     out = useless(src)
@@ -460,6 +481,24 @@ def test_run_all_covers_every_category(lexicon):
         Category.EMPTY_CATCH_BLOCK, Category.MISSING_OVERRIDE,
     }
     assert expected <= seen
+
+
+def test_only_two_checks_read_the_project_index(lexicon):
+    # Every other check decides from the file alone, so it gives the same
+    # result without an index.
+    cross_file = {Category.MISSING_OVERRIDE, Category.UNQUALIFIED_STATIC_ACCESS}
+    ordering = ORDERING_CONFIGS[2]
+    trees = sorted(FIXTURES.glob("*/*"))
+    assert len(trees) == 34
+    for tree in trees:
+        result = analyze_repository(str(tree))
+        indexed = CheckContext(result.index, lexicon, ordering)
+        alone = CheckContext(None, lexicon, ordering)
+        for model in result.models:
+            for category, _, check in CHECKS:
+                if category not in cross_file:
+                    assert check(model, alone) == check(model, indexed), \
+                        (tree.name, model.path, category)
 
 
 def test_every_violation_carries_location(lexicon):

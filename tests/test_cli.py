@@ -224,6 +224,9 @@ def test_evolve_subcommand(tmp_path, capsysbinary):
                              "--as-of", "2024-05-01", "--months", "3")
     assert code == 0
     data = json.loads(out)
+    # docs/report-schema.md, "Evolve document"
+    assert list(data) == ["repo", "months", "asOf", "minGapDays", "samples"]
+    assert (data["months"], data["asOf"]) == (3, "2024-05-01")
     assert [s["month"] for s in data["samples"]] == [
         "2024-02", "2024-03", "2024-04"]
     assert all(not s["failed"] for s in data["samples"])

@@ -1,4 +1,5 @@
-"""Every name the package defines is referred to somewhere.
+"""Every name the package defines is referred to somewhere, and every
+import is used.
 
 Definitions are the module-level functions, classes and constants of
 ``src/javastyle/*.py`` and every non-dunder method of a module-level
@@ -7,6 +8,9 @@ keyword argument or a word inside a string literal (the benchmark names
 the functions it wraps in strings), in any Python file under ``src/``,
 ``tests/``, ``perfbench/`` or ``scripts/``, or an entry point in
 ``pyproject.toml``.
+
+An import is used when the file reads the name it binds, directly or in
+a string that is a Python expression (a quoted annotation).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "javastyle"
 SEARCHED = ("src", "tests", "perfbench", "scripts")
+IMPORTS_CHECKED = ("src", "tests", "scripts")
 _WORD = re.compile(r"[A-Za-z_]\w*")
 # A `name = "module:function"` line; tomllib is not in Python 3.10.
 _ENTRY_POINT = re.compile(r'^\s*[\w.-]+\s*=\s*"[\w.]+:(\w+)"', re.MULTILINE)
@@ -75,6 +80,28 @@ def dead_names(modules: dict[str, str], sources: list[str],
             if name not in refs]
 
 
+def unused_imports(text: str) -> list[tuple[str, int]]:
+    """(name, line) of each name an import binds that the file never reads."""
+    tree = ast.parse(text)
+    bound = []
+    reads: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name.split(".")[0], node.lineno)
+                      for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(a.asname or a.name, node.lineno) for a in node.names]
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            reads.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value.strip(), mode="eval")
+            except SyntaxError:
+                continue
+            reads.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return [(name, line) for name, line in bound if name not in reads]
+
+
 def test_every_package_name_is_referenced():
     modules = {p.name: p.read_text(encoding="utf-8")
                for p in sorted(PACKAGE.glob("*.py"))}
@@ -104,3 +131,23 @@ def test_string_words_and_entry_points_count_as_references(tmp_path):
                          'other = "m:wrapped"\n')
     assert dead_names({"m.py": module}, ['SPANS = ("m.wrapped",)'],
                       entry_point_names(pyproject)) == []
+
+
+def test_every_import_is_used():
+    unused = [f"{p.relative_to(ROOT)}:{line} {name}"
+              for d in IMPORTS_CHECKED for p in sorted((ROOT / d).rglob("*.py"))
+              for name, line in unused_imports(p.read_text(encoding="utf-8"))]
+    assert unused == []
+
+
+def test_guard_flags_an_unused_import():
+    module = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "from collections import Counter\n"
+              "from dataclasses import dataclass, field as fld\n"
+              "from typing import Callable\n"
+              "Fn = Callable[[str], \"Sized\"]\n"
+              "@dataclass\nclass Box:\n    size: int = 0\n"
+              "def exists(p):\n    return os.path.exists(p)\n")
+    assert unused_imports(module) == [("Counter", 3), ("fld", 4)]
+    assert unused_imports("from typing import Sized\nx: 'Sized'\n") == []

@@ -6,11 +6,11 @@ from pathlib import Path
 import pytest
 
 from javastyle.analysis import analyze_repository
+from javastyle.model import simple_name_of
 from javastyle.parser import parse_compilation_unit
 from javastyle.project_index import (OBJECT_TYPE, ProjectIndex,
-                                     build_project_index, erased_simple_type,
-                                     method_signature, resolve_override,
-                                     resolve_static_access)
+                                     build_project_index, method_signature,
+                                     resolve_override, resolve_static_access)
 
 from helpers import write_tree
 
@@ -180,10 +180,10 @@ def test_diamond_chain_lists_each_supertype_once():
 
 def test_erased_simple_type():
     # package prefix goes away, array dims stay: f(int[]) is not f(int)
-    assert erased_simple_type("java.util.List") == "List"
-    assert erased_simple_type("int[]") == "int[]"
-    assert erased_simple_type("java.lang.String[][]") == "String[][]"
-    assert erased_simple_type("Map") == "Map"
+    assert simple_name_of("java.util.List") == "List"
+    assert simple_name_of("int[]") == "int[]"
+    assert simple_name_of("java.lang.String[][]") == "String[][]"
+    assert simple_name_of("Map") == "Map"
 
 
 # --- override resolution -----------------------------------------------------

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from javastyle import __version__
 from javastyle.checkers import Category, Violation
 from javastyle.claims import ClaimEvidence, ClaimResult, MENTION_CODE_STYLE
 from javastyle.history import CommitRecord, EvolutionSample
@@ -14,7 +15,7 @@ from javastyle.scoring import (CorpusStats, classify_adherence, normalize,
                                threshold_table, total_normalized)
 
 
-def build_report(violations=(), claim=None, diagnostics=(), evolution=None):
+def build_report(violations=(), claim=None, diagnostics=()):
     violations = list(violations)
     counts = {cat: 3 for cat in Category}
     scores = normalize(violations, counts)
@@ -28,7 +29,6 @@ def build_report(violations=(), claim=None, diagnostics=(), evolution=None):
         claim=claim,
         violations=violations,
         diagnostics=list(diagnostics),
-        evolution=evolution,
     )
 
 
@@ -48,7 +48,8 @@ def test_json_top_level_key_order():
     assert list(data) == ["tool", "repo", "configDigest", "counts", "scores",
                           "totalNormalized", "verdict", "claim", "violations",
                           "diagnostics", "evolution"]
-    assert data["tool"]["name"] == "javastyle"
+    assert data["tool"] == {"name": "javastyle", "version": __version__}
+    assert data["evolution"] is None
     assert data["repo"] == "/repos/demo"
 
 
