@@ -3,9 +3,10 @@
 Sixteen table categories plus the member-ordering check, registered in
 one CHECKS table. Every check is a pure function from one file's facts
 to its violations and the number of constructs it inspected, which is
-the category's normalization denominator. Anything requiring cross-file
-knowledge consults the project index and skips when resolution would
-depend on types outside the project.
+the category's normalization denominator. The two project-scope checks
+consult the project index and skip when resolution would depend on types
+outside the project; the file-scope rest read the file alone, so
+`check_file` runs them before any index exists.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import enum
 import posixpath
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -107,7 +107,7 @@ _MEMBER_GROUP = {
 class CheckContext:
     """What a check may consult besides the file it inspects."""
 
-    index: ProjectIndex
+    index: ProjectIndex | None  # None for the file-scope checks
     lexicon: Lexicon
     ordering: OrderingConfig
 
@@ -469,21 +469,9 @@ def check_useless(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
                 Category.USELESS, model.path, imp.line,
                 "unused import", imp.target))
 
-    # Declared entities per name in this file; each declaration site
-    # contributes one identifier occurrence, so a name used anywhere else
-    # strictly exceeds its declaration count. A private member is reachable
-    # only from its own top-level class, so this file decides its use.
-    decl_counts: Counter = Counter()
-    for t in model.all_types():
-        for m in t.members:
-            if m.kind in _NAMED_MEMBER:
-                decl_counts[m.name] += 1
-            for p in m.params:
-                decl_counts[p.name] += 1
-            if m.body is not None:
-                for lv in m.body.local_vars:
-                    decl_counts[lv.name] += 1
-
+    # A private member is reachable only from its own top-level class, so
+    # this file decides its use: any identifier spelled like it that does
+    # not declare a name.
     for t in model.all_types():
         for m in t.members:
             what = _NAMED_MEMBER.get(m.kind)
@@ -491,7 +479,7 @@ def check_useless(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
             exempt = (m.annotations if what == "method"
                       else m.name == "serialVersionUID")
             if (what and m.visibility == "private" and not exempt
-                    and model.ident_counts.get(m.name, 0) <= decl_counts[m.name]):
+                    and m.name not in model.use_counts):
                 out.append(Violation(
                     Category.USELESS, model.path, m.line,
                     "unused private " + what, m.name))
@@ -537,53 +525,98 @@ def check_ordering(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
 # registry
 
 CODE_STYLE, PRACTICE, LAYOUT = "code_style", "practice", "layout"
+# A file-scope check decides from one file's facts alone, so its results
+# can be kept for as long as the file is unchanged. A project-scope check
+# resolves names through the project index, so it reruns whenever any
+# file of the project changes.
+FILE, PROJECT = "file", "project"
 
-# Every category with its group and its check, in Category order, which
-# fixes the order of the derived tuples below and of verdict keys.
-CHECKS: tuple[tuple[Category, str, Check], ...] = (
-    (Category.CLASS_NAMES, CODE_STYLE, check_class_names),
-    (Category.METHOD_NAMES, CODE_STYLE, check_method_names),
-    (Category.VARIABLE_NAMES, CODE_STYLE, check_variable_names),
-    (Category.PACKAGE_NAMES, CODE_STYLE, check_package_names),
-    (Category.JAVADOC_CLASS, CODE_STYLE,
+# Every category with its group, its scope and its check, in Category
+# order, which fixes the order of the derived tuples below and of verdict
+# keys.
+CHECKS: tuple[tuple[Category, str, str, Check], ...] = (
+    (Category.CLASS_NAMES, CODE_STYLE, FILE, check_class_names),
+    (Category.METHOD_NAMES, CODE_STYLE, FILE, check_method_names),
+    (Category.VARIABLE_NAMES, CODE_STYLE, FILE, check_variable_names),
+    (Category.PACKAGE_NAMES, CODE_STYLE, FILE, check_package_names),
+    (Category.JAVADOC_CLASS, CODE_STYLE, FILE,
      partial(check_javadoc_presence, kind="class")),
-    (Category.JAVADOC_METHOD, CODE_STYLE,
+    (Category.JAVADOC_METHOD, CODE_STYLE, FILE,
      partial(check_javadoc_presence, kind="method")),
-    (Category.JAVADOC_CONSTRUCTOR, CODE_STYLE,
+    (Category.JAVADOC_CONSTRUCTOR, CODE_STYLE, FILE,
      partial(check_javadoc_presence, kind="constructor")),
-    (Category.JAVADOC_FIELD, CODE_STYLE,
+    (Category.JAVADOC_FIELD, CODE_STYLE, FILE,
      partial(check_javadoc_presence, kind="field")),
-    (Category.JAVADOC_FORMATTING, CODE_STYLE, check_javadoc_formatting),
-    (Category.PRIVATE_INSTANCES, PRACTICE, check_private_instances),
-    (Category.USELESS, PRACTICE, check_useless),
-    (Category.STRING_CONCATENATION, PRACTICE, check_string_concatenation),
-    (Category.FINALIZE_OVERRIDE, PRACTICE, check_finalize_override),
-    (Category.UNQUALIFIED_STATIC_ACCESS, PRACTICE, check_unqualified_static),
-    (Category.EMPTY_CATCH_BLOCK, PRACTICE, check_empty_catch),
-    (Category.MISSING_OVERRIDE, PRACTICE, check_missing_override),
-    (Category.ORDERING, LAYOUT, check_ordering),
+    (Category.JAVADOC_FORMATTING, CODE_STYLE, FILE, check_javadoc_formatting),
+    (Category.PRIVATE_INSTANCES, PRACTICE, FILE, check_private_instances),
+    (Category.USELESS, PRACTICE, FILE, check_useless),
+    (Category.STRING_CONCATENATION, PRACTICE, FILE,
+     check_string_concatenation),
+    (Category.FINALIZE_OVERRIDE, PRACTICE, FILE, check_finalize_override),
+    (Category.UNQUALIFIED_STATIC_ACCESS, PRACTICE, PROJECT,
+     check_unqualified_static),
+    (Category.EMPTY_CATCH_BLOCK, PRACTICE, FILE, check_empty_catch),
+    (Category.MISSING_OVERRIDE, PRACTICE, PROJECT, check_missing_override),
+    (Category.ORDERING, LAYOUT, FILE, check_ordering),
 )
 
-CODE_STYLE_CATEGORIES = tuple(c for c, group, _ in CHECKS if group == CODE_STYLE)
-PRACTICE_CATEGORIES = tuple(c for c, group, _ in CHECKS if group == PRACTICE)
+CODE_STYLE_CATEGORIES = tuple(c for c, group, _, _ in CHECKS
+                              if group == CODE_STYLE)
+PRACTICE_CATEGORIES = tuple(c for c, group, _, _ in CHECKS
+                            if group == PRACTICE)
 
 # The sixteen categories that participate in scoring and verdicts.
 TABLE_CATEGORIES = CODE_STYLE_CATEGORIES + PRACTICE_CATEGORIES
 
+_FILE_CHECKS = tuple((c, fn) for c, _, scope, fn in CHECKS if scope == FILE)
+_PROJECT_CHECKS = tuple((c, fn) for c, _, scope, fn in CHECKS
+                        if scope == PROJECT)
 
-def run_checks(models: list[SourceFileModel], ctx: CheckContext,
-               ) -> tuple[list[Violation], dict[Category, int]]:
-    """Run every registered check over every model.
+# Violations and, per category, the number of constructs inspected.
+CheckOutcome = tuple[list[Violation], dict[Category, int]]
 
-    Returns the violations in deterministic order and, per category,
-    the number of constructs its check inspected.
-    """
+
+def check_file(model: SourceFileModel, ctx: CheckContext) -> CheckOutcome:
+    """Run the file-scope checks over one model; `ctx.index` is unused."""
     violations: list[Violation] = []
-    counts = {category: 0 for category in Category}
+    counts: dict[Category, int] = {}
+    for category, check in _FILE_CHECKS:
+        found, counts[category] = check(model, ctx)
+        violations.extend(found)
+    return violations, counts
+
+
+def check_project(models: list[SourceFileModel],
+                  ctx: CheckContext) -> CheckOutcome:
+    """Run the project-scope checks over every model of the project."""
+    violations: list[Violation] = []
+    counts = {category: 0 for category, _ in _PROJECT_CHECKS}
     for model in models:
-        for category, _, check in CHECKS:
+        for category, check in _PROJECT_CHECKS:
             found, inspected = check(model, ctx)
             violations.extend(found)
             counts[category] += inspected
+    return violations, counts
+
+
+def merge_outcomes(outcomes: list[CheckOutcome]) -> CheckOutcome:
+    """Concatenate check outcomes and sum their counts per category.
+
+    The violations come out in deterministic order: a stable sort by
+    Violation.sort_key of the outcomes in the order given.
+    """
+    violations: list[Violation] = []
+    counts = {category: 0 for category in Category}
+    for found, inspected in outcomes:
+        violations.extend(found)
+        for category, n in inspected.items():
+            counts[category] += n
     violations.sort(key=Violation.sort_key)
     return violations, counts
+
+
+def run_checks(models: list[SourceFileModel],
+               ctx: CheckContext) -> CheckOutcome:
+    """Run every registered check over every model."""
+    return merge_outcomes([*(check_file(m, ctx) for m in models),
+                           check_project(models, ctx)])

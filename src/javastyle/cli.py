@@ -143,10 +143,12 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         print(f"error: --months must be at least 1, got {args.months}",
               file=sys.stderr)
         return EXIT_USAGE
-    parsed: dict = {}  # each snapshot reuses the previous one's parses
+    # Each snapshot reuses the previous one's unchanged files: their
+    # parses and file-scope check results.
+    reuse: dict = {}
 
-    def analyze_fn(path: str):
-        result = analyze_repository(path, config, reuse=parsed)
+    def analyze_fn(snapshot):
+        result = analyze_repository(snapshot, config, reuse=reuse)
         return result.scores, result.total_normalized
 
     samples = evolve(args.path, analyze_fn, months=args.months,

@@ -166,9 +166,11 @@ class SourceFileModel:
     types: list[TypeFact] = field(default_factory=list)
     comments: list[CommentFact] = field(default_factory=list)
     line_count: int = 0
-    # Identifier-token occurrence counts over the whole file, excluding
-    # comments and package/import statements. Drives used/unused facts.
-    ident_counts: dict[str, int] = field(default_factory=dict)
+    # Per name, its identifier tokens that do not declare it: occurrences
+    # outside comments and package/import statements, less the declaring
+    # ones (types, enum constants, members, parameters, locals, catch and
+    # lambda parameters). Names with no use are absent.
+    use_counts: dict[str, int] = field(default_factory=dict)
 
     def all_types(self) -> list[TypeFact]:
         """Top-level and nested types, in declaration order."""

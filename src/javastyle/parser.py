@@ -53,6 +53,8 @@ _LOCAL_DECL_PREV = frozenset({";", "{", "}", "(", ","})
 # start its declaration.
 _LOCAL_TYPES = _PRIMITIVES - {"void"} | {"var"}
 _DECL_START = _LOCAL_TYPES | {"final"}
+# The tokens a lambda can follow.
+_LAMBDA_PREV = frozenset({"(", ",", "=", "return", "->", "?", ":", "{", ")"})
 # Deepest type nesting parsed; deeper files are skipped with a diagnostic
 # instead of exhausting the interpreter's recursion limit.
 MAX_TYPE_NESTING = 100
@@ -89,6 +91,8 @@ class _Parser:
         # (member, enclosing type stack, open brace idx, close brace idx)
         self.body_jobs: list[tuple[MemberFact, tuple[TypeFact, ...], int, int]] = []
         self.type_stack: list[TypeFact] = []
+        # Index of every identifier token that declares a name.
+        self.declaring: list[int] = []
         # statement start -> index of its last token (bodies are disjoint)
         self.stmt_ends: dict[int, int] = {}
 
@@ -310,6 +314,7 @@ class _Parser:
             self.fail("type nesting too deep")
         self.pop()  # class/enum/interface/record/interface-after-@
         name_idx = self.expect_ident()
+        self.declaring.append(name_idx)
         if self.at("<"):
             self.skip_angles()
         if kind == "record" and self.at("("):
@@ -359,7 +364,7 @@ class _Parser:
         while not (self.match(";") or self.at("}")):
             while self.at("@"):
                 self.parse_annotation()
-            self.expect_ident()
+            self.declaring.append(self.expect_ident())
             if self.at("("):
                 self.skip_balanced("(")
             if self.at("{"):
@@ -398,6 +403,7 @@ class _Parser:
 
         # Compact record constructor: TypeName { ... }
         if self.at("{") and rtype == container_name:
+            self.declaring.append(first)
             member = MemberFact(
                 kind="constructor",
                 name=container_name,
@@ -430,6 +436,7 @@ class _Parser:
         javadoc: JavadocFact | None,
         container_kind: str | None,
     ) -> MemberFact:
+        self.declaring.append(name_idx)
         params = self.parse_params()
         dims = self.dims()
         if rtype is not None:
@@ -482,7 +489,9 @@ class _Parser:
             if self.at("this"):  # receiver parameter: not a real param
                 self.pop()
             else:
-                name = self.values[self.expect_ident()]
+                name_idx = self.expect_ident()
+                self.declaring.append(name_idx)
+                name = self.values[name_idx]
                 ptype += self.dims()
                 params.append(ParamFact(name=name, type_name=ptype))
             if self.match(","):
@@ -504,6 +513,7 @@ class _Parser:
         is_final = "final" in mods or container_kind == "interface"
         members: list[MemberFact] = []
         while True:
+            self.declaring.append(name_idx)
             dtype = ftype + self.dims()
             members.append(
                 MemberFact(
@@ -616,10 +626,15 @@ class _Parser:
             counts.subtract(imp.target.removesuffix(".*").split("."))
         if model.package is not None:
             counts.subtract(model.package.split("."))
-        model.ident_counts = {name: n for name, n in counts.items() if n}
-
         for imp in model.imports:
             imp.used = imp.is_wildcard or counts[imp.simple_name] > 0
+
+        # A name's uses are its occurrences minus its declaring ones; a
+        # typed lambda parameter may also have been taken for a local.
+        self._declare_lambda_params()
+        counts.subtract(Counter(map(self.values.__getitem__,
+                                    set(self.declaring))))
+        model.use_counts = {name: n for name, n in counts.items() if n > 0}
 
         model.comments = [
             CommentFact(line=c.line, end_line=c.end_line, text=c.text,
@@ -627,6 +642,45 @@ class _Parser:
             for c in self.comments
         ]
         model.line_count = self.line_count
+
+    def _declare_lambda_params(self) -> None:
+        """Add the parameters of every lambda, in bodies and initializers
+        alike, to the declaring identifiers.
+
+        A lambda's parameters, `x` or `(a, b)` with optional types, follow
+        a token that can start an expression, or a cast's `)`. A `->` after
+        anything else ends a switch label or guard, which declares
+        nothing; so does `x ->` after `case A,`.
+        """
+        kinds, values, declaring = self.kinds, self.values, self.declaring
+        i = 0
+        while True:
+            try:
+                i = values.index("->", i + 1)
+            except ValueError:
+                return
+            if kinds[i] != OP:
+                continue
+            j = i - 1
+            if kinds[j] == IDENT and values[j - 1] in _LAMBDA_PREV:
+                while values[j - 1] in (",", ".") and kinds[j - 2] == IDENT:
+                    j -= 2
+                if values[j - 1] != "case":
+                    declaring.append(i - 1)
+            elif values[j] == ")" and \
+                    values[self.partner.get(j, 0) - 1] in _LAMBDA_PREV:
+                depth = 0  # of type arguments and annotation arguments
+                for k in range(self.partner[j] + 1, j):
+                    v = values[k]
+                    if v == "<" or v == "(":
+                        depth += 1
+                    elif v == ")":
+                        depth -= 1
+                    elif v in (">", ">>", ">>>"):
+                        depth -= len(v)
+                    elif depth == 0 and kinds[k] == IDENT and \
+                            values[k + 1] in (",", ")"):
+                        declaring.append(k)
 
     def _scan_body(
         self,
@@ -674,6 +728,7 @@ class _Parser:
                 return None
             names, base, resume = local
             type_name = simple_name_of(base)
+            self.declaring.extend(names)
             for k in names:
                 locals_map[values[k]] = type_name
                 facts.local_vars.append(
@@ -803,6 +858,7 @@ class _Parser:
         while k > j:
             if kinds[k] == IDENT:
                 var = values[k]
+                self.declaring.append(k)
                 break
             k -= 1
         bopen = close_paren + 1

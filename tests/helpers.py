@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 from javastyle.checkers import (ORDERING_CONFIGS, Category, CheckContext,
                                 Violation, run_checks)
 from javastyle.parser import parse_compilation_unit
@@ -52,3 +54,22 @@ def write_tree(root, files: dict[str, str]) -> None:
         full = root / rel
         full.parent.mkdir(parents=True, exist_ok=True)
         full.write_text(text, encoding="utf-8")
+
+
+class MemorySnapshot:
+    """An in-memory snapshot for analyze_repository: {path: text or bytes},
+    all of it selected, with a content hash for each blob id. Counts the
+    files it reads."""
+
+    def __init__(self, files: dict[str, str | bytes]) -> None:
+        self.files = {rel: data.encode() if isinstance(data, str) else data
+                      for rel, data in files.items()}
+        self.reads: list[str] = []
+
+    def sources(self) -> list[tuple[str, str]]:
+        return [(rel, hashlib.sha1(data).hexdigest())
+                for rel, data in sorted(self.files.items())]
+
+    def read(self, rel: str, blob: str) -> bytes:
+        self.reads.append(rel)
+        return self.files[rel]

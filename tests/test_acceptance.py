@@ -383,8 +383,8 @@ def test_criterion_07_history_replay(tmp_path, announce):
 
     before = tree_digest(str(repo))
 
-    def analyze_fn(path):
-        result = analyze_repository(path)
+    def analyze_fn(snapshot):
+        result = analyze_repository(snapshot)
         return result.scores, result.total_normalized
 
     started = time.monotonic()
@@ -408,10 +408,10 @@ def test_criterion_07_history_replay(tmp_path, announce):
         series.append(row.normalized)
     assert series == [0.0] * 6 + [1.0] * 6  # step exactly at month index 6
 
-    assert tree_digest(str(repo)) == before  # work tree restored bit-exact
+    assert tree_digest(str(repo)) == before  # work tree untouched, bit-exact
     assert elapsed < 30.0
     announce(7, "12-month replay picks the day-10 commit from 2/10/27, "
-                f"steps at month 6, restores the tree, in {elapsed:.2f} s")
+                f"steps at month 6, leaves the tree untouched, in {elapsed:.2f} s")
 
 
 # --- criterion 8: claim classification ------------------------------------------------

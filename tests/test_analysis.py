@@ -8,7 +8,7 @@ from javastyle import analysis
 from javastyle.analysis import AnalysisConfig, analyze_repository
 from javastyle.checkers import Category
 
-from helpers import write_tree
+from helpers import MemorySnapshot, write_tree
 from test_acceptance import build_large_tree
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -149,15 +149,28 @@ def test_models_are_not_mutated_after_parsing(tmp_path, monkeypatch, tree):
     assert changed == []
 
 
-def test_reuse_holds_the_last_snapshot_only(tmp_path):
-    write_tree(tmp_path, {"src/p/Alpha.java": GOOD,
-                          "src/p/Broken.java": BAD_SYNTAX})
+def test_reuse_holds_the_last_snapshot_only():
+    snapshot = MemorySnapshot({"src/p/Alpha.java": GOOD,
+                               "src/p/Broken.java": BAD_SYNTAX})
+    (alpha, alpha_blob), (broken, broken_blob) = snapshot.sources()
     reuse = {}
-    first = analyze_repository(str(tmp_path), reuse=reuse)
-    assert reuse == {("src/p/Alpha.java", GOOD): first.models[0],
-                     ("src/p/Broken.java", BAD_SYNTAX): first.diagnostics[0]}
-    (tmp_path / "src/p/Broken.java").unlink()
-    second = analyze_repository(str(tmp_path), reuse=reuse)
+    first = analyze_repository(snapshot, reuse=reuse)
+    assert set(reuse) == {(alpha, alpha_blob), (broken, broken_blob)}
+    assert reuse[alpha, alpha_blob].parsed is first.models[0]
+    assert reuse[broken, broken_blob].parsed == first.diagnostics[0]
+    del snapshot.files[broken]
+    second = analyze_repository(snapshot, reuse=reuse)
     assert second.models[0] is first.models[0]
     assert second.diagnostics == []
-    assert reuse == {("src/p/Alpha.java", GOOD): first.models[0]}
+    assert snapshot.reads == [alpha, broken]  # the second call read nothing
+    assert list(reuse) == [(alpha, alpha_blob)]
+    assert second.violations == first.violations
+
+
+def test_files_on_disk_are_never_reused(tmp_path):
+    write_tree(tmp_path, {"src/p/Alpha.java": GOOD})
+    reuse = {}
+    first = analyze_repository(str(tmp_path), reuse=reuse)
+    second = analyze_repository(str(tmp_path), reuse=reuse)
+    assert reuse == {}
+    assert second.models[0] is not first.models[0]

@@ -3,8 +3,12 @@ concatenation, and dead code."""
 
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from javastyle.analysis import analyze_repository
-from javastyle.checkers import (CHECKS, ORDERING_CONFIGS, Category,
+from javastyle.checkers import (CHECKS, ORDERING_CONFIGS, PROJECT, Category,
                                 CheckContext, check_empty_catch,
                                 check_finalize_override,
                                 check_private_instances,
@@ -397,6 +401,86 @@ def test_private_method_named_like_an_unused_local_is_unused():
         (1, "unused private method"), (2, "unused local variable")]
 
 
+@pytest.mark.parametrize("member, shadow", [
+    ("private int e;",
+     "void f() { try { g(); } catch (Exception e) {} } void g() {}"),
+    ("private int x;",
+     "Object f() { java.util.function.IntUnaryOperator op = x -> 1;"
+     " return op; }"),
+    ("private int v;", "enum E { v }"),
+    ("private void v() {}", "enum E { v }"),
+    ("private int B;", "class B {}"),
+])
+def test_private_member_named_like_another_declaration_is_unused(member,
+                                                                 shadow):
+    # Every declaring identifier is a declaration, not a use: a catch or
+    # lambda parameter, an enum constant, a nested type name.
+    out = useless(f"class A {{ {member}\n{shadow} }}")
+    assert [(v.line, v.message.split()[-1]) for v in out] == [
+        (1, "method" if "(" in member else "field")]
+
+
+@pytest.mark.parametrize("use", [
+    "void f() { try { g(); } catch (Exception e) { n = B; } } void g() {}",
+    "Object f() { return (java.util.function.IntUnaryOperator) q -> B; }",
+    "enum E { V; int w = B; }",
+    "class C { int w = B; }",
+    "void f(int k) { switch (k) { case B -> g(); default -> g(); } }"
+    " void g() {}",
+    "int f(Object o) { return switch (o) { case Integer i when i > B -> 1;"
+    " default -> 0; }; }",
+    "int f(Object o) { return switch (o) { case Integer i when i.equals(B)"
+    " -> 1; default -> 0; }; }",
+])
+def test_private_member_used_beside_other_declarations_is_used(use):
+    src = f"class A {{ private static final int B = 1; private int n;\n{use} }}"
+    assert [v.detail for v in useless(src)
+            if v.message == "unused private field"] == (
+        [] if "n = B" in use else ["n"])
+
+
+def test_typed_and_parenthesized_lambda_parameters_declare():
+    src = ("class A { private int a; private int b; private int c;\n"
+           "private int d; private int e;\n"
+           "Object f() { Object g = (int a, java.util.Map<String, Integer> b)"
+           " -> 0; g = (F) (c) -> 1; g = x -> d -> 2; return (G) e -> 3; } }")
+    assert [v.detail for v in useless(src)
+            if v.message == "unused private field"] == ["a", "b", "c", "d", "e"]
+
+
+# Same-named declarations of every kind a private member can share its
+# name with; each declares `n` and uses nothing else.
+_SHADOWS = {
+    "catch": "void c1() { try { c2(); } catch (Exception n) {} } void c2() {}",
+    "lambda": "Object c3() { return (java.util.function.IntUnaryOperator)"
+              " n -> 1; }",
+    "typed lambda": "Object c4() { java.util.function.IntBinaryOperator o ="
+                    " (int n, int k) -> k; return o; }",
+    "enum constant": "enum E { n }",
+    "nested type": "class n {}",
+    "parameter": "int c5(int n) { return 0; }",
+    "local": "int c6() { int n = 0; return 1; }",
+    "field": "class C { int n; }",
+    "method": "class D { void n() {} }",
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(member=st.sampled_from(["private int n;", "private void n() {}",
+                               "private static final int n = 1;"]),
+       shadows=st.lists(st.sampled_from(sorted(_SHADOWS)), unique=True),
+       used=st.booleans())
+def test_private_member_is_unused_exactly_when_no_token_uses_it(
+        member, shadows, used):
+    body = [member, *(_SHADOWS[k] for k in shadows)]
+    if used:
+        body.append("Object u() { return this.n" +
+                    ("()" if "(" in member else "") + "; }")
+    out = [v for v in useless("class A {\n" + "\n".join(body) + "\n}")
+           if v.message.startswith("unused private") and v.line == 2]
+    assert [v.detail for v in out] == ([] if used else ["n"])
+
+
 def test_unused_local_flagged():
     src = "class A { void f() { int ghost = 1; int used = 2; g(used); } void g(int n) {} }"
     out = useless(src)
@@ -486,7 +570,9 @@ def test_run_all_covers_every_category(lexicon):
 def test_only_two_checks_read_the_project_index(lexicon):
     # Every other check decides from the file alone, so it gives the same
     # result without an index.
-    cross_file = {Category.MISSING_OVERRIDE, Category.UNQUALIFIED_STATIC_ACCESS}
+    cross_file = {c for c, _, scope, _ in CHECKS if scope == PROJECT}
+    assert cross_file == {Category.MISSING_OVERRIDE,
+                          Category.UNQUALIFIED_STATIC_ACCESS}
     ordering = ORDERING_CONFIGS[2]
     trees = sorted(FIXTURES.glob("*/*"))
     assert len(trees) == 34
@@ -495,7 +581,7 @@ def test_only_two_checks_read_the_project_index(lexicon):
         indexed = CheckContext(result.index, lexicon, ordering)
         alone = CheckContext(None, lexicon, ordering)
         for model in result.models:
-            for category, _, check in CHECKS:
+            for category, _, _, check in CHECKS:
                 if category not in cross_file:
                     assert check(model, alone) == check(model, indexed), \
                         (tree.name, model.path, category)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 from collections import Counter
 from datetime import datetime, timedelta, timezone
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from javastyle import analysis
 from javastyle.analysis import AnalysisConfig, analyze_repository
 from javastyle.cli import main
+from javastyle.discovery import discover_sources
 from javastyle.history import (CommitRecord, EvolutionSample, HistoryError,
                                check_eligibility, evolve, list_commits,
                                monthly_activity, select_monthly_commit,
@@ -191,11 +193,15 @@ def make_repo(root):
     return root
 
 
-def add_commit(repo, when: datetime, files: dict[str, str], message="change"):
+def add_commit(repo, when: datetime, files: dict[str, str | bytes],
+               message="change"):
     for rel, text in files.items():
         full = repo / rel
         full.parent.mkdir(parents=True, exist_ok=True)
-        full.write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            full.write_bytes(text)
+        else:
+            full.write_text(text, encoding="utf-8")
     run_git(repo, "add", "-A")
     stamp = when.isoformat()
     run_git(repo, "commit", "-q", "-m", message, "--allow-empty",
@@ -266,14 +272,11 @@ def test_evolve_dates_commits_by_author_not_committer(tmp_path):
 
 
 def counting_analyzer(calls):
-    def analyze(path):
-        calls.append(sorted(
-            os.path.join(dirpath, f)
-            for dirpath, _, files in os.walk(path)
-            for f in files if f.endswith(".java")))
-        with open(os.path.join(path, "src/p/Widget.java")) as fh:
-            has_catch = "catch" in fh.read()
-        return [], 1.0 if has_catch else 0.0
+    def analyze(snapshot):
+        files = dict(snapshot.sources())
+        calls.append(sorted(files))
+        text = snapshot.read("src/p/Widget.java", files["src/p/Widget.java"])
+        return [], 1.0 if b"catch" in text else 0.0
     return analyze
 
 
@@ -286,6 +289,7 @@ def test_evolve_walks_window_in_order(tmp_path):
         at(2024, 7, 1), 12)
     assert all(not s.failed for s in samples)
     assert all(s.commit.timestamp.day == 15 for s in samples)
+    assert calls == [["src/p/Widget.java"]] * 12
     # content change lands in month index 36 = 2024-01
     totals = {s.month_label: s.total_normalized for s in samples}
     assert totals["2023-12"] == 0.0 and totals["2024-01"] == 1.0
@@ -350,7 +354,7 @@ def test_force_overrides_eligibility_and_marks_gaps(tmp_path):
 def test_evolve_continues_after_analyzer_failure(tmp_path):
     repo = build_history_repo(tmp_path, months=42)
 
-    def flaky(path):
+    def flaky(snapshot):
         flaky.count += 1
         if flaky.count == 3:
             raise RuntimeError("synthetic analyzer crash")
@@ -408,24 +412,27 @@ BROKEN = "package p;\nclass Widget {\n  void f( {\n}\n"
 GENERATED = "package gen;\nclass lower_case {}\n"
 
 
-def test_evolve_parses_each_file_version_once(tmp_path, monkeypatch,
-                                              capsysbinary):
-    # One commit a month, each month changing the tree in another way. The
-    # Child's missing @Override depends on Base, so a reused model must
-    # still be checked against the current snapshot's other files.
+# One commit a month, each month changing the tree in another way. The
+# Child's missing @Override depends on Base, so a reused model must still
+# be checked against the current snapshot's other files.
+CHANGING_MONTHS = [
+    {"src/p/Base.java": BASE_RUN, "src/p/Child.java": CHILD,
+     "src/p/Widget.java": CLEAN_JAVA, "src/p/Old.java": GENERATED,
+     "src/p/Gone.java": CATCH_JAVA.replace("Widget", "Gone"),
+     "src/gen/Gen.java": GENERATED},
+    {"src/p/Base.java": BASE_GO},                   # edited
+    {"src/p/Old.java": None, "src/p/New.java": GENERATED,  # renamed
+     "src/p/Gone.java": None},                      # deleted
+    {"src/p/Widget.java": BROKEN},                  # syntax error
+    {"src/gen/Gen.java": GENERATED + "\n"},         # excluded edit
+    {"src/p/Widget.java": CATCH_JAVA},              # fixed
+]
+
+
+def build_changing_repo(tmp_path, months=CHANGING_MONTHS):
+    """One commit on the 15th of each month of 2024 from January; a None
+    text deletes the file, bytes are written as they are."""
     repo = make_repo(tmp_path / "repo")
-    months = [
-        {"src/p/Base.java": BASE_RUN, "src/p/Child.java": CHILD,
-         "src/p/Widget.java": CLEAN_JAVA, "src/p/Old.java": GENERATED,
-         "src/p/Gone.java": CATCH_JAVA.replace("Widget", "Gone"),
-         "src/gen/Gen.java": GENERATED},
-        {"src/p/Base.java": BASE_GO},                   # edited
-        {"src/p/Old.java": None, "src/p/New.java": GENERATED,  # renamed
-         "src/p/Gone.java": None},                      # deleted
-        {"src/p/Widget.java": BROKEN},                  # syntax error
-        {"src/gen/Gen.java": GENERATED + "\n"},         # excluded edit
-        {"src/p/Widget.java": CATCH_JAVA},              # fixed
-    ]
     for i, change in enumerate(months):
         for rel, text in change.items():
             if text is None:
@@ -433,6 +440,13 @@ def test_evolve_parses_each_file_version_once(tmp_path, monkeypatch,
         add_commit(repo, at(2024, i + 1, 15),
                    {rel: text for rel, text in change.items()
                     if text is not None})
+    return repo
+
+
+def test_evolve_parses_each_file_version_once(tmp_path, monkeypatch,
+                                              capsysbinary):
+    repo = build_changing_repo(tmp_path)
+    months = CHANGING_MONTHS
 
     parse = analysis.parse_compilation_unit
     parsed = []
@@ -451,18 +465,16 @@ def test_evolve_parses_each_file_version_once(tmp_path, monkeypatch,
     config = AnalysisConfig(excludes=("src/gen",))
     parsed.clear()
     diagnostics = []
-    try:
-        for row in rows:
-            run_git(repo, "checkout", "--quiet", row["commit"])
-            fresh = analyze_repository(str(repo), config)
-            diagnostics.append(fresh.diagnostics)
-            commit = CommitRecord(row["commit"],
-                                  datetime.fromisoformat(row["timestamp"]))
-            assert row == evolution_rows([EvolutionSample(
-                row["month"], commit, fresh.scores,
-                fresh.total_normalized)])[0]
-    finally:
-        run_git(repo, "checkout", "--quiet", "main")
+    for row in rows:
+        tree = tmp_path / row["commit"]
+        extract_commit(repo, row["commit"], tree)
+        fresh = analyze_repository(str(tree), config)
+        diagnostics.append(fresh.diagnostics)
+        commit = CommitRecord(row["commit"],
+                              datetime.fromisoformat(row["timestamp"]))
+        assert row == evolution_rows([EvolutionSample(
+            row["month"], commit, fresh.scores,
+            fresh.total_normalized)])[0]
 
     assert len(rows) == len(months)
     assert [bool(d) for d in diagnostics] == [False] * 3 + [True] * 2 + [False]
@@ -471,3 +483,283 @@ def test_evolve_parses_each_file_version_once(tmp_path, monkeypatch,
     # Five files at first, then one new version in months 2, 3, 4 and 6.
     assert reused_parses == Counter(set(parsed))
     assert len(reused_parses) == 9
+
+
+# --- replay reads git objects and leaves the repository alone ----------------
+
+
+def git_out(repo, *args) -> str:
+    return subprocess.run(["git", "-C", str(repo), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def extract_commit(repo, commit_id, dest):
+    """The commit's tree as `git archive` writes it, unpacked into dest."""
+    archive = subprocess.run(["git", "-C", str(repo), "archive", commit_id],
+                             check=True, capture_output=True).stdout
+    dest.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def replay(repo, months, as_of=AS_OF, config=AnalysisConfig()):
+    """Evolve as the CLI does; returns the samples and each analyzed
+    month's full result."""
+    reuse, results = {}, []
+
+    def analyze_fn(snapshot):
+        result = analyze_repository(snapshot, config, reuse=reuse)
+        results.append(result)
+        return result.scores, result.total_normalized
+
+    samples = evolve(str(repo), analyze_fn, months=months, as_of=as_of,
+                     force=True)
+    return samples, results
+
+
+def assert_months_match_archives(repo, tmp_path, months, as_of=AS_OF,
+                                 config=AnalysisConfig()):
+    samples, results = replay(repo, months, as_of, config)
+    analyzed = [s for s in samples if not s.failed]
+    assert len(analyzed) == len(results) > 0
+    for sample, memoized in zip(analyzed, results):
+        dest = tmp_path / f"archive-{sample.commit.id}"
+        extract_commit(repo, sample.commit.id, dest)
+        fresh = analyze_repository(str(dest), config)
+        assert [m.path for m in memoized.models] == [
+            m.path for m in fresh.models]
+        assert memoized.violations == fresh.violations
+        assert memoized.counts == fresh.counts
+        assert memoized.diagnostics == fresh.diagnostics
+        assert memoized.scores == fresh.scores
+        assert memoized.total_normalized == fresh.total_normalized
+        assert memoized.verdict == fresh.verdict
+    return results
+
+
+def test_memoized_months_equal_fresh_archives_of_stepped_history(tmp_path):
+    repo = build_history_repo(tmp_path, months=42, step_month=36)
+    assert_months_match_archives(repo, tmp_path, 12)
+
+
+def test_memoized_months_equal_fresh_archives_of_changing_tree(tmp_path):
+    # Without the exclude, src/gen declares a type twice in some months.
+    repo = build_changing_repo(tmp_path)
+    for excludes in ((), ("src/gen",)):
+        results = assert_months_match_archives(
+            repo, tmp_path / f"x{len(excludes)}", len(CHANGING_MONTHS),
+            config=AnalysisConfig(excludes=excludes))
+        assert len(results) == len(CHANGING_MONTHS)
+    assert [bool(r.diagnostics) for r in results] == [
+        False] * 3 + [True] * 2 + [False]
+
+
+def java_class(name: str, version: int, parent: str | None) -> str:
+    extends = f" extends {parent}" if parent else ""
+    return (f"package p;\npublic class {name}{extends} {{\n"
+            f"  private int field{version};\n"
+            "  public void run() { try { go(); } catch (Exception e) {} }\n"
+            f"  public static int go() {{ return {version}; }}\n}}\n")
+
+
+def generated_months(seed: int, count: int = 8) -> list[dict]:
+    """Month-by-month changes of a small tree: files added, edited,
+    deleted and renamed, some not UTF-8, some with syntax errors, some
+    with CRLF or lone-CR line ends. Classes extend one another, so the
+    cross-file checks of unchanged files change too."""
+    rng = random.Random(seed)
+    live: dict[str, bytes] = {}
+    months = []
+    for month in range(count):
+        before = dict(live)
+        for _ in range(rng.randint(1, 3)):
+            op = rng.choice(["add", "edit", "delete", "rename", "latin1",
+                             "broken", "crlf", "cr"]) if live else "add"
+            rel = rng.choice(sorted(live)) if live else None
+            name = f"C{month}x{len(live)}x{rng.randrange(100)}"
+            if op == "add":
+                parents = [p.rsplit("/", 1)[1][:-5] for p in live]
+                parent = rng.choice(parents + [None])
+                live[f"src/p/{name}.java"] = java_class(
+                    name, month, parent).encode()
+            elif op == "edit":
+                live[rel] = live[rel].replace(b"return", b"return 1 +")
+            elif op == "delete":
+                del live[rel]
+            elif op == "rename":
+                live[f"src/p/{name}.java"] = live.pop(rel)
+            elif op == "latin1":
+                live[rel] = live[rel] + "// caf\xe9\n".encode("latin-1")
+            elif op == "broken":
+                live[rel] = live[rel].replace(b"{", b"(", 1)
+            else:
+                eol = b"\r\n" if op == "crlf" else b"\r"
+                live[rel] = live[rel].replace(b"\n", eol)
+        change = {rel: None for rel in before if rel not in live}
+        change.update({rel: data for rel, data in live.items()
+                       if before.get(rel) != data})
+        months.append(change)
+    return months
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_memoized_months_equal_fresh_archives_of_generated_history(
+        tmp_path, seed):
+    months = generated_months(seed)
+    repo = build_changing_repo(tmp_path, months)
+    as_of = at(2024, len(months) + 1, 1)
+    results = assert_months_match_archives(repo, tmp_path, len(months), as_of)
+    assert len(results) == len(months)
+
+
+def test_replay_leaves_head_branch_index_and_work_tree_alone(tmp_path):
+    repo = build_changing_repo(tmp_path)
+    head = git_out(repo, "rev-parse", "HEAD")
+    committed = {rel: subprocess.run(
+                     ["git", "-C", str(repo), "show", f"HEAD:{rel}"],
+                     check=True, capture_output=True).stdout
+                 for rel in git_out(repo, "ls-files").split("\n")}
+
+    def inspecting(snapshot):
+        assert git_out(repo, "rev-parse", "HEAD") == head
+        assert git_out(repo, "symbolic-ref", "--short", "HEAD") == "main"
+        assert git_out(repo, "status", "--porcelain") == ""
+        on_disk = {path.relative_to(repo).as_posix(): path.read_bytes()
+                   for path in repo.rglob("*")
+                   if path.is_file() and ".git" not in path.parts}
+        assert on_disk == committed
+        inspecting.months += 1
+        return [], 0.0
+    inspecting.months = 0
+
+    samples = evolve(str(repo), inspecting, months=6, as_of=AS_OF,
+                     force=True)
+    assert [s.failed for s in samples] == [False] * 6
+    assert inspecting.months == 6
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every subprocess.Popen started while the test runs."""
+    procs = []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            procs.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    return procs
+
+
+def test_interrupted_replay_keeps_the_branch_and_reaps_git(tmp_path,
+                                                           started):
+    repo = build_history_repo(tmp_path, months=42)
+
+    def interrupt(snapshot):
+        snapshot.read("src/p/Widget.java", dict(snapshot.sources())[
+            "src/p/Widget.java"])
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        evolve(str(repo), interrupt, as_of=AS_OF)
+    readers = [p for p in started if "cat-file" in p.args]
+    assert len(readers) == 1
+    assert all(p.poll() is not None for p in started)
+    assert git_out(repo, "symbolic-ref", "--short", "HEAD") == "main"
+    assert git_out(repo, "status", "--porcelain") == ""
+
+
+def test_replay_starts_a_bounded_number_of_processes(tmp_path, started):
+    repo = build_history_repo(tmp_path, months=42, step_month=36)
+    counts = []
+    for months in (1, 12):
+        started.clear()
+        samples, _ = replay(repo, months)
+        assert not any(s.failed for s in samples)
+        counts.append(len(started))
+    assert counts[0] == counts[1] <= 4
+
+
+def listing_analyzer(seen):
+    """Records the paths each month's snapshot selects."""
+    def analyze(snapshot):
+        seen.append([rel for rel, _ in snapshot.sources()])
+        return [], 0.0
+    return analyze
+
+
+def test_evolve_on_a_subdirectory_analyzes_only_it(tmp_path):
+    repo = make_repo(tmp_path / "repo")
+    add_commit(repo, at(2024, 4, 15), {"lib/src/p/B.java": CATCH_JAVA})
+    add_commit(repo, at(2024, 5, 15), {"app/src/p/A.java": CLEAN_JAVA,
+                                       "Top.java": GENERATED})
+    add_commit(repo, at(2024, 6, 15), {"app/src/p/C.java": CLEAN_JAVA})
+    seen = []
+    samples = evolve(str(repo / "app"), listing_analyzer(seen), months=3,
+                     as_of=AS_OF, force=True)
+    assert [s.failed for s in samples] == [True, False, False]
+    assert "app/" in samples[0].error  # no app directory in April
+    assert seen == [["src/p/A.java"], ["src/p/A.java", "src/p/C.java"]]
+
+
+def test_untracked_and_ignored_sources_enter_no_month(tmp_path):
+    repo = make_repo(tmp_path / "repo")
+    add_commit(repo, at(2024, 6, 15), {".gitignore": "Scratch.java\n",
+                                       "src/p/Widget.java": CLEAN_JAVA})
+    (repo / "src/p/Scratch.java").write_text(GENERATED, encoding="utf-8")
+    seen = []
+    evolve(str(repo), listing_analyzer(seen), months=1, as_of=AS_OF,
+           force=True)
+    assert seen == [["src/p/Widget.java"]]
+
+
+CR_LINES = ["package p;", "", "class lower_case {", "  private int unused;",
+            "  // a comment", "  void f() { int ghost = 1; }", "}", ""]
+
+
+@pytest.mark.parametrize("eol", ["\r\n", "\r"])
+def test_line_ends_give_the_same_lines_on_disk_and_through_blobs(tmp_path,
+                                                                 eol):
+    def found(result):
+        return [(v.category.value, v.line, v.message)
+                for v in result.violations]
+
+    reference = tmp_path / "lf"
+    reference.mkdir()
+    (reference / "A.java").write_bytes("\n".join(CR_LINES).encode())
+    want = found(analyze_repository(str(reference)))
+    assert ("ClassNames", 3, "type name is not UpperCamelCase") in want
+    assert ("Useless", 6, "unused local variable") in want
+
+    data = eol.join(CR_LINES).encode()
+    on_disk = tmp_path / "disk"
+    on_disk.mkdir()
+    (on_disk / "A.java").write_bytes(data)
+    assert found(analyze_repository(str(on_disk))) == want
+
+    repo = make_repo(tmp_path / "repo")
+    add_commit(repo, at(2024, 6, 15), {"A.java": data})
+    _, results = replay(repo, 1)
+    assert [found(r) for r in results] == [want]
+
+
+@pytest.mark.parametrize("files", [
+    {"src/main/java/com/app/Main.java": CLEAN_JAVA,
+     "src/test/java/com/app/MainTest.java": CLEAN_JAVA,
+     "scripts/Tool.java": CLEAN_JAVA, "README.md": "hi"},
+    {"core/src/main/java/A.java": CLEAN_JAVA,
+     "web/src/test/java/BTest.java": CLEAN_JAVA,
+     "target/Gen.java": CLEAN_JAVA, "x/build/Out.java": CLEAN_JAVA},
+    {"Main.java": CLEAN_JAVA, "lib/Util.java": CLEAN_JAVA,
+     "src/test/Probe.java": CLEAN_JAVA, "lib/target/T.java": CLEAN_JAVA},
+    {"src/test/x/src/main/java/T.java": CLEAN_JAVA, "lib/D.java": CLEAN_JAVA},
+])
+def test_tree_snapshot_selects_what_discovery_selects_on_disk(tmp_path,
+                                                              files):
+    repo = make_repo(tmp_path / "repo")
+    add_commit(repo, at(2024, 6, 15), files)
+    seen = []
+    samples = evolve(str(repo), listing_analyzer(seen), months=1,
+                     as_of=AS_OF, force=True)
+    extract_commit(repo, samples[0].commit.id, tmp_path / "tree")
+    assert seen == [discover_sources(str(tmp_path / "tree"))]

@@ -235,13 +235,14 @@ def test_nested_type(model):
 
 
 def test_ident_counts_and_line_count(model):
-    # declaration + this.count assignment
-    assert model.ident_counts["count"] == 2
-    assert model.ident_counts["total"] == 3
-    assert "com" not in model.ident_counts  # package/import names excluded
+    # Declarations are not uses: this.count = start; total += i, return total
+    assert model.use_counts["count"] == 1
+    assert model.use_counts["total"] == 2
+    assert "Sample" not in model.use_counts and "process" not in model.use_counts
+    assert "com" not in model.use_counts  # package/import names excluded
     # Also named in import lines; only the body occurrence counts.
     for name in ("List", "max", "java", "util"):
-        assert model.ident_counts[name] == 1
+        assert model.use_counts[name] == 1
     assert model.line_count == SAMPLE.count("\n") + (
         0 if SAMPLE.endswith("\n") else 1) - sum(
         1 for ln in SAMPLE.splitlines() if not ln.strip())

@@ -81,9 +81,23 @@ def test_construct_counts_hand_tallied(lexicon):
 
 
 def test_checks_register_every_category_once():
-    assert [cat for cat, _, _ in CHECKS] == list(Category)
-    groups = Counter(group for _, group, _ in CHECKS)
+    assert [cat for cat, _, _, _ in CHECKS] == list(Category)
+    groups = Counter(group for _, group, _, _ in CHECKS)
     assert groups == {"code_style": 9, "practice": 7, "layout": 1}
+
+
+def test_check_scopes_are_pinned():
+    # A project-scope check reruns on every snapshot of a history; a
+    # file-scope one is kept for as long as its file is unchanged.
+    assert {cat.value: scope for cat, _, scope, _ in CHECKS} == {
+        "ClassNames": "file", "MethodNames": "file", "VariableNames": "file",
+        "PackageNames": "file", "JavadocClass": "file",
+        "JavadocMethod": "file", "JavadocConstructor": "file",
+        "JavadocField": "file", "JavadocFormatting": "file",
+        "PrivateInstances": "file", "Useless": "file",
+        "StringConcatenation": "file", "FinalizeOverride": "file",
+        "UnqualifiedStaticAccess": "project", "EmptyCatchBlock": "file",
+        "MissingOverride": "project", "Ordering": "file"}
 
 
 OVERRIDE_PARENT = """package p;
