@@ -337,10 +337,11 @@ def check_empty_catch(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
             if m.body is None:
                 continue
             inspected += len(m.body.catches)
+            in_test = m.name.startswith("test") or "Test" in m.annotations
             for c in m.body.catches:
                 if not c.body_empty or c.has_comment:
                     continue
-                if c.in_test_method and c.exception_var.startswith("expected"):
+                if in_test and c.exception_var.startswith("expected"):
                     continue
                 out.append(Violation(
                     Category.EMPTY_CATCH_BLOCK, model.path, c.line,
@@ -406,7 +407,7 @@ def check_string_concatenation(model: SourceFileModel,
         for m in t.members:
             if m.body is None:
                 continue
-            inspected += len(m.body.loops)
+            inspected += m.body.loops
             local_types = {lv.name: lv.type_name for lv in m.body.local_vars}
             param_types = {p.name: p.type_name for p in m.params}
             for site in m.body.concat_sites:
@@ -493,7 +494,8 @@ def check_useless(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
     for comment in model.comments:
         if comment.is_javadoc:
             continue
-        for offset, text_line in enumerate(comment.text.splitlines()):
+        # Only "\n" ends a line, as in the tokenizer.
+        for offset, text_line in enumerate(comment.text.split("\n")):
             if looks_like_code(text_line):
                 out.append(Violation(
                     Category.USELESS, model.path, comment.line + offset,

@@ -5,16 +5,15 @@ and the start offset of each token. It keeps no line count; `line_col`
 turns an offset into a 1-based line and column by bisecting the offsets
 of the text's newlines, which the parser does only for a fact or an
 error. Only "\\n" ends a line. The same pass pairs every bracket with its
-partner. Comments never enter the token lists; each one records the
-index of the token that follows it so Javadoc can be attached to the
-right declaration later.
+partner. Comments never enter the token lists: each one is kept apart as
+its start offset, its text and the index of the token that follows it,
+so Javadoc can be attached to the right declaration later.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -28,22 +27,19 @@ class JavaSyntaxError(Exception):
         self.col = col
 
 
-@dataclass
-class RawComment:
-    line: int
-    col: int
-    end_line: int
-    text: str
-    is_javadoc: bool
-    next_token_index: int  # index into the token list of the token after it
-
-
 class Tokens(NamedTuple):
+    """The tokens of a text as parallel lists, its comments and newlines.
+
+    Positions are offsets into the text; `line_col` turns one into a line
+    and column.
+    """
+
     kinds: list[int]  # one code per token of the text, nothing else
     values: list[str]
     starts: list[int]  # offset of each token's first character
     partner: dict[int, int]  # matched bracket index -> its partner's
-    comments: list[RawComment]
+    # (start offset, text, index of the token after it), in source order
+    comments: list[tuple[int, str, int]]
     newlines: list[int]  # offset of every "\n", for line_col
 
 
@@ -126,6 +122,11 @@ _UNTERMINATED = {
 }
 
 
+def is_javadoc(comment: str) -> bool:
+    """Whether a comment's text opens a Javadoc comment: `/**`, not `/**/`."""
+    return comment.startswith("/**") and comment != "/**/"
+
+
 def line_col(newlines: list[int], offset: int) -> tuple[int, int]:
     """1-based line and column of a text offset; newlines as in Tokens."""
     line = bisect_left(newlines, offset)
@@ -192,12 +193,8 @@ def tokenize(text: str) -> Tokens:
             add_value(value)
             add_start(start)
         else:
-            newlines = _newlines(text)
-            return Tokens(kinds, values, starts, partner, [
-                RawComment(*line_col(newlines, start),
-                           line_col(newlines, start + len(body) - 1)[0], body,
-                           body.startswith("/**") and body != "/**/", after)
-                for start, body, after in comments], newlines)
+            return Tokens(kinds, values, starts, partner, comments,
+                          _newlines(text))
 
 
 def _newlines(text: str) -> list[int]:

@@ -27,7 +27,7 @@ VISIBILITIES = frozenset({"public", "protected", "package", "private"})
 RECEIVER_FORMS = frozenset({"className", "instanceExpr", "methodReturn", "implicit"})
 
 
-@dataclass
+@dataclass(slots=True)
 class TagFact:
     """One block tag inside a Javadoc comment, e.g. ``@param x the input``."""
 
@@ -36,17 +36,16 @@ class TagFact:
     description_word_count: int
 
 
-@dataclass
+@dataclass(slots=True)
 class JavadocFact:
     line: int
     word_count: int
     tags: list[TagFact] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class CommentFact:
     line: int
-    end_line: int
     text: str
     is_javadoc: bool
 
@@ -56,7 +55,7 @@ def simple_name_of(dotted: str) -> str:
     return dotted.rsplit(".", 1)[-1]
 
 
-@dataclass
+@dataclass(slots=True)
 class ImportFact:
     target: str
     line: int
@@ -69,23 +68,15 @@ class ImportFact:
         return simple_name_of(self.target)
 
 
-@dataclass
+@dataclass(slots=True)
 class CatchFact:
     line: int
     exception_var: str
     body_empty: bool
     has_comment: bool
-    in_test_method: bool
 
 
-@dataclass
-class LoopFact:
-    line: int
-    end_line: int
-    kind: str  # for | while | do
-
-
-@dataclass
+@dataclass(slots=True)
 class ConcatSiteFact:
     """A ``+=`` or ``x = x + ...`` site observed inside a loop span."""
 
@@ -93,16 +84,15 @@ class ConcatSiteFact:
     target: str
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessFact:
     line: int
     member_name: str
     receiver_form: str  # one of RECEIVER_FORMS
     receiver_type: str | None = None
-    is_call: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class LocalVarFact:
     name: str
     type_name: str
@@ -110,22 +100,22 @@ class LocalVarFact:
     used: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class BodyFacts:
     catches: list[CatchFact] = field(default_factory=list)
-    loops: list[LoopFact] = field(default_factory=list)
+    loops: int = 0  # for, while and do statements
     concat_sites: list[ConcatSiteFact] = field(default_factory=list)
     accesses: list[AccessFact] = field(default_factory=list)
     local_vars: list[LocalVarFact] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class ParamFact:
     name: str
     type_name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class MemberFact:
     kind: str  # one of MEMBER_KINDS
     name: str
@@ -141,23 +131,21 @@ class MemberFact:
     nested: "TypeFact | None" = None  # populated for kind == innerType
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeFact:
     kind: str  # one of TYPE_KINDS
     name: str
     visibility: str
     line: int
-    is_nested: bool = False
     supertypes: list[str] = field(default_factory=list)
     members: list[MemberFact] = field(default_factory=list)
     javadoc: JavadocFact | None = None
-    annotations: list[str] = field(default_factory=list)
 
     def members_of_kind(self, *kinds: str) -> list[MemberFact]:
         return [m for m in self.members if m.kind in kinds]
 
 
-@dataclass
+@dataclass(slots=True)
 class SourceFileModel:
     path: str
     package: str | None

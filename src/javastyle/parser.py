@@ -20,7 +20,8 @@ from itertools import compress
 from typing import NoReturn
 
 from .javadoc import extract_javadoc
-from .lexer import EOF, IDENT, KEYWORD, OP, JavaSyntaxError, line_col, tokenize
+from .lexer import (EOF, IDENT, KEYWORD, OP, JavaSyntaxError, is_javadoc,
+                    line_col, tokenize)
 from .model import (
     AccessFact,
     BodyFacts,
@@ -30,7 +31,6 @@ from .model import (
     ImportFact,
     JavadocFact,
     LocalVarFact,
-    LoopFact,
     MemberFact,
     ParamFact,
     SourceFileModel,
@@ -74,7 +74,7 @@ class _Parser:
         self.path = path
         # Parallel token lists, read by index; see lexer.Tokens. The
         # end-of-file sentinel sits at the last token's offset.
-        (self.kinds, self.values, self.starts, self.partner, self.comments,
+        (self.kinds, self.values, self.starts, self.partner, comments,
          self.newlines) = tokenize(text)
         self.starts.append(self.starts[-1] if self.starts else 0)
         self.kinds.append(EOF)
@@ -82,12 +82,15 @@ class _Parser:
         self.last = len(self.kinds) - 1  # the end-of-file sentinel
         self.pos = 0
         self.line_count = sum(1 for ln in text.split("\n") if ln.strip())
+        self.comments = [
+            CommentFact(bisect_left(self.newlines, start) + 1, body,
+                        is_javadoc(body))
+            for start, body, _ in comments]
         # Index of the token after each comment, in source order.
-        self.comment_next = [com.next_token_index for com in self.comments]
-        self.doc_by_next: dict[int, object] = {}
-        for com in self.comments:
-            if com.is_javadoc:
-                self.doc_by_next[com.next_token_index] = com
+        self.comment_next = [after for _, _, after in comments]
+        self.doc_by_next = {after: com for com, after
+                            in zip(self.comments, self.comment_next)
+                            if com.is_javadoc}
         # (member, enclosing type stack, open brace idx, close brace idx)
         self.body_jobs: list[tuple[MemberFact, tuple[TypeFact, ...], int, int]] = []
         self.type_stack: list[TypeFact] = []
@@ -274,8 +277,7 @@ class _Parser:
         )
         if ann_type or v in ("class", "enum", "interface") or is_record:
             tf = self.parse_type_tail(
-                "annotation" if ann_type else v,
-                annotations, mods, javadoc, container_kind,
+                "annotation" if ann_type else v, mods, javadoc, container_kind,
             )
             if container_name is None:
                 return tf
@@ -305,7 +307,6 @@ class _Parser:
     def parse_type_tail(
         self,
         kind: str,
-        annotations: list[str],
         mods: set[str],
         javadoc: JavadocFact | None,
         container_kind: str | None,
@@ -339,10 +340,8 @@ class _Parser:
             name=self.values[name_idx],
             visibility=self._visibility(mods, container_kind),
             line=self.line(name_idx),
-            is_nested=container_kind is not None,
             supertypes=supertypes,
             javadoc=javadoc,
-            annotations=annotations,
         )
 
         if kind == "annotation":
@@ -636,11 +635,7 @@ class _Parser:
                                     set(self.declaring))))
         model.use_counts = {name: n for name, n in counts.items() if n > 0}
 
-        model.comments = [
-            CommentFact(line=c.line, end_line=c.end_line, text=c.text,
-                        is_javadoc=c.is_javadoc)
-            for c in self.comments
-        ]
+        model.comments = self.comments
         model.line_count = self.line_count
 
     def _declare_lambda_params(self) -> None:
@@ -695,7 +690,6 @@ class _Parser:
         facts = member.body
         assert facts is not None
         kinds, values, line = self.kinds, self.values, self.line
-        in_test = member.name.startswith("test") or "Test" in member.annotations
         enclosing = stack[-1].name if stack else None
 
         locals_map: dict[str, str] = {}
@@ -759,8 +753,7 @@ class _Parser:
                 elif nxt_v == "(" and prev_v != "new":
                     accesses.append(
                         AccessFact(line=line(i), member_name=values[i],
-                                   receiver_form="implicit", receiver_type=None,
-                                   is_call=True)
+                                   receiver_form="implicit", receiver_type=None)
                     )
             elif kind == KEYWORD:
                 v = values[i]
@@ -772,18 +765,15 @@ class _Parser:
                 if i < quiet:
                     pass
                 elif v in ("for", "while", "do") and i not in do_while_skips:
-                    end = self._stmt_end(i, close_idx)
-                    facts.loops.append(
-                        LoopFact(line=line(i), end_line=line(end), kind=v)
-                    )
-                    loop_stack.append(end)
+                    facts.loops += 1
+                    loop_stack.append(self._stmt_end(i, close_idx))
                     if v == "do":
                         body_end = self._stmt_end(i + 1, close_idx)
                         if body_end + 1 <= close_idx and \
                                 values[body_end + 1] == "while":
                             do_while_skips.add(body_end + 1)
                 elif v == "catch":
-                    quiet = self._scan_catch(i, close_idx, facts, in_test)
+                    quiet = self._scan_catch(i, close_idx, facts)
                 elif v in _DECL_START and (resume := declare(i)) is not None:
                     quiet = resume
             elif kind == OP and i >= quiet:
@@ -828,13 +818,11 @@ class _Parser:
         can resume with methodReturn form. Returns last consumed index."""
         kinds, values = self.kinds, self.values
         while True:
-            is_call = j + 1 <= close_idx and values[j + 1] == "("
             out.append(
                 AccessFact(line=self.line(j), member_name=values[j],
-                           receiver_form=form, receiver_type=rtype,
-                           is_call=is_call)
+                           receiver_form=form, receiver_type=rtype)
             )
-            if is_call:
+            if j + 1 <= close_idx and values[j + 1] == "(":  # a call
                 return j
             if (
                 j + 2 <= close_idx
@@ -846,8 +834,7 @@ class _Parser:
                 continue
             return j
 
-    def _scan_catch(self, i: int, close_idx: int, facts: BodyFacts,
-                    in_test: bool) -> int:
+    def _scan_catch(self, i: int, close_idx: int, facts: BodyFacts) -> int:
         kinds, values = self.kinds, self.values
         j = i + 1
         if j > close_idx or values[j] != "(":
@@ -873,8 +860,7 @@ class _Parser:
                        and self.comment_next[after] <= bclose)
         facts.catches.append(
             CatchFact(line=self.line(i), exception_var=var,
-                      body_empty=body_empty, has_comment=has_comment,
-                      in_test_method=in_test)
+                      body_empty=body_empty, has_comment=has_comment)
         )
         return bopen + 1
 
@@ -1017,6 +1003,8 @@ class _Parser:
                 depth += 1
             elif val in (")", "]", "}"):
                 if depth == 0:
+                    if val == ")" and values[k + 1] == "->":
+                        return None  # typed lambda parameters
                     break
                 depth -= 1
             elif val in (";", ":") and depth == 0:

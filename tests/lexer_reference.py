@@ -3,17 +3,17 @@
 Kept as the reference for the differential tests in test_lexer.py: the
 compiled-regex tokenizer must give the same tokens, comments and errors.
 This loop counts lines as it goes and returns one Token, with its line
-and column, per token; test_lexer.py turns the regex tokenizer's flat
-lists into the same form. The only change from the original loop is the
-text-block fix: a newline escaped with a backslash inside a text block
-starts a new line.
+and column, per token, and one RawComment per comment; test_lexer.py
+turns the regex tokenizer's flat lists and comment tuples into the same
+form. The only change from the original loop is the text-block fix: a
+newline escaped with a backslash inside a text block starts a new line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from javastyle.lexer import KEYWORDS, JavaSyntaxError, RawComment
+from javastyle.lexer import KEYWORDS, JavaSyntaxError
 
 
 @dataclass(slots=True)
@@ -22,6 +22,16 @@ class Token:
     value: str
     line: int
     col: int
+
+
+@dataclass(slots=True)
+class RawComment:
+    line: int
+    col: int
+    end_line: int
+    text: str
+    is_javadoc: bool
+    next_token_index: int  # index into the token list of the token after it
 
 
 # Multi-character operators, longest first for maximal munch.

@@ -13,7 +13,7 @@ from javastyle.checkers import (CHECKS, ORDERING_CONFIGS, PROJECT, Category,
                                 check_finalize_override,
                                 check_private_instances,
                                 check_string_concatenation,
-                                check_useless)
+                                check_useless, check_variable_names)
 
 from helpers import analyze_files, of_category, parse_source, run_check
 
@@ -448,6 +448,22 @@ def test_typed_and_parenthesized_lambda_parameters_declare():
             if v.message == "unused private field"] == ["a", "b", "c", "d", "e"]
 
 
+@pytest.mark.parametrize("params", [
+    "(int a)",
+    "(final int a)",
+    "(int a, java.util.Map<String, Integer> b)",
+    "(final int a, final java.util.Map<String, Integer> b)",
+    "(int a, String b, final long[] c)",
+])
+def test_typed_lambda_parameters_are_not_locals(params):
+    src = f"class A {{ Object f() {{ Object g = {params} -> 0; return g; }} }}"
+    model = parse_source(src)
+    assert [lv.name for lv in model.types[0].members[0].body.local_vars] == [
+        "g"]
+    assert check_variable_names(model, CheckContext(None, None, None))[1] == 1
+    assert useless(src) == []
+
+
 # Same-named declarations of every kind a private member can share its
 # name with; each declares `n` and uses nothing else.
 _SHADOWS = {
@@ -511,6 +527,18 @@ def test_commented_out_code_per_line():
            "// if (ready) {\n//   launch();\n// }\nvoid f() {}\n}")
     out = [v for v in useless(src) if "commented-out" in v.message]
     assert [v.line for v in out] == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                  "\x85", "\u2028", "\u2029"])
+def test_commented_out_code_lines_end_only_at_line_feed(char):
+    # str.splitlines would also break at char, which the tokenizer and the
+    # file reader do not: findings after it would land a line too late, or
+    # on a line that does not exist.
+    src = (f"class A {{\n/* note{char}\nint x = 1;\nint y = 2; */\n"
+           f"int z; // x = 1;{char}y = 2;\n}}")
+    out = [v for v in useless(src) if "commented-out" in v.message]
+    assert [v.line for v in out] == [3, 4, 5]
 
 
 def test_prose_comment_not_flagged():

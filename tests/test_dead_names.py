@@ -11,13 +11,24 @@ the functions it wraps in strings), in any Python file under ``src/``,
 
 An import is used when the file reads the name it binds, directly or in
 a string that is a Python expression (a quoted annotation).
+
+Every field of a ``model.py`` dataclass is read somewhere in ``src/``
+as an attribute (``x.field``); a keyword argument or an assignment that
+writes it is no read, so a field only the parser fills fails. The guard
+matches field names, not classes: a field named like a field of another
+class that is read (``kind``, ``line``, ``annotations``) passes even when
+nothing reads it on its own class. Every model dataclass has
+``__slots__``, which keeps the many small fact objects compact.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
+
+from javastyle import model
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "javastyle"
@@ -78,6 +89,21 @@ def dead_names(modules: dict[str, str], sources: list[str],
             for module, text in sorted(modules.items())
             for name, line in defined_names(ast.parse(text))
             if name not in refs]
+
+
+def unread_fields(model_text: str, sources: list[str]) -> list[str]:
+    """``Class.field`` of each dataclass field in model_text that no
+    source reads as an attribute."""
+    reads = {node.attr for text in sources for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{node.name}.{item.target.id}"
+            for node in ast.parse(model_text).body
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)
+            and item.target.id not in reads]
 
 
 def unused_imports(text: str) -> list[tuple[str, int]]:
@@ -151,3 +177,27 @@ def test_guard_flags_an_unused_import():
               "def exists(p):\n    return os.path.exists(p)\n")
     assert unused_imports(module) == [("Counter", 3), ("fld", 4)]
     assert unused_imports("from typing import Sized\nx: 'Sized'\n") == []
+
+
+def test_every_model_field_is_read():
+    sources = [p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src").rglob("*.py"))]
+    assert unread_fields((PACKAGE / "model.py").read_text(encoding="utf-8"),
+                         sources) == []
+
+
+def test_guard_flags_a_field_nothing_reads():
+    module = ("from dataclasses import dataclass\n"
+              "@dataclass(slots=True)\nclass Fact:\n"
+              "    line: int\n    kind: str\n    done: bool = False\n"
+              "class Plain:\n    size: int\n")
+    caller = ("def make(n):\n    f = Fact(line=n, kind='x', done=True)\n"
+              "    f.done = False\n    f.kind += '!'\n    return f.line\n")
+    assert unread_fields(module, [module, caller]) == ["Fact.kind", "Fact.done"]
+
+
+def test_every_model_dataclass_has_slots():
+    classes = [c for c in vars(model).values()
+               if isinstance(c, type) and dataclasses.is_dataclass(c)]
+    assert classes
+    assert [c.__name__ for c in classes if "__slots__" not in vars(c)] == []

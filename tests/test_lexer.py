@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from javastyle import parser
 from javastyle.lexer import (_DIGIT, EOF, KEYWORDS, KIND_NAMES, JavaSyntaxError,
-                             line_col, tokenize)
-from lexer_reference import Token
+                             is_javadoc, line_col, tokenize)
+from lexer_reference import RawComment, Token
 from lexer_reference import tokenize as reference_tokenize
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -20,11 +20,17 @@ FIXTURE_PATHS = sorted(FIXTURES.rglob("*.java"))
 
 def lex(text):
     """tokenize's flat lists in the reference form: a Token, with its line
-    and column, per token, and the comments."""
+    and column, per token, and a RawComment per comment."""
     stream = tokenize(text)
-    return [Token(KIND_NAMES[kind], value, *line_col(stream.newlines, start))
-            for kind, value, start in zip(stream.kinds, stream.values,
-                                          stream.starts)], stream.comments
+    newlines = stream.newlines
+    tokens = [Token(KIND_NAMES[kind], value, *line_col(newlines, start))
+              for kind, value, start in zip(stream.kinds, stream.values,
+                                            stream.starts)]
+    comments = [RawComment(*line_col(newlines, start),
+                           line_col(newlines, start + len(body) - 1)[0], body,
+                           is_javadoc(body), after)
+                for start, body, after in stream.comments]
+    return tokens, comments
 
 
 def kinds_values(text):

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from javastyle.checkers import check_empty_catch
 from javastyle.lexer import JavaSyntaxError, tokenize
 from javastyle.model import MEMBER_KINDS, RECEIVER_FORMS, TYPE_KINDS, VISIBILITIES
 from javastyle.parser import _Parser
 
-from helpers import parse_source
+from helpers import parse_source, run_check
 
 FIXTURE_ROOT = Path(__file__).parent / "fixtures"
 
@@ -203,18 +204,19 @@ def test_body_facts(model):
     body = member(model, "process").body
     assert [lv.name for lv in body.local_vars] == ["total", "i"]
     assert all(lv.used for lv in body.local_vars)
-    assert len(body.loops) == 1 and body.loops[0].kind == "for"
+    assert body.loops == 1
     assert [c.exception_var for c in body.catches] == ["e"]
     catch = body.catches[0]
     assert catch.body_empty and not catch.has_comment
-    assert not catch.in_test_method
+    # process is no test method, so its empty catch is reported.
+    assert [(v.line, v.detail) for v in run_check(check_empty_catch, model)] \
+        == [(catch.line, "e")]
     assert [(s.target) for s in body.concat_sites] == ["total"]
 
 
 def test_access_facts(model):
     body = member(model, "run").body
-    calls = {(a.member_name, a.receiver_form) for a in body.accesses
-             if a.is_call}
+    calls = {(a.member_name, a.receiver_form) for a in body.accesses}
     assert ("add", "instanceExpr") in calls
     process_body = member(model, "process").body
     forms = {(a.member_name, a.receiver_form)
@@ -228,7 +230,7 @@ def test_access_facts(model):
 def test_nested_type(model):
     helper_member = member(model, "Helper", "innerType")
     nested = helper_member.nested
-    assert nested is not None and nested.is_nested
+    assert nested is not None
     assert nested.visibility == "private"
     assert [m.name for m in nested.members] == ["help"]
     assert nested.members[0].visibility == "package"
@@ -326,48 +328,50 @@ def test_bracket_table_matches_depth_scan(values):
     assert_table_matches_scan(" ".join(values))
 
 
+def loop_spans(text):
+    """(keyword, line, end line) of each loop statement in the one method
+    of text, from the statement ends the parser recorded; checks that the
+    method counts as many loops."""
+    p = _Parser(text, "A.java")
+    m = p.parse()
+    spans = [(p.values[i], p.line(i), p.line(end))
+             for i, end in sorted(p.stmt_ends.items())
+             if p.values[i] in ("for", "while", "do")]
+    assert m.types[0].members[0].body.loops == len(spans)
+    return spans
+
+
 def test_long_else_if_chain_in_loop_is_one_loop():
     links = 3000
-    m = parse_source(
+    spans = loop_spans(
         "class A {\n  void f(int x) {\n    while (x > 0)\n      if (x == 1) x--;\n"
         + "      else if (x == 2) x--;\n" * links
-        + "      else x--;\n  }\n}\n",
-        "A.java")
-    loops = m.types[0].members[0].body.loops
-    assert [(lp.kind, lp.line, lp.end_line) for lp in loops] == [
-        ("while", 3, 5 + links)]
+        + "      else x--;\n  }\n}\n")
+    assert spans == [("while", 3, 5 + links)]
 
 
 def test_deeply_nested_brace_less_loops():
     depth = 3000
-    m = parse_source(
-        "class A { void f() {\n" + "for(;;)\n" * depth + "f();\n} }\n",
-        "A.java")
-    loops = m.types[0].members[0].body.loops
-    assert len(loops) == depth
-    assert {lp.end_line for lp in loops} == {depth + 2}
+    spans = loop_spans(
+        "class A { void f() {\n" + "for(;;)\n" * depth + "f();\n} }\n")
+    assert len(spans) == depth
+    assert {end for _, _, end in spans} == {depth + 2}
 
 
 def test_deeply_nested_brace_less_ifs_in_loop():
     depth = 3000
-    m = parse_source(
+    spans = loop_spans(
         "class A { void f() {\nwhile (b)\n" + "if (a)\n" * depth
-        + "f();\nelse g();\nh();\n} }\n",
-        "A.java")
-    loops = m.types[0].members[0].body.loops
-    assert [(lp.kind, lp.line, lp.end_line) for lp in loops] == [
-        ("while", 2, depth + 4)]
+        + "f();\nelse g();\nh();\n} }\n")
+    assert spans == [("while", 2, depth + 4)]
 
 
 def test_deeply_nested_do_loops():
     depth = 3000
-    m = parse_source(
+    spans = loop_spans(
         "class A { void f() {\n" + "do\n" * depth + "f();\n"
-        + "while (b);\n" * depth + "} }\n",
-        "A.java")
-    loops = m.types[0].members[0].body.loops
-    assert [(lp.kind, lp.line, lp.end_line) for lp in loops] == [
-        ("do", 2 + k, 2 * depth + 2 - k) for k in range(depth)]
+        + "while (b);\n" * depth + "} }\n")
+    assert spans == [("do", 2 + k, 2 * depth + 2 - k) for k in range(depth)]
 
 
 @pytest.mark.parametrize("catch, commented", [
@@ -412,7 +416,7 @@ def test_nested_loop_ends_are_walked_once(monkeypatch, nest):
     m = parse_source(
         "class A { void f() {\n" + nest * depth + "f();\n" + tail + "} }\n",
         "A.java")
-    assert len(m.types[0].members[0].body.loops) == depth
+    assert m.types[0].members[0].body.loops == depth
     assert calls <= 2 * depth
 
 
@@ -467,7 +471,7 @@ def test_annotations_with_arguments():
         '    @Deprecated @Custom(level = 3) void oldCall() {}\n'
         "}\n",
         "Noisy.java")
-    assert m.types[0].annotations == ["SuppressWarnings"]
+    assert m.types[0].name == "Noisy"
     assert m.types[0].members[0].annotations == ["Deprecated", "Custom"]
 
 
