@@ -550,3 +550,87 @@ def test_method_signature_erases_dotted_and_array_types():
     assert sig.name == "f"
     assert len(sig.param_type_names) == 2
     assert sig.param_type_names == ("String[]", "int")
+
+
+# --- resolution inside a duplicated type -------------------------------------
+
+# p.Thing is declared three times: kept from a/, ignored from b/ and c/.
+# An ignored copy resolves its methods along the kept type's chain, but
+# parent_resolved follows its own declared supertypes (it has no resolved
+# ones), its package is its own and its names resolve in its own file.
+DUPLICATED = {
+    "a/p/Thing.java": "package p;\nclass Thing extends Base {\n"
+                      "    public void work() {}\n"
+                      "    void nearby() {}\n}\n",
+    "b/p/Thing.java": "package p;\nimport q.Util;\n"
+                      "class Thing extends Other {\n"
+                      "    public void work() {}\n"
+                      "    void nearby() {}\n"
+                      "    void use(Util u) { u.LIMIT++; Util.LIMIT++; }\n}\n",
+    "c/p/Thing.java": "package p;\nclass Thing {\n"
+                      "    public void work() {}\n"
+                      "    void use(Util u) { u.LIMIT++; }\n}\n",
+    "d/Outer.java": "class p {\n    class Thing extends Base {\n"
+                    "        public void work() {}\n"
+                    "        void nearby() {}\n    }\n}\n",
+    "p/Base.java": "package p;\npublic class Base {\n"
+                   "    public void work() {}\n"
+                   "    void nearby() {}\n}\n",
+    "p/Other.java": "package p;\npublic class Other {}\n",
+    "q/Util.java": "package q;\npublic class Util {\n"
+                   "    public static int LIMIT = 1;\n}\n",
+}
+
+
+def duplicated_resolutions():
+    """(path, method, 'override' or accessed name) -> resolution tuple for
+    every instance method and explicit-receiver access of each Thing."""
+    models, index = index_of(DUPLICATED)
+    out = {}
+    for model in models:
+        for t in model.all_types():
+            if t.name != "Thing":
+                continue
+            for m in t.members_of_kind("instanceMethod"):
+                r = resolve_override(m, t, index)
+                out[model.path, m.name, "override"] = (
+                    r.overrides, r.parent_deprecated, r.parent_resolved)
+                for a in m.body.accesses if m.body else ():
+                    if a.receiver_form == "implicit":
+                        continue
+                    r = resolve_static_access(a, t, index)
+                    out[model.path, m.name, a.receiver_form] = (
+                        r.resolved, r.qualified_correctly)
+    return out, index
+
+
+def test_resolution_inside_a_duplicated_type():
+    got, index = duplicated_resolutions()
+    assert index.by_qualified["p.Thing"].file == "a/p/Thing.java"
+    assert [d for d in index.diagnostics if "duplicate" in d] == [
+        "duplicate type p.Thing: kept a/p/Thing.java, ignored b/p/Thing.java",
+        "duplicate type p.Thing: kept a/p/Thing.java, ignored c/p/Thing.java",
+        "duplicate type p.Thing: kept a/p/Thing.java, ignored d/Outer.java",
+    ]
+    assert got == {
+        # the kept type: its own resolved chain
+        ("a/p/Thing.java", "work", "override"): (True, False, True),
+        ("a/p/Thing.java", "nearby", "override"): (True, False, True),
+        # declares Other, which resolves, yet no supertype of its own is
+        # resolved, so the parent does not count as resolved
+        ("b/p/Thing.java", "work", "override"): (True, False, False),
+        ("b/p/Thing.java", "nearby", "override"): (True, False, False),
+        ("b/p/Thing.java", "use", "override"): (False, False, False),
+        # q.Util resolves through b's own import
+        ("b/p/Thing.java", "use", "instanceExpr"): (True, False),
+        ("b/p/Thing.java", "use", "className"): (True, True),
+        # no declared supertypes: resolved
+        ("c/p/Thing.java", "work", "override"): (True, False, True),
+        ("c/p/Thing.java", "use", "override"): (False, False, True),
+        # c has no import of q.Util
+        ("c/p/Thing.java", "use", "instanceExpr"): (False, False),
+        # in the default package, Base's package-private method is not
+        # visible; the public one is
+        ("d/Outer.java", "work", "override"): (True, False, False),
+        ("d/Outer.java", "nearby", "override"): (False, False, False),
+    }
