@@ -4,8 +4,9 @@ Sixteen table categories plus the member-ordering check, registered in
 one CHECKS table. Every check is a pure function from one file's facts
 to its violations and the number of constructs it inspected, which is
 the category's normalization denominator. The two project-scope checks
-consult the project index and skip when resolution would depend on types
-outside the project; the file-scope rest read the file alone, so
+read the file's compact record (`project_index.file_record`), consult
+the project index and skip when resolution would depend on types outside
+the project; the file-scope rest read the file's model alone, so
 `check_file` runs them before any index exists.
 """
 
@@ -21,7 +22,8 @@ from typing import Callable
 from .lexer import KEYWORDS
 from .lexicon import NOUN, VERB, Lexicon, matches_casing, split_identifier
 from .model import MemberFact, SourceFileModel, TypeFact, simple_name_of
-from .project_index import ProjectIndex, resolve_override, resolve_static_access
+from .project_index import (FileRecord, ProjectIndex, resolve_override,
+                            resolve_static_access)
 
 
 class Category(enum.Enum):
@@ -113,9 +115,10 @@ class CheckContext:
 
 
 # One check over one file: its violations and the number of constructs
-# it inspected, the category's normalization denominator.
+# it inspected, the category's normalization denominator. A file-scope
+# check reads the file's model, a project-scope check its record.
 CheckResult = tuple[list[Violation], int]
-Check = Callable[[SourceFileModel, CheckContext], CheckResult]
+Check = Callable[[SourceFileModel | FileRecord, CheckContext], CheckResult]
 
 
 def _methods(t: TypeFact) -> list[MemberFact]:
@@ -312,20 +315,20 @@ def check_javadoc_formatting(model: SourceFileModel,
 # practices
 
 
-def check_missing_override(model: SourceFileModel,
+def check_missing_override(record: FileRecord,
                            ctx: CheckContext) -> CheckResult:
     """Inspects every overriding instance method, annotated or not."""
     out, inspected = [], 0
-    for t in model.all_types():
-        for m in t.members_of_kind("instanceMethod"):
-            r = resolve_override(m, t, ctx.index)
+    for t, owner in zip(record.types, ctx.index.owners[record.path]):
+        for m in t.methods:
+            r = resolve_override(m, owner, ctx.index)
             if not r.overrides:
                 continue
             inspected += 1
-            if ("Override" not in m.annotations and r.parent_resolved
-                    and not r.parent_deprecated):
+            if not m.override and r.parent_resolved \
+                    and not r.parent_deprecated:
                 out.append(Violation(
-                    Category.MISSING_OVERRIDE, model.path, m.line,
+                    Category.MISSING_OVERRIDE, record.path, m.line,
                     "overriding method lacks @Override", m.name))
     return out, inspected
 
@@ -350,24 +353,20 @@ def check_empty_catch(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
     return out, inspected
 
 
-def check_unqualified_static(model: SourceFileModel,
+def check_unqualified_static(record: FileRecord,
                              ctx: CheckContext) -> CheckResult:
     """Inspects every access that resolves to a project type's member."""
     out, inspected = [], 0
-    for t in model.all_types():
-        for m in t.members:
-            if m.body is None:
-                continue
-            for a in m.body.accesses:
-                r = resolve_static_access(a, t, ctx.index)
-                if not r.resolved:
-                    continue
-                inspected += 1
-                if not r.qualified_correctly:
-                    out.append(Violation(
-                        Category.UNQUALIFIED_STATIC_ACCESS, model.path, a.line,
-                        "static member accessed through an instance expression",
-                        a.member_name))
+    for a in record.accesses:
+        r = resolve_static_access(a, record.path, ctx.index)
+        if not r.resolved:
+            continue
+        inspected += 1
+        if not r.qualified_correctly:
+            out.append(Violation(
+                Category.UNQUALIFIED_STATIC_ACCESS, record.path, a.line,
+                "static member accessed through an instance expression",
+                a.member_name))
     return out, inspected
 
 
@@ -588,14 +587,15 @@ def check_file(model: SourceFileModel, ctx: CheckContext) -> CheckOutcome:
     return violations, counts
 
 
-def check_project(models: list[SourceFileModel],
+def check_project(records: list[FileRecord],
                   ctx: CheckContext) -> CheckOutcome:
-    """Run the project-scope checks over every model of the project."""
+    """Run the project-scope checks over the record of every file of the
+    project; `ctx.index` is built from the same records."""
     violations: list[Violation] = []
     counts = {category: 0 for category, _ in _PROJECT_CHECKS}
-    for model in models:
+    for record in records:
         for category, check in _PROJECT_CHECKS:
-            found, inspected = check(model, ctx)
+            found, inspected = check(record, ctx)
             violations.extend(found)
             counts[category] += inspected
     return violations, counts
@@ -616,9 +616,3 @@ def merge_outcomes(outcomes: list[CheckOutcome]) -> CheckOutcome:
     violations.sort(key=Violation.sort_key)
     return violations, counts
 
-
-def run_checks(models: list[SourceFileModel],
-               ctx: CheckContext) -> CheckOutcome:
-    """Run every registered check over every model."""
-    return merge_outcomes([*(check_file(m, ctx) for m in models),
-                           check_project(models, ctx)])

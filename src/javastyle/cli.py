@@ -15,9 +15,11 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from functools import partial
 
 from . import __version__
-from .analysis import DEFAULT_ORDERING_ID, AnalysisConfig, analyze_repository
+from .analysis import (DEFAULT_ORDERING_ID, MIN_FILES_PER_WORKER,
+                       AnalysisConfig, analyze_repository, map_in_processes)
 from .checkers import ORDERING_CONFIGS, Category, Violation
 from .claims import scan_claims
 from .history import HistoryError, evolve, spacing_report
@@ -105,9 +107,26 @@ def _write_json(data) -> None:
     _write((json.dumps(data, indent=2) + "\n").encode())
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _jobs_error(jobs: int) -> bool:
+    if jobs >= 1:
+        return False
+    print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
+    return True
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if _jobs_error(args.jobs):
+        return EXIT_USAGE
     config = merged_config(args)
-    result = analyze_repository(args.path, config)
+    result = analyze_repository(args.path, config, jobs=args.jobs)
     claim = scan_claims(args.path, deep=args.deep_claims)
     report = Report(
         repo_path=args.path,
@@ -241,9 +260,7 @@ def _corpus_scores(path: str, config: AnalysisConfig) -> dict[Category, float]:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}",
-              file=sys.stderr)
+    if _jobs_error(args.jobs):
         return EXIT_USAGE
     config = merged_config(args)
     try:
@@ -255,22 +272,15 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     if not paths:
         raise FatalError(f"no repository paths in {args.paths_file}")
 
+    score = partial(_corpus_scores, config=config)
     if args.jobs > 1:
-        # Imported here: loading the CLI should not pay for processes.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Forked workers inherit the imported package instead of importing
-        # it again. Nothing has started a thread yet, so forking is safe.
-        context = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else None)
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths)),
-                                 mp_context=context) as pool:
-            per_repo = list(pool.map(_corpus_scores, paths,
-                                     [config] * len(paths)))
+        # Each worker loads the lexicon once for all its repositories.
+        # Loading it here instead, for the workers to inherit, would save
+        # them about 10 ms each but keep it in this process too, which
+        # then becomes the largest.
+        per_repo = map_in_processes(score, paths, min(args.jobs, len(paths)))
     else:
-        per_repo = [_corpus_scores(p, config) for p in paths]
+        per_repo = [score(p) for p in paths]
 
     stats = aggregate(per_repo)
     table = threshold_table(per_repo)
@@ -329,6 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 1 when any category score reaches the threshold")
     p.add_argument("--deep-claims", action="store_true",
                    help="also scan docs/ for style claims")
+    p.add_argument("--jobs", type=int, default=usable_cpus(),
+                   help="worker processes, each given at least "
+                        f"{MIN_FILES_PER_WORKER} files; the report is the "
+                        "same for every N (default: usable CPUs, %(default)s)")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_analyze)
 
@@ -359,7 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="batch analyze and aggregate")
     p.add_argument("paths_file", help="file with one repository path per line")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, one repository at a time each; "
+                        "the output is the same for every N (default 1)")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_corpus)
     return parser

@@ -9,6 +9,7 @@ the tool has no runtime dependency on a dictionary library.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from functools import lru_cache
 from importlib import resources
 
@@ -38,6 +39,8 @@ _CASING_RE = {
 _WORD_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|[0-9]+")
 
 _ENTRY_RE = re.compile(r"^(\S+)\t([nvaro](?:,[nvaro])*)$")
+# One such line ending at "\n", or at the end of the text.
+_LINE_RE = re.compile(r"(\S+)\t([nvaro](?:,[nvaro])*)(?:\n|\Z)")
 
 
 class LexiconError(ValueError):
@@ -62,7 +65,7 @@ class Lexicon:
     """Immutable word -> category-set table with case-insensitive lookup."""
 
     def __init__(self, entries: dict[str, frozenset[str]]):
-        self._entries = {w.lower(): frozenset(c) for w, c in entries.items()}
+        self._entries = entries  # keyed by lower-case word
 
     def categories(self, word: str) -> frozenset[str]:
         """Exact lookup; unknown words map to the empty set."""
@@ -97,19 +100,44 @@ class Lexicon:
 
     @classmethod
     def _parse(cls, text: str, path: str) -> "Lexicon":
-        entries: dict[str, set[str]] = {}
-        bad: list[int] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            m = _ENTRY_RE.match(line)
-            if m is None:
-                bad.append(lineno)
-                continue
-            word = m.group(1).lower()
-            cats = {CATEGORY_BY_LETTER[c] for c in m.group(2).split(",")}
-            entries.setdefault(word, set()).update(cats)
-        if bad:
-            raise LexiconError(path, bad)
-        return cls({w: frozenset(c) for w, c in entries.items()})
+        # The words with the same letters share one set.
+        sets: dict[str, frozenset[str]] = {}
+        entries: dict[str, frozenset[str]] = {}
+        for word, letters in _fields(text, path):
+            cats = sets.get(letters)
+            if cats is None:
+                cats = sets[letters] = frozenset(
+                    CATEGORY_BY_LETTER[c] for c in letters.split(","))
+            word = word.lower()
+            seen = entries.get(word)
+            entries[word] = cats if seen is None else seen | cats
+        return cls(entries)
+
+
+def _fields(text: str, path: str) -> Iterator[tuple[str, str]]:
+    """The word and the category letters of each line of a lexicon file.
+
+    Raises LexiconError, once every line is read, with the numbers of
+    the lines that _ENTRY_RE rejects.
+    """
+    end = lineno = 0
+    for m in _LINE_RE.finditer(text):
+        if m.start() != end:
+            break
+        end = m.end()
+        lineno += 1
+        yield m.groups()
+    # From the first line that is not an entry ending at "\n" on, the
+    # lines are read one by one, as str.splitlines() ends them.
+    bad = []
+    for lineno, line in enumerate(text[end:].splitlines(), start=lineno + 1):
+        m = _ENTRY_RE.match(line)
+        if m is None:
+            bad.append(lineno)
+        else:
+            yield m.groups()
+    if bad:
+        raise LexiconError(path, bad)
 
 
 @lru_cache(maxsize=1)

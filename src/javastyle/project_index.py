@@ -6,60 +6,135 @@ every parsed type, resolves inheritance edges project-locally, and
 answers those two questions conservatively: anything that would require
 knowledge of an external (non-project) type resolves to "unknown" and
 is skipped by the callers.
+
+The index and the two checks that consult it read one compact record
+per file (`file_record`) instead of the parsed model: plain tuples of
+the few facts they need, cheap to keep for a whole tree and to send
+between processes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .model import MemberFact, SourceFileModel, TypeFact, simple_name_of
 
 OBJECT_TYPE = "java.lang.Object"
 
 
-@dataclass(frozen=True)
-class MethodSignature:
+class MethodRecord(NamedTuple):
+    """An instance method, as a parent candidate and as an override."""
+
     name: str
-    param_type_names: tuple[str, ...]
+    params: tuple[str, ...]  # erased simple type names
+    visibility: str
+    line: int
+    deprecated: bool
+    override: bool  # carries @Override
 
 
-def method_signature(member: MemberFact) -> MethodSignature:
-    params = tuple(simple_name_of(p.type_name) for p in member.params)
-    return MethodSignature(member.name, params)
+class AccessRecord(NamedTuple):
+    """A body access through an explicit receiver whose type is known.
+
+    An implicit receiver or an unknown receiver type never resolves, so
+    such accesses get no record.
+    """
+
+    line: int
+    member_name: str
+    receiver_form: str  # one of model.RECEIVER_FORMS, not "implicit"
+    receiver_type: str
+
+
+class TypeRecord(NamedTuple):
+    qualified: str
+    supertypes: tuple[str, ...]  # as written
+    static_names: tuple[str, ...]  # static fields and methods
+    instance_names: tuple[str, ...]  # instance fields and methods
+    methods: tuple[MethodRecord, ...]  # instance methods, in member order
+
+
+class FileRecord(NamedTuple):
+    path: str
+    package: str | None
+    imports: tuple[tuple[str, bool], ...]  # non-static: target, is_wildcard
+    types: tuple[TypeRecord, ...]  # top-level and nested, declaration order
+    accesses: tuple[AccessRecord, ...]  # by type, member and body order
+
+
+def _method_record(m: MemberFact) -> MethodRecord:
+    return MethodRecord(m.name, tuple(simple_name_of(p.type_name)
+                                      for p in m.params),
+                        m.visibility, m.line, "Deprecated" in m.annotations,
+                        "Override" in m.annotations)
+
+
+def _type_record(t: TypeFact, qualified: str,
+                 accesses: list[AccessRecord]) -> TypeRecord:
+    static, instance, methods = [], [], []
+    for m in t.members:
+        if m.kind in ("staticField", "staticMethod"):
+            static.append(m.name)
+        elif m.kind in ("instanceField", "instanceMethod"):
+            instance.append(m.name)
+            if m.kind == "instanceMethod":
+                methods.append(_method_record(m))
+        if m.body is not None:
+            accesses.extend(
+                AccessRecord(a.line, a.member_name, a.receiver_form,
+                             a.receiver_type)
+                for a in m.body.accesses
+                if a.receiver_form != "implicit"
+                and a.receiver_type is not None)
+    return TypeRecord(qualified, tuple(t.supertypes), tuple(static),
+                      tuple(instance), tuple(methods))
+
+
+def file_record(model: SourceFileModel) -> FileRecord:
+    """What the index and the project-scope checks read of one file."""
+    prefix = model.package + "." if model.package else ""
+    types: list[TypeRecord] = []
+    accesses: list[AccessRecord] = []
+    # Depth first, each type before its nested ones, as all_types().
+    stack = [(t, prefix + t.name) for t in reversed(model.types)]
+    while stack:
+        t, qualified = stack.pop()
+        types.append(_type_record(t, qualified, accesses))
+        stack.extend((m.nested, qualified + "." + m.nested.name)
+                     for m in reversed(t.members) if m.nested is not None)
+    imports = tuple((imp.target, imp.is_wildcard) for imp in model.imports
+                    if not imp.is_static)
+    return FileRecord(model.path, model.package, imports, tuple(types),
+                      tuple(accesses))
 
 
 # Built-in model of the one JDK type everything inherits from. The
-# (signature, deprecated) pairs mirror the overridable java.lang.Object
-# methods; finalize is modeled deprecated as in current JDKs, which also
-# keeps an unannotated finalize() from being double-flagged.
-OBJECT_METHODS: tuple[tuple[MethodSignature, bool], ...] = (
-    (MethodSignature("equals", ("Object",)), False),
-    (MethodSignature("hashCode", ()), False),
-    (MethodSignature("toString", ()), False),
-    (MethodSignature("clone", ()), False),
-    (MethodSignature("finalize", ()), True),
+# (name, parameter types, deprecated) triples mirror the overridable
+# java.lang.Object methods; finalize is modeled deprecated as in current
+# JDKs, which also keeps an unannotated finalize() from being
+# double-flagged.
+OBJECT_METHODS: tuple[tuple[str, tuple[str, ...], bool], ...] = (
+    ("equals", ("Object",), False),
+    ("hashCode", (), False),
+    ("toString", (), False),
+    ("clone", (), False),
+    ("finalize", (), True),
 )
 
 
-@dataclass
-class MethodEntry:
-    signature: MethodSignature
-    visibility: str
-    deprecated: bool
-
-
-@dataclass
+@dataclass(slots=True)
 class TypeEntry:
     qualified: str
-    fact: TypeFact
     file: str
     package: str | None
+    supertypes: tuple[str, ...]  # as written
     resolved_supertypes: list[str] = field(default_factory=list)
     external_supertypes: list[str] = field(default_factory=list)
-    static_names: set[str] = field(default_factory=set)
-    instance_names: set[str] = field(default_factory=set)
-    methods: list[MethodEntry] = field(default_factory=list)  # instance only
+    static_names: frozenset[str] = frozenset()
+    instance_names: frozenset[str] = frozenset()
+    methods: tuple[MethodRecord, ...] = ()  # instance only
 
 
 @dataclass
@@ -86,15 +161,17 @@ class StaticAccessResolution:
 class ProjectIndex:
     def __init__(self):
         self.by_qualified: dict[str, TypeEntry] = {}
+        # Per file, the entry of each of its records' types, in record
+        # order. A type whose qualified name an earlier type took has an
+        # entry of its own that by_qualified does not hold: its methods
+        # resolve along the kept type's chain, but from its own package
+        # and declared supertypes.
+        self.owners: dict[str, list[TypeEntry]] = {}
         self.diagnostics: list[str] = []
-        self._entry_by_fact: dict[int, TypeEntry] = {}
         self._contexts: dict[str, _FileContext] = {}
         self._chains: dict[str, tuple[str, ...]] = {}
 
     # -- lookups ----------------------------------------------------------
-
-    def entry_for(self, fact: TypeFact) -> TypeEntry | None:
-        return self._entry_by_fact.get(id(fact))
 
     def resolve_type(self, name: str, file: str) -> TypeEntry | None:
         """Resolve a type name as written, using the file's context.
@@ -170,74 +247,48 @@ class ProjectIndex:
         return chain
 
 
-def build_project_index(models: list[SourceFileModel]) -> ProjectIndex:
+def build_project_index(records: list[FileRecord]) -> ProjectIndex:
     index = ProjectIndex()
 
-    for model in models:
+    for record in records:
         ctx = _FileContext(
-            package=model.package,
-            single_imports={
-                imp.simple_name: imp.target
-                for imp in model.imports
-                if not imp.is_wildcard and not imp.is_static
-            },
+            package=record.package,
+            single_imports={simple_name_of(target): target
+                            for target, wildcard in record.imports
+                            if not wildcard},
             wildcard_packages=[
-                imp.target[:-2] if imp.target.endswith(".*") else imp.target
-                for imp in model.imports
-                if imp.is_wildcard and not imp.is_static
+                target[:-2] if target.endswith(".*") else target
+                for target, wildcard in record.imports if wildcard
             ],
             local_simple={},
         )
-        index._contexts[model.path] = ctx
-        for top in model.types:
-            _register(index, model, ctx, top, parent_qual=None)
+        index._contexts[record.path] = ctx
+        owners = index.owners[record.path] = []
+        for t in record.types:
+            entry = TypeEntry(t.qualified, record.path, record.package,
+                              t.supertypes)
+            owners.append(entry)
+            first = index.by_qualified.get(t.qualified)
+            if first is not None:
+                index.diagnostics.append(
+                    f"duplicate type {t.qualified}: kept {first.file}, "
+                    f"ignored {record.path}")
+                continue
+            index.by_qualified[t.qualified] = entry
+            ctx.local_simple.setdefault(t.qualified.rpartition(".")[2],
+                                        t.qualified)
+            entry.static_names = frozenset(t.static_names)
+            entry.instance_names = frozenset(t.instance_names)
+            entry.methods = t.methods
 
     _resolve_supertypes(index)
     _drop_hierarchy_cycles(index)
     return index
 
 
-def _register(index: ProjectIndex, model: SourceFileModel, ctx: _FileContext,
-              fact: TypeFact, parent_qual: str | None) -> None:
-    if parent_qual is not None:
-        qualified = parent_qual + "." + fact.name
-    elif model.package:
-        qualified = model.package + "." + fact.name
-    else:
-        qualified = fact.name
-
-    entry = TypeEntry(qualified, fact, model.path, model.package)
-    index._entry_by_fact[id(fact)] = entry
-
-    if qualified in index.by_qualified:
-        first = index.by_qualified[qualified]
-        index.diagnostics.append(
-            f"duplicate type {qualified}: kept {first.file}, ignored {model.path}"
-        )
-    else:
-        index.by_qualified[qualified] = entry
-        ctx.local_simple.setdefault(fact.name, qualified)
-        _register_members(entry)
-
-    for member in fact.members:
-        if member.nested is not None:
-            _register(index, model, ctx, member.nested, parent_qual=qualified)
-
-
-def _register_members(entry: TypeEntry) -> None:
-    for m in entry.fact.members:
-        if m.kind in ("staticField", "staticMethod"):
-            entry.static_names.add(m.name)
-        elif m.kind in ("instanceField", "instanceMethod"):
-            entry.instance_names.add(m.name)
-        if m.kind == "instanceMethod":
-            entry.methods.append(MethodEntry(
-                method_signature(m), m.visibility, "Deprecated" in m.annotations))
-
-
 def _resolve_supertypes(index: ProjectIndex) -> None:
     for entry in index.by_qualified.values():
-        for name in entry.fact.supertypes:
+        for name in entry.supertypes:
             target = index.resolve_type(name, entry.file)
             if target is not None and target.qualified != entry.qualified:
                 entry.resolved_supertypes.append(target.qualified)
@@ -283,55 +334,50 @@ def _drop_hierarchy_cycles(index: ProjectIndex) -> None:
                 path.pop()
 
 
-def resolve_override(method: MemberFact, owner: TypeFact,
+def resolve_override(method: MethodRecord, owner: TypeEntry,
                      index: ProjectIndex) -> OverrideResolution:
-    """Decide whether an instance method overrides a reachable parent.
+    """Decide whether an instance method of `owner` overrides a reachable
+    parent.
 
     Matching is by erased simple-name signature. Only project-local
     supertypes plus the built-in Object model are consulted; when the
     owner's declared supertypes are all external the result reports
     parent_resolved=False so callers can skip conservatively.
     """
-    entry = index.entry_for(owner)
-    if entry is None or method.kind != "instanceMethod":
-        return OverrideResolution(False, False, False)
+    parent_resolved = not owner.supertypes or bool(owner.resolved_supertypes)
+    name, params = method.name, method.params
 
-    parent_resolved = not entry.fact.supertypes or bool(entry.resolved_supertypes)
-    sig = method_signature(method)
-
-    for qual in index.supertypes_of(entry.qualified):
+    for qual in index.supertypes_of(owner.qualified):
         if qual == OBJECT_TYPE:
-            for obj_sig, deprecated in OBJECT_METHODS:
-                if obj_sig == sig:
+            for obj_name, obj_params, deprecated in OBJECT_METHODS:
+                if obj_name == name and obj_params == params:
                     return OverrideResolution(True, deprecated, parent_resolved)
             continue
         parent_entry = index.by_qualified[qual]
         for cand in parent_entry.methods:
-            if cand.signature != sig or cand.visibility == "private":
+            if (cand.name != name or cand.params != params
+                    or cand.visibility == "private"):
                 continue
             if (cand.visibility == "package"
-                    and parent_entry.package != entry.package):
+                    and parent_entry.package != owner.package):
                 continue
             return OverrideResolution(True, cand.deprecated, parent_resolved)
     return OverrideResolution(False, False, parent_resolved)
 
 
-def resolve_static_access(access, enclosing: TypeFact,
+def resolve_static_access(access: AccessRecord, file: str,
                           index: ProjectIndex) -> StaticAccessResolution:
-    """Classify a member access against the static-qualification rule.
+    """Classify an access from `file` against the static-qualification
+    rule.
 
     Resolution succeeds only when the receiver names a project-local
     type that (with its project-local supertypes) declares the accessed
     name as a static member and never also as an instance member; any
     ambiguity or external type yields resolved=False. Implicit
-    receivers (bare same-class access) are never flagged: the rule
-    governs how explicit receivers qualify the member.
+    receivers (bare same-class access) have no record, so they are never
+    flagged: the rule governs how explicit receivers qualify the member.
     """
     unresolved = StaticAccessResolution(False, False)
-    if access.receiver_form == "implicit" or access.receiver_type is None:
-        return unresolved
-    entry = index.entry_for(enclosing)
-    file = entry.file if entry is not None else ""
     target = index.resolve_type(access.receiver_type, file)
     if target is None:
         return unresolved

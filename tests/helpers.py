@@ -5,9 +5,10 @@ from __future__ import annotations
 import hashlib
 
 from javastyle.checkers import (ORDERING_CONFIGS, Category, CheckContext,
-                                Violation, run_checks)
+                                Violation, check_file, check_project,
+                                merge_outcomes)
 from javastyle.parser import parse_compilation_unit
-from javastyle.project_index import build_project_index
+from javastyle.project_index import build_project_index, file_record
 
 DEMO_PATH = "src/main/java/demo/Demo.java"
 
@@ -17,12 +18,17 @@ def parse_source(text: str, path: str = DEMO_PATH):
 
 
 def check_files(files: dict[str, str], lexicon, ordering_id: int = 2):
-    """Parse and check an in-memory file set; returns (violations, counts)."""
+    """Parse and check an in-memory file set, every check as
+    analyze_repository runs it; returns (violations, counts)."""
     models = [parse_compilation_unit(text, path)
               for path, text in sorted(files.items())]
-    index = build_project_index(models)
-    return run_checks(models, CheckContext(index, lexicon,
-                                           ORDERING_CONFIGS[ordering_id]))
+    ordering = ORDERING_CONFIGS[ordering_id]
+    records = [file_record(m) for m in models]
+    project = CheckContext(build_project_index(records), lexicon, ordering)
+    return merge_outcomes([
+        *(check_file(m, CheckContext(None, lexicon, ordering))
+          for m in models),
+        check_project(records, project)])
 
 
 def analyze_files(files: dict[str, str], lexicon, ordering_id: int = 2):

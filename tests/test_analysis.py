@@ -24,7 +24,7 @@ def test_syntax_error_skips_file_but_not_repo(tmp_path):
         "src/p/Broken.java": BAD_SYNTAX,
     })
     result = analyze_repository(str(tmp_path))
-    assert [m.path for m in result.models] == ["src/p/Alpha.java"]
+    assert result.paths == ["src/p/Alpha.java"]
     assert len(result.diagnostics) == 1
     assert result.diagnostics[0].startswith("skipped src/p/Broken.java:")
 
@@ -35,7 +35,7 @@ def test_too_deeply_nested_types_skip_file_but_not_repo(tmp_path):
         "src/p/Deep.java": "class A {" * 3000 + "}" * 3000,
     })
     result = analyze_repository(str(tmp_path))
-    assert [m.path for m in result.models] == ["src/p/Alpha.java"]
+    assert result.paths == ["src/p/Alpha.java"]
     assert result.diagnostics == [
         "skipped src/p/Deep.java: type nesting too deep (line 1, col 901)"]
     assert result.counts[Category.METHOD_NAMES] == 1
@@ -48,7 +48,7 @@ def test_loop_header_without_parentheses_skips_file(tmp_path, loop):
         "src/p/A.java": f"class A {{ void f() {{ {loop} }} }}",
     })
     result = analyze_repository(str(tmp_path))
-    assert [m.path for m in result.models] == ["src/p/Alpha.java"]
+    assert result.paths == ["src/p/Alpha.java"]
     assert len(result.diagnostics) == 1
     assert result.diagnostics[0].startswith("skipped src/p/A.java:")
     assert result.counts[Category.CLASS_NAMES] == 1
@@ -60,7 +60,7 @@ def test_invalid_utf8_skipped_with_diagnostic(tmp_path):
     raw = tmp_path / "src/p/Mangled.java"
     raw.write_bytes(b"package p;\nclass Mangled { // caf\xe9\n}\n")
     result = analyze_repository(str(tmp_path))
-    assert [m.path for m in result.models] == ["src/p/Alpha.java"]
+    assert result.paths == ["src/p/Alpha.java"]
     assert any(d.startswith("skipped src/p/Mangled.java: not valid UTF-8")
                for d in result.diagnostics)
 
@@ -73,7 +73,7 @@ def test_exclude_prefix_semantics(tmp_path):
     })
     config = AnalysisConfig(excludes=("src/vendor",))
     result = analyze_repository(str(tmp_path), config)
-    paths = [m.path for m in result.models]
+    paths = result.paths
     # prefix must match on a path-segment boundary
     assert "src/vendor/q/Theirs.java" not in paths
     assert "src/vendors/q/Ours.java" in paths
@@ -86,7 +86,7 @@ def test_trailing_slash_on_exclude_accepted(tmp_path):
     })
     result = analyze_repository(
         str(tmp_path), AnalysisConfig(excludes=("gen/",)))
-    assert [m.path for m in result.models] == ["src/p/Alpha.java"]
+    assert result.paths == ["src/p/Alpha.java"]
 
 
 def test_unknown_ordering_rejected(tmp_path):
@@ -116,7 +116,7 @@ def test_scores_cover_all_categories(tmp_path):
 def test_empty_repository_analyzes_clean(tmp_path):
     (tmp_path / "README.md").write_text("# empty\n", encoding="utf-8")
     result = analyze_repository(str(tmp_path))
-    assert result.models == [] and result.violations == []
+    assert result.paths == [] and result.violations == []
     assert result.total_normalized == 0.0
 
 
@@ -127,8 +127,8 @@ def test_missing_root_raises_oserror(tmp_path):
 
 @pytest.mark.parametrize("tree", ["fixtures", "clean", "seeded", "large"])
 def test_models_are_not_mutated_after_parsing(tmp_path, monkeypatch, tree):
-    # evolve hands a parsed model to every later snapshot whose file is
-    # unchanged, which is only sound if nothing after parsing changes it.
+    # The file-scope checks and the record read a model in turn; were one
+    # of them to change it, a result would depend on the order they run.
     if tree == "large":
         build_large_tree(str(tmp_path))
         root = tmp_path
@@ -144,7 +144,7 @@ def test_models_are_not_mutated_after_parsing(tmp_path, monkeypatch, tree):
 
     monkeypatch.setattr(analysis, "parse_compilation_unit", recording_parse)
     result = analyze_repository(str(root))
-    assert len(parsed) == len(result.models) > 0
+    assert len(parsed) == len(result.paths) > 0
     changed = [model.path for model, before in parsed if repr(model) != before]
     assert changed == []
 
@@ -156,21 +156,32 @@ def test_reuse_holds_the_last_snapshot_only():
     reuse = {}
     first = analyze_repository(snapshot, reuse=reuse)
     assert set(reuse) == {(alpha, alpha_blob), (broken, broken_blob)}
-    assert reuse[alpha, alpha_blob].parsed is first.models[0]
-    assert reuse[broken, broken_blob].parsed == first.diagnostics[0]
+    kept = reuse[alpha, alpha_blob]
+    assert kept.record.path == alpha and first.paths == [alpha]
+    assert reuse[broken, broken_blob].record == first.diagnostics[0]
     del snapshot.files[broken]
     second = analyze_repository(snapshot, reuse=reuse)
-    assert second.models[0] is first.models[0]
+    assert second.paths == [alpha]
     assert second.diagnostics == []
     assert snapshot.reads == [alpha, broken]  # the second call read nothing
     assert list(reuse) == [(alpha, alpha_blob)]
+    assert reuse[alpha, alpha_blob] is kept
     assert second.violations == first.violations
 
 
-def test_files_on_disk_are_never_reused(tmp_path):
+def test_files_on_disk_are_never_reused(tmp_path, monkeypatch):
     write_tree(tmp_path, {"src/p/Alpha.java": GOOD})
+    parsed = []
+    parse = analysis.parse_compilation_unit
+
+    def recording_parse(text, path):
+        parsed.append(path)
+        return parse(text, path)
+
+    monkeypatch.setattr(analysis, "parse_compilation_unit", recording_parse)
     reuse = {}
     first = analyze_repository(str(tmp_path), reuse=reuse)
     second = analyze_repository(str(tmp_path), reuse=reuse)
     assert reuse == {}
-    assert second.models[0] is not first.models[0]
+    assert parsed == ["src/p/Alpha.java"] * 2
+    assert second.violations == first.violations

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from javastyle.analysis import analyze_repository
+from javastyle.analysis import analyze_repository, decode_source
 from javastyle.checkers import (CHECKS, ORDERING_CONFIGS, PROJECT, Category,
                                 CheckContext, check_empty_catch,
                                 check_finalize_override,
@@ -608,7 +608,9 @@ def test_only_two_checks_read_the_project_index(lexicon):
         result = analyze_repository(str(tree))
         indexed = CheckContext(result.index, lexicon, ordering)
         alone = CheckContext(None, lexicon, ordering)
-        for model in result.models:
+        for path in result.paths:
+            model = parse_source(decode_source((tree / path).read_bytes()),
+                                 path)
             for category, _, _, check in CHECKS:
                 if category not in cross_file:
                     assert check(model, alone) == check(model, indexed), \

@@ -525,8 +525,7 @@ def assert_months_match_archives(repo, tmp_path, months, as_of=AS_OF,
         dest = tmp_path / f"archive-{sample.commit.id}"
         extract_commit(repo, sample.commit.id, dest)
         fresh = analyze_repository(str(dest), config)
-        assert [m.path for m in memoized.models] == [
-            m.path for m in fresh.models]
+        assert memoized.paths == fresh.paths
         assert memoized.violations == fresh.violations
         assert memoized.counts == fresh.counts
         assert memoized.diagnostics == fresh.diagnostics

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from javastyle.lexicon import (ADJECTIVE, ADVERB, NOUN, VERB, Lexicon,
-                               LexiconError, matches_casing, split_identifier)
+from javastyle.lexicon import (ADJECTIVE, ADVERB, CATEGORY_BY_LETTER, NOUN,
+                               VERB, Lexicon, LexiconError, matches_casing,
+                               split_identifier)
 
 from helpers import parse_source, run_check
 from javastyle.checkers import check_class_names
@@ -119,6 +120,55 @@ def test_blank_and_comment_lines_are_malformed(tmp_path):
     with pytest.raises(LexiconError) as err:
         Lexicon.from_file(str(p))
     assert "1, 2" in str(err.value)
+
+
+def reference_parse(text: str):
+    """The loader's rules, one line at a time: the words' category sets,
+    or the numbers of the malformed lines."""
+    entries, bad = {}, []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        m = re.match(r"^(\S+)\t([nvaro](?:,[nvaro])*)$", line)
+        if m is None:
+            bad.append(lineno)
+            continue
+        cats = {CATEGORY_BY_LETTER[c] for c in m.group(2).split(",")}
+        entries.setdefault(m.group(1).lower(), set()).update(cats)
+    return bad or {w: frozenset(c) for w, c in entries.items()}
+
+
+LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x85", "\u2028"]
+LEXICON_LINES = st.one_of(
+    st.builds("{}\t{}".format, st.sampled_from(["run", "Run", "RUNS", "a",
+                                                "x-y", "caf\xe9"]),
+              st.sampled_from(["n", "v", "a,v", "n,v,a", "r", "o,o"])),
+    st.sampled_from(["", "run", "run\t", "run\tx", "run\tn,", " run\tn",
+                     "run\tn ", "run\t\tn", "# c", "run n"]))
+
+
+@given(st.lists(st.tuples(LEXICON_LINES, st.sampled_from(LINE_ENDS)),
+                max_size=12), st.booleans())
+def test_loader_matches_the_line_by_line_rules(lines, last_end):
+    text = "".join(line + end for line, end in lines)
+    if lines and not last_end:
+        text = text[:-len(lines[-1][1])]
+    want = reference_parse(text)
+    if isinstance(want, list):
+        with pytest.raises(LexiconError) as err:
+            Lexicon._parse(text, "t.txt")
+        assert err.value.lines == want
+    else:
+        got = Lexicon._parse(text, "t.txt")
+        assert {w: got.categories(w) for w in want} == want
+        assert len(got._entries) == len(want)
+
+
+def test_bundled_lexicon_matches_the_line_by_line_rules(lexicon):
+    import importlib.resources
+    text = (importlib.resources.files("javastyle")
+            .joinpath("data/lexicon.txt").read_text(encoding="utf-8"))
+    want = reference_parse(text)
+    assert {w: lexicon.categories(w) for w in want} == want
+    assert len(lexicon._entries) == len(want)
 
 
 # --- suffix fallback ---------------------------------------------------------

@@ -6,19 +6,27 @@ from pathlib import Path
 import pytest
 
 from javastyle.analysis import analyze_repository
+from javastyle.checkers import CheckContext, check_unqualified_static
 from javastyle.model import simple_name_of
 from javastyle.parser import parse_compilation_unit
 from javastyle.project_index import (OBJECT_TYPE, ProjectIndex,
-                                     build_project_index, method_signature,
+                                     build_project_index, file_record,
                                      resolve_override, resolve_static_access)
 
 from helpers import write_tree
 
 
 def index_of(files: dict[str, str]):
-    models = [parse_compilation_unit(text, path)
-              for path, text in sorted(files.items())]
-    return models, build_project_index(models)
+    """The records of an in-memory file set, in discovery (path) order,
+    and the index built from them."""
+    records = [file_record(parse_compilation_unit(text, path))
+               for path, text in sorted(files.items())]
+    return records, build_project_index(records)
+
+
+def record_of(records, suffix):
+    (record,) = [r for r in records if r.path.endswith(suffix)]
+    return record
 
 
 def entry(index, qualified):
@@ -27,12 +35,13 @@ def entry(index, qualified):
     return e
 
 
-def find_method(model, type_name, method_name):
-    for t in model.all_types():
-        if t.name == type_name:
-            for m in t.members:
+def find_method(record, index, type_name, method_name):
+    """An instance method's record and the index entry of its type."""
+    for t, owner in zip(record.types, index.owners[record.path]):
+        if t.qualified.rpartition(".")[2] == type_name:
+            for m in t.methods:
                 if m.name == method_name:
-                    return m, t
+                    return m, owner
     raise AssertionError(f"{type_name}.{method_name} not found")
 
 
@@ -45,11 +54,13 @@ def test_qualified_names_and_nesting():
                         "    public static class Inner {}\n}e".replace("}e", "}"),
     })
     assert "a.Outer" in index.by_qualified
-    assert index.by_qualified["a.Outer.Inner"].fact.name == "Inner"
+    assert index.by_qualified["a.Outer.Inner"].file == "a/Outer.java"
+    assert [e.qualified for e in index.owners["a/Outer.java"]] == [
+        "a.Outer", "a.Outer.Inner"]
 
 
 def test_resolution_order_same_file_first():
-    models, index = index_of({
+    _, index = index_of({
         "p/Main.java": "package p;\nimport q.Helper;\n"
                        "class Helper {}\nclass Main extends Helper {}\n",
         "q/Helper.java": "package q;\npublic class Helper {}\n",
@@ -59,7 +70,7 @@ def test_resolution_order_same_file_first():
 
 
 def test_resolution_same_package_then_import_then_wildcard():
-    models, index = index_of({
+    _, index = index_of({
         "p/Main.java": "package p;\nimport r.Exact;\nimport s.*;\n"
                        "class Main extends Local {}\n"
                        "class FromImport extends Exact {}\n"
@@ -212,66 +223,65 @@ def test_resolvers_walk_each_chain_once(monkeypatch):
     files["p/User.java"] = ("package p;\nclass User {\n    void f(Child c) {\n"
                             "        c.work(); c.other(); Child.work();\n"
                             "    }\n}\n")
-    models, index = index_of(files)
-    for model in models:
-        for t in model.all_types():
-            for m in t.members:
-                resolve_override(m, t, index)
-                for access in m.body.accesses if m.body else ():
-                    resolve_static_access(access, t, index)
+    records, index = index_of(files)
+    for record in records:
+        for t, owner in zip(record.types, index.owners[record.path]):
+            for m in t.methods:
+                resolve_override(m, owner, index)
+        for access in record.accesses:
+            resolve_static_access(access, record.path, index)
     assert sorted(walks) == ["p.Child", "p.Parent", "p.User"]
 
 
 def test_override_same_signature():
-    models, _index = index_of(PARENT_CHILD)
-    child = [m for m in models if m.path.endswith("Child.java")][0]
-    m, t = find_method(child, "Child", "work")
+    records, _index = index_of(PARENT_CHILD)
+    child = record_of(records, "Child.java")
+    m, t = find_method(child, _index, "Child", "work")
     r = resolve_override(m, t, _index)
     assert r.overrides and r.parent_resolved and not r.parent_deprecated
 
 
 def test_no_override_on_different_param_types():
-    models, _index = index_of(PARENT_CHILD)
-    child = [m for m in models if m.path.endswith("Child.java")][0]
-    m, t = find_method(child, "Child", "sized")
+    records, _index = index_of(PARENT_CHILD)
+    child = record_of(records, "Child.java")
+    m, t = find_method(child, _index, "Child", "sized")
     assert not resolve_override(m, t, _index).overrides
 
 
 def test_no_override_on_new_method():
-    models, _index = index_of(PARENT_CHILD)
-    child = [m for m in models if m.path.endswith("Child.java")][0]
-    m, t = find_method(child, "Child", "other")
+    records, _index = index_of(PARENT_CHILD)
+    child = record_of(records, "Child.java")
+    m, t = find_method(child, _index, "Child", "other")
     assert not resolve_override(m, t, _index).overrides
 
 
 def test_override_of_deprecated_parent():
-    models, _index = index_of({
+    records, _index = index_of({
         "p/Parent.java": "package p;\npublic class Parent {\n"
                          "    @Deprecated public void work() {}\n}\n",
         "p/Child.java": "package p;\npublic class Child extends Parent {\n"
                         "    public void work() {}\n}\n",
     })
-    child = [m for m in models if m.path.endswith("Child.java")][0]
-    m, t = find_method(child, "Child", "work")
+    child = record_of(records, "Child.java")
+    m, t = find_method(child, _index, "Child", "work")
     r = resolve_override(m, t, _index)
     assert r.overrides and r.parent_deprecated
 
 
 def test_external_parent_marks_unresolved():
-    models, _index = index_of({
+    records, _index = index_of({
         "p/Child.java": "package p;\n"
                         "public class Child extends vendor.Base {\n"
                         "    public void work() {}\n}\n",
     })
-    child = models[0]
-    m, t = find_method(child, "Child", "work")
+    m, t = find_method(records[0], _index, "Child", "work")
     r = resolve_override(m, t, _index)
     assert not r.overrides
     assert not r.parent_resolved
 
 
 def test_object_methods_match():
-    models, _index = index_of({
+    records, _index = index_of({
         "p/Plain.java": "package p;\npublic class Plain {\n"
                         "    public boolean equals(Object other) { return false; }\n"
                         "    public int hashCode() { return 1; }\n"
@@ -280,12 +290,12 @@ def test_object_methods_match():
                         "    public boolean equals(String other) { return false; }\n"
                         "}\n",
     })
-    plain = models[0]
+    plain = records[0]
     cases = {}
-    for t in plain.all_types():
-        for m in t.members:
-            cases[(m.name, m.params[0].type_name if m.params else None)] = (
-                resolve_override(m, t, _index))
+    for t, owner in zip(plain.types, _index.owners[plain.path]):
+        for m in t.methods:
+            cases[(m.name, m.params[0] if m.params else None)] = (
+                resolve_override(m, owner, _index))
     assert cases[("equals", "Object")].overrides
     assert cases[("hashCode", None)].overrides
     assert cases[("toString", None)].overrides
@@ -295,7 +305,7 @@ def test_object_methods_match():
 
 
 def test_static_and_private_parents_not_overridable():
-    models, _index = index_of({
+    records, _index = index_of({
         "p/Parent.java": "package p;\npublic class Parent {\n"
                          "    public static void util() {}\n"
                          "    private void hidden() {}\n}\n",
@@ -303,22 +313,22 @@ def test_static_and_private_parents_not_overridable():
                         "    public void util() {}\n"
                         "    public void hidden() {}\n}\n",
     })
-    child = [m for m in models if m.path.endswith("Child.java")][0]
+    child = record_of(records, "Child.java")
     for name in ("util", "hidden"):
-        m, t = find_method(child, "Child", name)
+        m, t = find_method(child, _index, "Child", name)
         assert not resolve_override(m, t, _index).overrides, name
 
 
 def test_package_private_foreign_package_not_overridable():
-    models, _index = index_of({
+    records, _index = index_of({
         "a/Parent.java": "package a;\npublic class Parent {\n"
                          "    void work() {}\n}\n",
         "b/Child.java": "package b;\nimport a.Parent;\n"
                         "public class Child extends Parent {\n"
                         "    void work() {}\n}\n",
     })
-    child = [m for m in models if m.path.endswith("Child.java")][0]
-    m, t = find_method(child, "Child", "work")
+    child = record_of(records, "Child.java")
+    m, t = find_method(child, _index, "Child", "work")
     assert not resolve_override(m, t, _index).overrides
 
 
@@ -338,10 +348,10 @@ def run_accesses(caller_body: str):
                          f"    void caller() {{\n{caller_body}\n    }}\n"
                          "}\n",
     }
-    models, index = index_of(files)
-    caller = [m for m in models if m.path.endswith("Caller.java")][0]
-    m, t = find_method(caller, "Caller", "caller")
-    return [(a, resolve_static_access(a, t, index)) for a in m.body.accesses]
+    records, index = index_of(files)
+    caller = record_of(records, "Caller.java")
+    return [(a, resolve_static_access(a, caller.path, index))
+            for a in caller.accesses]
 
 
 def test_class_name_receiver_is_correctly_qualified():
@@ -373,20 +383,22 @@ def test_external_receiver_unresolved():
 
 
 def test_implicit_receiver_unresolved_by_design():
-    models, index = index_of({
-        "p/Self.java": "package p;\npublic class Self {\n"
-                       "    static void helper() {}\n"
-                       "    void caller() { helper(); }\n}\n",
-    })
-    m, t = find_method(models[0], "Self", "caller")
-    implicit = [a for a in m.body.accesses if a.receiver_form == "implicit"]
-    assert implicit
-    assert all(not resolve_static_access(a, t, index).resolved
-               for a in implicit)
+    model = parse_compilation_unit(
+        "package p;\npublic class Self {\n"
+        "    static void helper() {}\n"
+        "    void caller() { helper(); }\n}\n", "p/Self.java")
+    (caller,) = [m for m in model.types[0].members if m.name == "caller"]
+    assert [a.receiver_form for a in caller.body.accesses] == ["implicit"]
+    # Never resolved, so never recorded, inspected or flagged.
+    record = file_record(model)
+    assert record.accesses == ()
+    index = build_project_index([record])
+    assert check_unqualified_static(
+        record, CheckContext(index, None, None)) == ([], 0)
 
 
 def test_overloaded_static_and_instance_name_is_ambiguous():
-    models, index = index_of({
+    records, index = index_of({
         "p/Mixed.java": "package p;\npublic class Mixed {\n"
                         "    public static void go(int n) {}\n"
                         "    public void go() {}\n}\n",
@@ -394,10 +406,9 @@ def test_overloaded_static_and_instance_name_is_ambiguous():
                        "    Mixed mixed = new Mixed();\n"
                        "    void caller() { mixed.go(); }\n}\n",
     })
-    user = [m for m in models if m.path.endswith("User.java")][0]
-    m, t = find_method(user, "User", "caller")
-    (a,) = [a for a in m.body.accesses if a.member_name == "go"]
-    assert not resolve_static_access(a, t, index).resolved
+    user = record_of(records, "User.java")
+    (a,) = [a for a in user.accesses if a.member_name == "go"]
+    assert not resolve_static_access(a, user.path, index).resolved
 
 
 def test_field_static_access_through_instance():
@@ -408,84 +419,133 @@ def test_field_static_access_through_instance():
     assert r.resolved and not r.qualified_correctly
 
 
-# --- randomized override oracle ----------------------------------------------
+# --- randomized oracles -------------------------------------------------------
 
 
-def brute_force_overrides(chain_decls, sig):
-    """First matching public instance method along the chain, if any.
+def random_hierarchy(rng, n_types, members_of):
+    """Declarations of classes T0..T{n-1} of package z: {path: (k, parent
+    number or None, members)}. Each class extends at most one class, most
+    often an earlier one, sometimes any one (a cycle, or itself); some
+    are declared a second time, before or after the first in discovery
+    order, with a parent and members of their own."""
+    def parent(k):
+        roll = rng.random()
+        if roll < 0.6 and k:
+            return rng.randrange(k)
+        return rng.randrange(n_types) if roll < 0.8 else None
 
-    chain_decls: list of (deprecated, set of signatures) walking up the
-    chain; Object's methods are appended by the caller.
+    decls = {}
+    for k in range(n_types):
+        decls[f"z/T{k}.java"] = (k, parent(k), members_of())
+        if rng.random() < 0.25:
+            decls[f"{rng.choice(('a', 'zz'))}/T{k}.java"] = (
+                k, parent(k), members_of())
+    return decls
+
+
+def class_source(k, parent, body):
+    ext = f" extends T{parent}" if parent is not None else ""
+    return f"package z;\npublic class T{k}{ext} {{\n{body}}}\n"
+
+
+def kept_hierarchy(decls):
+    """Brute force of what the index keeps of random_hierarchy: per class
+    number the path of its first declaration in discovery order, and the
+    parent edges of those declarations once self edges and, walking from
+    each class in name order, every edge back into the walk are dropped.
     """
-    for deprecated_sigs in chain_decls:
-        for is_deprecated, declared_sig in deprecated_sigs:
-            if declared_sig == sig:
-                return True, is_deprecated
-    return False, False
+    kept = {}
+    for path in sorted(decls):
+        kept.setdefault(decls[path][0], path)
+    parent_of = {k: decls[path][1] for k, path in kept.items()
+                 if decls[path][1] not in (None, k)}
+    done = set()
+    for node in sorted(kept, key=lambda k: f"z.T{k}"):
+        walk = []
+        while node is not None and node not in done:
+            walk.append(node)
+            if parent_of.get(node) in walk:
+                del parent_of[node]
+                break
+            node = parent_of.get(node)
+        done.update(walk)
+    return kept, parent_of
+
+
+def ancestors(k, parent_of):
+    chain = []
+    while k in parent_of:
+        k = parent_of[k]
+        chain.append(k)
+    return chain
+
+
+OBJECT_SIGS = [(False, ("equals", ("Object",))), (False, ("hashCode", ())),
+               (False, ("toString", ())), (True, ("finalize", ()))]
 
 
 def test_override_resolution_matches_brute_force():
     rng = random.Random(20240816)
-    object_sigs = [
-        (False, ("equals", ("Object",))),
-        (False, ("hashCode", ())),
-        (False, ("toString", ())),
-        (True, ("finalize", ())),
-    ]
     method_pool = [
         ("alpha", ()), ("alpha", ("int",)), ("beta", ()),
         ("beta", ("String",)), ("gamma", ("int",)),
         ("hashCode", ()), ("finalize", ()),
     ]
-    for trial in range(60):
+
+    def members_of():
+        return [(rng.random() < 0.3, sig)
+                for sig in rng.sample(method_pool, rng.randint(1, 4))]
+
+    duplicates = cycles = 0
+    for trial in range(120):
         n_types = rng.randint(2, 5)
-        parents = [None] + [rng.randrange(i) if rng.random() < 0.8 else None
-                            for i in range(1, n_types)]
-        decls = [rng.sample(method_pool, rng.randint(1, 4))
-                 for _ in range(n_types)]
-        deprecated = [[rng.random() < 0.3 for _ in ds] for ds in decls]
-
+        decls = random_hierarchy(rng, n_types, members_of)
         files = {}
-        for i in range(n_types):
-            lines = [f"package z;", ""]
-            ext = f" extends T{parents[i]}" if parents[i] is not None else ""
-            lines.append(f"public class T{i}{ext} {{")
-            for (name, ptypes), depr in zip(decls[i], deprecated[i]):
-                params = ", ".join(f"{pt} p{k}"
-                                   for k, pt in enumerate(ptypes))
+        for path, (k, parent, members) in decls.items():
+            body = ""
+            for depr, (name, ptypes) in members:
+                params = ", ".join(f"{pt} p{n}" for n, pt in enumerate(ptypes))
                 ann = "@Deprecated " if depr else ""
-                ret = "int" if name == "hashCode" else "void"
-                body = "{ return 0; }" if ret == "int" else "{}"
-                lines.append(f"    {ann}public {ret} {name}({params}) {body}")
-            lines.append("}")
-            files[f"z/T{i}.java"] = "\n".join(lines) + "\n"
+                ret, impl = (("int", "{ return 0; }") if name == "hashCode"
+                             else ("void", "{}"))
+                body += f"    {ann}public {ret} {name}({params}) {impl}\n"
+            files[path] = class_source(k, parent, body)
 
-        models, index = index_of(files)
-        by_name = {m.path: m for m in models}
-        for i in range(n_types):
-            # expected: walk parent chain (excluding self), then Object
-            chain = []
-            j = parents[i]
-            while j is not None:
-                chain.append([(deprecated[j][k], decls[j][k])
-                              for k in range(len(decls[j]))])
-                j = parents[j]
-            chain.append(object_sigs)
-
-            model = by_name[f"z/T{i}.java"]
-            t = model.types[0]
-            for m in t.members:
-                if m.kind != "instanceMethod":
-                    continue
-                sig = (m.name, tuple(p.type_name for p in m.params))
-                want_over, want_depr = brute_force_overrides(chain, sig)
-                got = resolve_override(m, t, index)
-                assert got.overrides == want_over, (trial, i, sig)
+        records, index = index_of(files)
+        kept, parent_of = kept_hierarchy(decls)
+        dropped = sum(decls[path][1] not in (None, k) and k not in parent_of
+                      for k, path in kept.items())
+        assert sum("duplicate type" in d for d in index.diagnostics) == \
+            len(decls) - len(kept), trial
+        assert sum("inheritance cycle" in d
+                   for d in index.diagnostics) == dropped, trial
+        duplicates += len(decls) - len(kept)
+        cycles += dropped
+        for record in records:
+            k, parent, members = decls[record.path]
+            chain = [decls[kept[j]][2] for j in ancestors(k, parent_of)]
+            chain.append(OBJECT_SIGS)
+            if parent is None:
+                want_resolved = True
+            else:
+                want_resolved = kept[k] == record.path and k in parent_of
+            (t,), (owner,) = record.types, index.owners[record.path]
+            assert [(m.name, m.params) for m in t.methods] == [
+                sig for _, sig in members]
+            for m in t.methods:
+                sig = (m.name, m.params)
+                want_over, want_depr = next(
+                    ((True, depr) for level in chain
+                     for depr, declared in level if declared == sig),
+                    (False, False))
+                got = resolve_override(m, owner, index)
+                where = (trial, record.path, sig)
+                assert got.overrides == want_over, where
+                assert got.parent_resolved == want_resolved, where
                 if want_over:
-                    assert got.parent_deprecated == want_depr, (trial, i, sig)
+                    assert got.parent_deprecated == want_depr, where
+    assert duplicates > 20 and cycles > 10
 
-
-# --- randomized static-access oracle -----------------------------------------
 
 MEMBER_DECLS = ("static int {}", "int {}", "static void {}() {{}}",
                 "void {}() {{}}")
@@ -496,19 +556,18 @@ def test_static_access_resolution_matches_brute_force():
     rng = random.Random(20240817)
     names = ["alpha", "beta", "gamma", "delta"]
     pool = [(name, kind) for name in names for kind in range(4)]
-    for trial in range(60):
-        n_types = rng.randint(1, 5)
-        parents = [None] + [rng.randrange(i) if rng.random() < 0.8 else None
-                            for i in range(1, n_types)]
-        decls = [rng.sample(pool, rng.randint(0, 5)) for _ in range(n_types)]
 
-        files = {}
-        for i in range(n_types):
-            ext = f" extends T{parents[i]}" if parents[i] is not None else ""
-            members = "".join(f"    {MEMBER_DECLS[kind].format(name)};\n"
-                              for name, kind in decls[i])
-            files[f"z/T{i}.java"] = (f"package z;\npublic class T{i}{ext} {{\n"
-                                     f"{members}}}\n")
+    def members_of():
+        return rng.sample(pool, rng.randint(0, 5))
+
+    duplicates = cycles = 0
+    for trial in range(120):
+        n_types = rng.randint(1, 5)
+        decls = random_hierarchy(rng, n_types, members_of)
+        files = {path: class_source(k, parent, "".join(
+                     f"    {MEMBER_DECLS[kind].format(name)};\n"
+                     for name, kind in members))
+                 for path, (k, parent, members) in decls.items()}
         stmts = []
         for i in range(n_types):
             for name in names:
@@ -522,34 +581,32 @@ def test_static_access_resolution_matches_brute_force():
             f"    void run({params}) {{\n        int x = 0;\n"
             + "\n".join(stmts) + "\n    }\n}\n")
 
-        models, index = index_of(files)
-        caller = [m for m in models if m.path == "z/Caller.java"][0]
-        m, t = find_method(caller, "Caller", "run")
-        accesses = [a for a in m.body.accesses if a.member_name in names]
+        records, index = index_of(files)
+        kept, parent_of = kept_hierarchy(decls)
+        duplicates += len(decls) - len(kept)
+        cycles += sum("inheritance cycle" in d for d in index.diagnostics)
+        caller = record_of(records, "z/Caller.java")
+        accesses = [a for a in caller.accesses if a.member_name in names]
         assert len(accesses) == len(stmts), trial
         for a in accesses:
             i = int(a.receiver_type[1:])
-            kinds = set()
-            j = i
-            while j is not None:
-                kinds |= {kind for name, kind in decls[j]
-                          if name == a.member_name}
-                j = parents[j]
+            kinds = {kind for j in [i, *ancestors(i, parent_of)]
+                     for name, kind in decls[kept[j]][2]
+                     if name == a.member_name}
             want = bool(kinds & STATIC_KINDS) and kinds <= STATIC_KINDS
-            got = resolve_static_access(a, t, index)
+            got = resolve_static_access(a, caller.path, index)
             assert got.resolved == want, (trial, i, a)
             assert got.qualified_correctly == (
                 want and a.receiver_form == "className"), (trial, i, a)
+    assert duplicates > 20 and cycles > 10
 
 
 def test_method_signature_erases_dotted_and_array_types():
     model = parse_compilation_unit(
         "class S { void f(java.lang.String[] a, int b) {} }", "S.java")
-    m = model.types[0].members[0]
-    sig = method_signature(m)
-    assert sig.name == "f"
-    assert len(sig.param_type_names) == 2
-    assert sig.param_type_names == ("String[]", "int")
+    (m,) = file_record(model).types[0].methods
+    assert m.name == "f"
+    assert m.params == ("String[]", "int")
 
 
 # --- resolution inside a duplicated type -------------------------------------
@@ -583,24 +640,23 @@ DUPLICATED = {
 
 
 def duplicated_resolutions():
-    """(path, method, 'override' or accessed name) -> resolution tuple for
-    every instance method and explicit-receiver access of each Thing."""
-    models, index = index_of(DUPLICATED)
+    """(path, method, 'override') or (path, accessed name, receiver form)
+    -> resolution tuple for every instance method of each Thing and every
+    explicit-receiver access."""
+    records, index = index_of(DUPLICATED)
     out = {}
-    for model in models:
-        for t in model.all_types():
-            if t.name != "Thing":
+    for record in records:
+        for t, owner in zip(record.types, index.owners[record.path]):
+            if not t.qualified.endswith("Thing"):
                 continue
-            for m in t.members_of_kind("instanceMethod"):
-                r = resolve_override(m, t, index)
-                out[model.path, m.name, "override"] = (
+            for m in t.methods:
+                r = resolve_override(m, owner, index)
+                out[record.path, m.name, "override"] = (
                     r.overrides, r.parent_deprecated, r.parent_resolved)
-                for a in m.body.accesses if m.body else ():
-                    if a.receiver_form == "implicit":
-                        continue
-                    r = resolve_static_access(a, t, index)
-                    out[model.path, m.name, a.receiver_form] = (
-                        r.resolved, r.qualified_correctly)
+        for a in record.accesses:
+            r = resolve_static_access(a, record.path, index)
+            out[record.path, a.member_name, a.receiver_form] = (
+                r.resolved, r.qualified_correctly)
     return out, index
 
 
@@ -622,13 +678,13 @@ def test_resolution_inside_a_duplicated_type():
         ("b/p/Thing.java", "nearby", "override"): (True, False, False),
         ("b/p/Thing.java", "use", "override"): (False, False, False),
         # q.Util resolves through b's own import
-        ("b/p/Thing.java", "use", "instanceExpr"): (True, False),
-        ("b/p/Thing.java", "use", "className"): (True, True),
+        ("b/p/Thing.java", "LIMIT", "instanceExpr"): (True, False),
+        ("b/p/Thing.java", "LIMIT", "className"): (True, True),
         # no declared supertypes: resolved
         ("c/p/Thing.java", "work", "override"): (True, False, True),
         ("c/p/Thing.java", "use", "override"): (False, False, True),
         # c has no import of q.Util
-        ("c/p/Thing.java", "use", "instanceExpr"): (False, False),
+        ("c/p/Thing.java", "LIMIT", "instanceExpr"): (False, False),
         # in the default package, Base's package-private method is not
         # visible; the public one is
         ("d/Outer.java", "work", "override"): (True, False, False),

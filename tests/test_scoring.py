@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from javastyle import checkers
 from javastyle.checkers import (CHECKS, CODE_STYLE_CATEGORIES,
-                                ORDERING_CONFIGS, PRACTICE_CATEGORIES,
-                                TABLE_CATEGORIES, Category, CheckContext,
-                                Violation, run_checks)
-from javastyle.project_index import build_project_index
+                                PRACTICE_CATEGORIES, TABLE_CATEGORIES,
+                                Category, Violation)
 from javastyle.scoring import (CategoryScore, aggregate, classify_adherence,
                                normalize, stratified_sample, threshold_table,
                                total_normalized)
@@ -58,9 +56,7 @@ public class Holder {
 
 def test_construct_counts_hand_tallied(lexicon):
     model = parse_source(COUNT_FIXTURE, "p/Holder.java")
-    index = build_project_index([model])
-    _, c = run_checks([model], CheckContext(index, lexicon,
-                                            ORDERING_CONFIGS[2]))
+    _, c = check_files({"p/Holder.java": COUNT_FIXTURE}, lexicon)
     assert c[Category.PACKAGE_NAMES] == 1
     assert c[Category.CLASS_NAMES] == 1
     assert c[Category.FINALIZE_OVERRIDE] == 1
@@ -133,8 +129,11 @@ def test_each_resolver_runs_once_per_construct(lexicon, monkeypatch):
                for t in parse_source(text, path).all_types()
                for m in t.members]
     instance_methods = [m for m in members if m.kind == "instanceMethod"]
+    # An implicit receiver or an unknown receiver type never resolves, so
+    # the resolver is not asked.
     accesses = [a for m in members if m.body is not None
-                for a in m.body.accesses]
+                for a in m.body.accesses
+                if a.receiver_form != "implicit" and a.receiver_type]
     assert len(results["resolve_override"]) == len(instance_methods) == 7
     assert len(results["resolve_static_access"]) == len(accesses) > 0
     # equals, go and stop override; the annotated go is inspected, not flagged
