@@ -325,8 +325,8 @@ def check_missing_override(record: FileRecord,
             if not r.overrides:
                 continue
             inspected += 1
-            if not m.override and r.parent_resolved \
-                    and not r.parent_deprecated:
+            if (not m.override and r.parent_resolved
+                    and not r.parent_deprecated):
                 out.append(Violation(
                     Category.MISSING_OVERRIDE, record.path, m.line,
                     "overriding method lacks @Override", m.name))

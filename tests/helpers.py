@@ -23,12 +23,11 @@ def check_files(files: dict[str, str], lexicon, ordering_id: int = 2):
     models = [parse_compilation_unit(text, path)
               for path, text in sorted(files.items())]
     ordering = ORDERING_CONFIGS[ordering_id]
+    alone = CheckContext(None, lexicon, ordering)
     records = [file_record(m) for m in models]
-    project = CheckContext(build_project_index(records), lexicon, ordering)
-    return merge_outcomes([
-        *(check_file(m, CheckContext(None, lexicon, ordering))
-          for m in models),
-        check_project(records, project)])
+    indexed = CheckContext(build_project_index(records), lexicon, ordering)
+    return merge_outcomes([*(check_file(m, alone) for m in models),
+                           check_project(records, indexed)])
 
 
 def analyze_files(files: dict[str, str], lexicon, ordering_id: int = 2):
