@@ -13,13 +13,15 @@ process, which covers its reaped worker processes too: the largest of
 them, not their sum.
 
 The outputs of all runs must be byte-identical, or the script exits 1.
-One run takes tens of seconds, so this is a measurement to repeat by
-hand, not a benchmark workload.
+The summary holds their SHA-256, so that the reports of two checkouts
+can be compared without keeping either. One run takes tens of seconds,
+so this is a measurement to repeat by hand, not a benchmark workload.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -36,20 +38,25 @@ import gen  # noqa: E402
 CLI = "import sys; from javastyle.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def run_analyze(tree: str, jobs: int) -> tuple[float, float, bytes]:
-    """(wall seconds, peak RSS in MB, report bytes) of one analyze call."""
+def run_analyze(work: str, jobs: int) -> tuple[float, float, str]:
+    """(wall seconds, peak RSS in MB, report SHA-256) of one analyze call
+    on `work`/tree. The report names the tree by that relative path, so
+    the digest does not depend on where the temporary directory is."""
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
     with tempfile.TemporaryFile() as out:
         started = time.perf_counter()
         proc = subprocess.Popen(
-            [sys.executable, "-c", CLI, "analyze", tree, "--format", "json",
-             "--jobs", str(jobs)], stdout=out, env=env)
+            [sys.executable, "-c", CLI, "analyze", "tree", "--format", "json",
+             "--jobs", str(jobs)], stdout=out, env=env, cwd=work)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - started
         if os.waitstatus_to_exitcode(status) != 0:
             raise SystemExit(f"analyze --jobs {jobs} exited with {status}")
         out.seek(0)
-        return wall, usage.ru_maxrss / 1024.0, out.read()
+        digest = hashlib.sha256()
+        for block in iter(lambda: out.read(1 << 20), b""):
+            digest.update(block)
+        return wall, usage.ru_maxrss / 1024.0, digest.hexdigest()
 
 
 def main() -> int:
@@ -71,7 +78,7 @@ def main() -> int:
         reports = set()
         for _ in range(args.runs):
             for jobs in args.jobs:
-                wall, peak, report = run_analyze(tree, jobs)
+                wall, peak, report = run_analyze(work, jobs)
                 walls[jobs].append(wall)
                 peaks[jobs].append(peak)
                 reports.add(report)
@@ -80,6 +87,7 @@ def main() -> int:
     summary = {
         "files": facts["files"], "lines": facts["lines"], "seed": args.seed,
         "identical_reports": len(reports) == 1,
+        "report_sha256": sorted(reports),
         "jobs": {str(jobs): {"wall_s": round(statistics.median(walls[jobs]), 2),
                              "peak_rss_mb": round(statistics.median(peaks[jobs]), 1)}
                  for jobs in args.jobs},

@@ -10,13 +10,13 @@ with a diagnostic; analysis continues over the rest.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Protocol
 
 from .checkers import (ORDERING_CONFIGS, Category, CheckContext, CheckOutcome,
-                       Violation, check_file, check_project, merge_outcomes)
+                       Violation, check_file, check_project)
 from .discovery import discover_sources
 from .lexer import JavaSyntaxError
 from .lexicon import Lexicon
@@ -101,12 +101,15 @@ class FileResult(NamedTuple):
 
 
 def decode_source(data: bytes) -> str:
-    """Source text from a file's bytes: strict UTF-8, and CR, LF and CRLF
-    all end a line, as when reading in text mode.
+    """Source text from a file's bytes: strict UTF-8 without one leading
+    byte order mark, and CR, LF and CRLF all end a line, as when reading
+    in text mode.
 
     Raises UnicodeDecodeError.
     """
     text = data.decode("utf-8")
+    if text.startswith("\ufeff"):
+        text = text[1:]
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
@@ -137,14 +140,17 @@ def _analyze_path(root: str, ctx: CheckContext, rel: str) -> FileResult:
 
 def map_in_processes(fn: Callable, items: list, jobs: int, *,
                      chunksize: int = 1, initializer: Callable | None = None,
-                     initargs: tuple = ()) -> list:
-    """`fn` over `items` on `jobs` worker processes; results in item order.
+                     initargs: tuple = ()) -> Iterator:
+    """`fn` over `items` on `jobs` worker processes; results in item order,
+    each yielded as soon as it and those before it are done.
 
-    Workers are forked where the platform can fork, so they inherit the
-    imported package and whatever the caller loaded before, such as the
-    lexicon, instead of loading it again. `initializer(*initargs)` runs
-    once in each worker; `fn`, the items and the results cross the process
-    boundary, so they must pickle.
+    The pool starts at the first `next` and is shut down when the results
+    run out or the generator is closed; closing it early cancels the
+    tasks not yet started. Workers are forked where the platform can
+    fork, so they inherit the imported package and whatever the caller
+    loaded before, such as the lexicon, instead of loading it again.
+    `initializer(*initargs)` runs once in each worker; `fn`, the items
+    and the results cross the process boundary, so they must pickle.
     """
     # Imported here: loading the package should not pay for processes.
     import multiprocessing
@@ -152,10 +158,12 @@ def map_in_processes(fn: Callable, items: list, jobs: int, *,
 
     context = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=context,
-                             initializer=initializer,
-                             initargs=initargs) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+    pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context,
+                               initializer=initializer, initargs=initargs)
+    try:
+        yield from pool.map(fn, items, chunksize=chunksize)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # The tree root and file-scope check context of a worker process, set
@@ -251,24 +259,31 @@ def analyze_repository(source: str | Snapshot,
     else:
         results = _snapshot_results(source, config.excludes, file_ctx, reuse)
 
+    # Each file's outcome is folded in as it arrives; the project checks'
+    # violations go last. Violation.sort_key holds the category and the
+    # path, so its ties lie within one check of one file and the sorted
+    # order is the same as checking file by file.
     diagnostics: list[str] = []
     records: list[FileRecord] = []
-    outcomes: list[CheckOutcome] = []
-    for result in results:
-        if result.outcome is None:
-            diagnostics.append(result.record)
+    violations: list[Violation] = []
+    counts = {category: 0 for category in Category}
+
+    def fold(found: list[Violation], inspected: dict[Category, int]) -> None:
+        violations.extend(found)
+        for category, n in inspected.items():
+            counts[category] += n
+
+    for record, outcome in results:
+        if outcome is None:
+            diagnostics.append(record)
         else:
-            records.append(result.record)
-            outcomes.append(result.outcome)
+            records.append(record)
+            fold(*outcome)
 
     index = build_project_index(records)
     diagnostics.extend(index.diagnostics)
-    # The project checks' violations go last. Violation.sort_key holds the
-    # category and the path, so its ties lie within one check of one file
-    # and the sorted order is the same as checking file by file.
-    outcomes.append(check_project(records, CheckContext(index, lexicon,
-                                                        ordering)))
-    violations, counts = merge_outcomes(outcomes)
+    fold(*check_project(records, CheckContext(index, lexicon, ordering)))
+    violations.sort(key=Violation.sort_key)
     scores = normalize(violations, counts)
     total = total_normalized(scores)
     verdict = classify_adherence(scores, config.threshold)

@@ -599,20 +599,3 @@ def check_project(records: list[FileRecord],
             violations.extend(found)
             counts[category] += inspected
     return violations, counts
-
-
-def merge_outcomes(outcomes: list[CheckOutcome]) -> CheckOutcome:
-    """Concatenate check outcomes and sum their counts per category.
-
-    The violations come out in deterministic order: a stable sort by
-    Violation.sort_key of the outcomes in the order given.
-    """
-    violations: list[Violation] = []
-    counts = {category: 0 for category in Category}
-    for found, inspected in outcomes:
-        violations.extend(found)
-        for category, n in inspected.items():
-            counts[category] += n
-    violations.sort(key=Violation.sort_key)
-    return violations, counts
-

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import posixpath
 import sys
 from datetime import datetime, timezone
 from functools import partial
@@ -24,8 +25,8 @@ from .checkers import ORDERING_CONFIGS, Category, Violation
 from .claims import scan_claims
 from .history import HistoryError, evolve, spacing_report
 from .lexicon import LexiconError
-from .report import (Report, config_digest, emit_corpus_csv, emit_report,
-                     evolution_rows)
+from .report import (Report, config_digest, emit_corpus_csv, evolution_rows,
+                     report_chunks)
 from .scoring import (DEFAULT_ADHERENCE_THRESHOLD, aggregate,
                       stratified_sample, threshold_table)
 
@@ -78,6 +79,17 @@ def parse_config_file(path: str) -> dict:
     return settings
 
 
+def _exclude_prefix(prefix: str) -> str:
+    """An exclude prefix in the form discovery gives paths: relative,
+    "/"-separated, without ".", ".." or empty segments."""
+    clean = posixpath.normpath(prefix)
+    if clean == "." or clean.startswith("/") or \
+            clean.split("/", 1)[0] == "..":
+        raise ConfigError(f"exclude prefix must name a path inside the "
+                          f"repository: {prefix!r}")
+    return clean
+
+
 def merged_config(args: argparse.Namespace) -> AnalysisConfig:
     """Combine defaults, config file, and CLI flags (flags win)."""
     settings: dict = {"excludes": []}
@@ -90,8 +102,8 @@ def merged_config(args: argparse.Namespace) -> AnalysisConfig:
                 else settings.get("ordering", DEFAULT_ORDERING_ID))
     lexicon = (args.lexicon if args.lexicon is not None
                else settings.get("lexicon"))
-    excludes = (tuple(args.exclude) if args.exclude
-                else tuple(settings.get("excludes", ())))
+    excludes = tuple(_exclude_prefix(p) for p in
+                     (args.exclude or settings.get("excludes", ())))
     if ordering not in ORDERING_CONFIGS:
         raise ConfigError(f"unknown ordering config: {ordering}")
     return AnalysisConfig(threshold=threshold, ordering_id=ordering,
@@ -140,7 +152,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         violations=result.violations,
         diagnostics=result.diagnostics,
     )
-    _write(emit_report(report, args.format))
+    out = sys.stdout.buffer
+    for chunk in report_chunks(report, args.format):
+        out.write(chunk)
+    out.flush()
     if args.fail_over and not all(result.verdict.per_category.values()):
         return EXIT_FAIL_OVER
     return EXIT_OK
@@ -278,7 +293,8 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         # Loading it here instead, for the workers to inherit, would save
         # them about 10 ms each but keep it in this process too, which
         # then becomes the largest.
-        per_repo = map_in_processes(score, paths, min(args.jobs, len(paths)))
+        per_repo = list(map_in_processes(score, paths,
+                                         min(args.jobs, len(paths))))
     else:
         per_repo = [score(p) for p in paths]
 

@@ -5,8 +5,7 @@ from __future__ import annotations
 import hashlib
 
 from javastyle.checkers import (ORDERING_CONFIGS, Category, CheckContext,
-                                Violation, check_file, check_project,
-                                merge_outcomes)
+                                Violation, check_file, check_project)
 from javastyle.parser import parse_compilation_unit
 from javastyle.project_index import build_project_index, file_record
 
@@ -26,8 +25,15 @@ def check_files(files: dict[str, str], lexicon, ordering_id: int = 2):
     alone = CheckContext(None, lexicon, ordering)
     records = [file_record(m) for m in models]
     indexed = CheckContext(build_project_index(records), lexicon, ordering)
-    return merge_outcomes([*(check_file(m, alone) for m in models),
-                           check_project(records, indexed)])
+    violations: list[Violation] = []
+    counts = {category: 0 for category in Category}
+    for found, inspected in [*(check_file(m, alone) for m in models),
+                             check_project(records, indexed)]:
+        violations.extend(found)
+        for category, n in inspected.items():
+            counts[category] += n
+    violations.sort(key=Violation.sort_key)
+    return violations, counts
 
 
 def analyze_files(files: dict[str, str], lexicon, ordering_id: int = 2):

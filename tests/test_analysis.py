@@ -65,6 +65,31 @@ def test_invalid_utf8_skipped_with_diagnostic(tmp_path):
                for d in result.diagnostics)
 
 
+BOM = b"\xef\xbb\xbf"
+ONE_CLASS = b"package p;\nclass A {}\n"
+
+
+def test_byte_order_mark_is_dropped_on_disk(tmp_path):
+    (tmp_path / "src/main/java/p").mkdir(parents=True)
+    (tmp_path / "src/main/java/p/A.java").write_bytes(BOM + ONE_CLASS)
+    result = analyze_repository(str(tmp_path))
+    assert result.diagnostics == []
+    assert result.paths == ["src/main/java/p/A.java"]
+    assert result.counts[Category.CLASS_NAMES] == 1
+
+
+def test_byte_order_mark_is_dropped_in_a_snapshot():
+    with_bom = analyze_repository(MemorySnapshot({"p/A.java": BOM + ONE_CLASS}))
+    without = analyze_repository(MemorySnapshot({"p/A.java": ONE_CLASS}))
+    assert with_bom.diagnostics == []
+    assert (with_bom.paths, with_bom.counts, with_bom.violations) == \
+        (without.paths, without.counts, without.violations)
+    # One mark only: a second is text, and no Java token starts with it.
+    twice = analyze_repository(MemorySnapshot({"p/A.java":
+                                               BOM + BOM + ONE_CLASS}))
+    assert twice.paths == [] and len(twice.diagnostics) == 1
+
+
 def test_exclude_prefix_semantics(tmp_path):
     write_tree(tmp_path, {
         "src/p/Alpha.java": GOOD,

@@ -148,6 +148,48 @@ def test_exclude_flag_drops_subtree(tmp_path, capsysbinary):
     assert code == 0 and json.loads(out)["totalNormalized"] == 0.0
 
 
+def _class_names_denominator(out: bytes) -> int:
+    return next(row["denominator"] for row in json.loads(out)["scores"]
+                if row["category"] == "ClassNames")
+
+
+def test_exclude_prefixes_are_normalised(tmp_path, capsysbinary):
+    write_tree(tmp_path, {
+        "repo/src/main/java/p/A.java": "package p;\nclass A {}\n",
+        "repo/src/main/java/gen/b.java": "package gen;\nclass b {}\n",
+    })
+    repo = str(tmp_path / "repo")
+    config = tmp_path / "style.cfg"
+    config.write_text("exclude = ./src/main/java//gen/\n", encoding="utf-8")
+    code, out = run_captured(capsysbinary, "analyze", repo)
+    assert code == 0 and _class_names_denominator(out) == 2
+    digests = set()
+    for flags in (["--exclude", "src/main/java/gen"],
+                  ["--exclude", "./src/main/java/gen"],
+                  ["--exclude", "src/main/java//gen"],
+                  ["--exclude", "src/main/java/gen/."],
+                  ["--exclude", "src/main/java/p/../gen/"],
+                  ["--config", str(config)]):
+        code, out = run_captured(capsysbinary, "analyze", repo, *flags)
+        assert code == 0 and _class_names_denominator(out) == 1, flags
+        digests.add(json.loads(out)["configDigest"])
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize("prefix", [".", "./", "", "/src/main/java/gen",
+                                    "//gen", "..", "../repo/gen", "a/../.."])
+def test_exclude_prefix_outside_the_tree_is_usage_error(tmp_path, capsys,
+                                                        prefix):
+    write_tree(tmp_path, CLEAN_REPO)
+    code = main(["analyze", str(tmp_path), "--exclude", prefix])
+    assert code == 2
+    assert "exclude prefix" in capsys.readouterr().err
+    if prefix:  # the config file rejects an empty value on its own
+        config = tmp_path / "style.cfg"
+        config.write_text(f"exclude = {prefix}\n", encoding="utf-8")
+        assert main(["analyze", str(tmp_path), "--config", str(config)]) == 2
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsysbinary, monkeypatch):
     write_tree(tmp_path, MESSY_REPO)
     config = tmp_path / "style.cfg"

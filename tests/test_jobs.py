@@ -8,6 +8,7 @@ the index and the project-scope checks stay in the calling process.
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -99,6 +100,14 @@ def test_workers_start_only_when_each_gets_enough_files(tree, monkeypatch,
     assert outcome(analyze_repository(str(small), jobs=jobs)) == \
         outcome(analyze_repository(str(small)))
     assert started == []
+
+
+def test_pool_stops_when_the_caller_stops_reading():
+    results = analysis.map_in_processes(abs, list(range(-400, 0)), 2,
+                                        chunksize=3)
+    assert next(results) == 400
+    results.close()
+    assert multiprocessing.active_children() == []
 
 
 def test_skipped_files_give_the_same_diagnostics_in_order(tree):

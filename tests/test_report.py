@@ -2,15 +2,19 @@
 
 import datetime
 import json
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from javastyle import __version__
 from javastyle.checkers import Category, Violation
 from javastyle.claims import ClaimEvidence, ClaimResult, MENTION_CODE_STYLE
 from javastyle.history import CommitRecord, EvolutionSample
-from javastyle.report import (Report, config_digest, emit_corpus_csv,
-                              emit_report, evolution_rows)
+from javastyle.report import (VIOLATIONS_PER_CHUNK, Report, config_digest,
+                              emit_corpus_csv, emit_report, evolution_rows,
+                              report_chunks, report_to_dict)
 from javastyle.scoring import (CorpusStats, classify_adherence, normalize,
                                threshold_table, total_normalized)
 
@@ -69,6 +73,57 @@ def test_json_violation_anchor():
         "message": "empty catch block",
         "detail": "e",
     }]
+
+
+# Text json.dumps must escape: quotes, backslashes, control characters,
+# lone surrogates, and non-ASCII up to the astral planes.
+TRICKY = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\u2028", "é",
+                     "\U0001f600", chr(0xD800), chr(0xDFFF)])),
+    max_size=12)
+VIOLATION = st.builds(Violation, st.sampled_from(list(Category)), TRICKY,
+                      st.integers(0, 10**9), TRICKY,
+                      st.one_of(st.none(), st.just(""), TRICKY))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(VIOLATION, min_size=1, max_size=5),
+       st.sampled_from([0, 1, 2, VIOLATIONS_PER_CHUNK - 1, VIOLATIONS_PER_CHUNK,
+                        VIOLATIONS_PER_CHUNK + 1, 2 * VIOLATIONS_PER_CHUNK + 1]),
+       TRICKY, st.lists(TRICKY, max_size=2),
+       st.one_of(st.none(), st.builds(
+           lambda text: ClaimResult(MENTION_CODE_STYLE,
+                                    [ClaimEvidence(text, 1, text)]), TRICKY)))
+def test_json_chunks_equal_one_json_dumps(pool, n, repo, diagnostics, claim):
+    violations = [pool[i % len(pool)] for i in range(n)]
+    report = build_report(violations, claim=claim, diagnostics=diagnostics)
+    report.repo_path = repo
+    chunks = list(report_chunks(report, "json"))
+    expected = json.dumps(report_to_dict(report), indent=2) + "\n"
+    assert b"".join(chunks) == expected.encode()
+    assert emit_report(report, "json") == expected.encode()
+    # The summary, each batch of violations, and the end.
+    assert len(chunks) == (1 if n == 0 else 2 + -(-n // VIOLATIONS_PER_CHUNK))
+
+
+def test_json_report_is_written_without_holding_its_text():
+    violations = [Violation(Category.USELESS, f"src/p/File{i % 97}.java", i,
+                            "unused private method", f"helper{i}")
+                  for i in range(20_000)]
+    report = build_report(violations)
+    length = len(emit_report(report, "json"))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        for _ in report_chunks(report, "json"):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert length > 3_000_000
+    # One batch of text at a time: about 0.2 MB here.
+    assert peak < length / 10
 
 
 def test_json_four_decimal_scores():
