@@ -15,15 +15,12 @@ import json
 import os
 import posixpath
 import sys
-from datetime import datetime, timezone
 from functools import partial
 
 from . import __version__
 from .analysis import (DEFAULT_ORDERING_ID, MIN_FILES_PER_WORKER,
                        AnalysisConfig, analyze_repository, map_in_processes)
 from .checkers import ORDERING_CONFIGS, Category, Violation
-from .claims import scan_claims
-from .history import HistoryError, evolve, spacing_report
 from .lexicon import LexiconError
 from .report import (Report, config_digest, emit_corpus_csv, evolution_rows,
                      report_chunks)
@@ -134,6 +131,21 @@ def _jobs_error(jobs: int) -> bool:
     return True
 
 
+# Only `evolve` replays history, which loads subprocess and datetime, and
+# only `analyze` and `claims` scan claims: each module loads on the first
+# call. The names stay in this module, where perfbench's tracer wraps them.
+def evolve(path: str, analyze_fn, **options):
+    """history.evolve, imported on first use."""
+    from .history import evolve as replay
+    return replay(path, analyze_fn, **options)
+
+
+def scan_claims(path: str, deep: bool = False):
+    """claims.scan_claims, imported on first use."""
+    from .claims import scan_claims as scan
+    return scan(path, deep=deep)
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if _jobs_error(args.jobs):
         return EXIT_USAGE
@@ -162,6 +174,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
+    from datetime import datetime, timezone
+
+    from .history import HistoryError, spacing_report
+
     config = merged_config(args)
     as_of = None
     if args.as_of:
@@ -185,8 +201,11 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         result = analyze_repository(snapshot, config, reuse=reuse)
         return result.scores, result.total_normalized
 
-    samples = evolve(args.path, analyze_fn, months=args.months,
-                     as_of=as_of, force=args.force)
+    try:
+        samples = evolve(args.path, analyze_fn, months=args.months,
+                         as_of=as_of, force=args.force)
+    except HistoryError as exc:
+        raise FatalError(str(exc)) from exc
     selected = [s.commit for s in samples if s.commit is not None]
     _write_json({
         "repo": args.path,
@@ -408,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, LexiconError, HistoryError, FatalError) as exc:
+    except (OSError, LexiconError, FatalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 from functools import lru_cache
-from importlib import resources
 
 NOUN = "noun"
 VERB = "verb"
@@ -142,6 +141,10 @@ def _fields(text: str, path: str) -> Iterator[tuple[str, str]]:
 
 @lru_cache(maxsize=1)
 def _load_bundled() -> Lexicon:
+    # importlib.resources brings pathlib, tempfile and shutil with it:
+    # only the commands that check names load them.
+    from importlib import resources
+
     data = resources.files("javastyle").joinpath("data/lexicon.txt")
     return Lexicon._parse(data.read_text(encoding="utf-8"), "bundled lexicon")
 

@@ -159,14 +159,12 @@ class SourceFileModel:
     # ones (types, enum constants, members, parameters, locals, catch and
     # lambda parameters). Names with no use are absent.
     use_counts: dict[str, int] = field(default_factory=dict)
+    # The types of `types` and all their nested ones, each before its
+    # nested ones, listed by the parser as it declares them. Derived
+    # from `types`, so left out of repr and comparison.
+    declared_types: list[TypeFact] = field(default_factory=list, repr=False,
+                                           compare=False)
 
     def all_types(self) -> list[TypeFact]:
         """Top-level and nested types, in declaration order."""
-        out: list[TypeFact] = []
-        stack = self.types[::-1]
-        while stack:
-            t = stack.pop()
-            out.append(t)
-            stack.extend(m.nested for m in reversed(t.members)
-                         if m.nested is not None)
-        return out
+        return self.declared_types

@@ -94,6 +94,8 @@ class _Parser:
         # (member, enclosing type stack, open brace idx, close brace idx)
         self.body_jobs: list[tuple[MemberFact, tuple[TypeFact, ...], int, int]] = []
         self.type_stack: list[TypeFact] = []
+        # Every type in declaration order, each before its nested ones.
+        self.declared_types: list[TypeFact] = []
         # Index of every identifier token that declares a name.
         self.declaring: list[int] = []
         # statement start -> index of its last token (bodies are disjoint)
@@ -197,7 +199,8 @@ class _Parser:
     # compilation unit
 
     def parse(self) -> SourceFileModel:
-        model = SourceFileModel(path=self.path, package=None)
+        model = SourceFileModel(path=self.path, package=None,
+                                declared_types=self.declared_types)
         while self.kinds[self.pos] != EOF:
             v = self.values[self.pos]
             if v == ";":
@@ -343,6 +346,7 @@ class _Parser:
             supertypes=supertypes,
             javadoc=javadoc,
         )
+        self.declared_types.append(tf)
 
         if kind == "annotation":
             self.skip_balanced("{")  # permissive, no facts

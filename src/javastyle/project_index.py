@@ -16,7 +16,7 @@ between processes.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import MemberFact, SourceFileModel, TypeFact, simple_name_of
@@ -71,10 +71,12 @@ def _method_record(m: MemberFact) -> MethodRecord:
                         "Override" in m.annotations)
 
 
-def _type_record(t: TypeFact, qualified: str,
-                 accesses: list[AccessRecord]) -> TypeRecord:
+def _type_record(t: TypeFact, qualified: str, accesses: list[AccessRecord],
+                 nested_names: dict[int, str]) -> TypeRecord:
     static, instance, methods = [], [], []
     for m in t.members:
+        if m.nested is not None:
+            nested_names[id(m.nested)] = qualified + "." + m.nested.name
         if m.kind in ("staticField", "staticMethod"):
             static.append(m.name)
         elif m.kind in ("instanceField", "instanceMethod"):
@@ -95,15 +97,12 @@ def _type_record(t: TypeFact, qualified: str,
 def file_record(model: SourceFileModel) -> FileRecord:
     """What the index and the project-scope checks read of one file."""
     prefix = model.package + "." if model.package else ""
-    types: list[TypeRecord] = []
     accesses: list[AccessRecord] = []
-    # Depth first, each type before its nested ones, as all_types().
-    stack = [(t, prefix + t.name) for t in reversed(model.types)]
-    while stack:
-        t, qualified = stack.pop()
-        types.append(_type_record(t, qualified, accesses))
-        stack.extend((m.nested, qualified + "." + m.nested.name)
-                     for m in reversed(t.members) if m.nested is not None)
+    # all_types() lists each type before its nested ones, so a nested
+    # type's qualified name is known by the time it comes.
+    names = {id(t): prefix + t.name for t in model.types}
+    types = [_type_record(t, names[id(t)], accesses, names)
+             for t in model.all_types()]
     imports = tuple((imp.target, imp.is_wildcard) for imp in model.imports
                     if not imp.is_static)
     return FileRecord(model.path, model.package, imports, tuple(types),
@@ -124,14 +123,17 @@ OBJECT_METHODS: tuple[tuple[str, tuple[str, ...], bool], ...] = (
 )
 
 
+# Most types have no supertype, no static members or no instance
+# members: those fields keep the one empty default each instead of an
+# empty object per type.
 @dataclass(slots=True)
 class TypeEntry:
     qualified: str
     file: str
     package: str | None
     supertypes: tuple[str, ...]  # as written
-    resolved_supertypes: list[str] = field(default_factory=list)
-    external_supertypes: list[str] = field(default_factory=list)
+    resolved_supertypes: tuple[str, ...] = ()
+    external_supertypes: tuple[str, ...] = ()
     static_names: frozenset[str] = frozenset()
     instance_names: frozenset[str] = frozenset()
     methods: tuple[MethodRecord, ...] = ()  # instance only
@@ -156,6 +158,16 @@ class OverrideResolution:
 class StaticAccessResolution:
     qualified_correctly: bool
     resolved: bool
+
+
+# The resolvers return these shared, immutable results instead of
+# building one per call.
+_OVERRIDES = {(o, d, r): OverrideResolution(o, d, r)
+              for o in (False, True) for d in (False, True)
+              for r in (False, True)}
+_UNRESOLVED = StaticAccessResolution(False, False)
+_QUALIFIED = StaticAccessResolution(True, True)
+_UNQUALIFIED = StaticAccessResolution(False, True)
 
 
 class ProjectIndex:
@@ -277,8 +289,10 @@ def build_project_index(records: list[FileRecord]) -> ProjectIndex:
             index.by_qualified[t.qualified] = entry
             ctx.local_simple.setdefault(t.qualified.rpartition(".")[2],
                                         t.qualified)
-            entry.static_names = frozenset(t.static_names)
-            entry.instance_names = frozenset(t.instance_names)
+            if t.static_names:
+                entry.static_names = frozenset(t.static_names)
+            if t.instance_names:
+                entry.instance_names = frozenset(t.instance_names)
             entry.methods = t.methods
 
     _resolve_supertypes(index)
@@ -288,12 +302,17 @@ def build_project_index(records: list[FileRecord]) -> ProjectIndex:
 
 def _resolve_supertypes(index: ProjectIndex) -> None:
     for entry in index.by_qualified.values():
+        if not entry.supertypes:
+            continue
+        resolved, external = [], []
         for name in entry.supertypes:
             target = index.resolve_type(name, entry.file)
             if target is not None and target.qualified != entry.qualified:
-                entry.resolved_supertypes.append(target.qualified)
+                resolved.append(target.qualified)
             else:
-                entry.external_supertypes.append(name)
+                external.append(name)
+        entry.resolved_supertypes = tuple(resolved)
+        entry.external_supertypes = tuple(external)
 
 
 def _drop_hierarchy_cycles(index: ProjectIndex) -> None:
@@ -307,7 +326,7 @@ def _drop_hierarchy_cycles(index: ProjectIndex) -> None:
 
     def enter(node: str) -> tuple[str, Iterator[str]]:
         color[node] = GRAY
-        return node, iter(list(index.by_qualified[node].resolved_supertypes))
+        return node, iter(index.by_qualified[node].resolved_supertypes)
 
     for root in sorted(index.by_qualified):
         if color.get(root, WHITE) != WHITE:
@@ -321,8 +340,10 @@ def _drop_hierarchy_cycles(index: ProjectIndex) -> None:
                 state = color.get(succ, WHITE)
                 if state == GRAY:
                     entry = index.by_qualified[node]
-                    entry.resolved_supertypes.remove(succ)
-                    entry.external_supertypes.append(succ)
+                    kept = list(entry.resolved_supertypes)
+                    kept.remove(succ)
+                    entry.resolved_supertypes = tuple(kept)
+                    entry.external_supertypes += (succ,)
                     index.diagnostics.append(
                         f"inheritance cycle: dropped edge {node} -> {succ}"
                     )
@@ -351,7 +372,7 @@ def resolve_override(method: MethodRecord, owner: TypeEntry,
         if qual == OBJECT_TYPE:
             for obj_name, obj_params, deprecated in OBJECT_METHODS:
                 if obj_name == name and obj_params == params:
-                    return OverrideResolution(True, deprecated, parent_resolved)
+                    return _OVERRIDES[True, deprecated, parent_resolved]
             continue
         parent_entry = index.by_qualified[qual]
         for cand in parent_entry.methods:
@@ -361,8 +382,8 @@ def resolve_override(method: MethodRecord, owner: TypeEntry,
             if (cand.visibility == "package"
                     and parent_entry.package != owner.package):
                 continue
-            return OverrideResolution(True, cand.deprecated, parent_resolved)
-    return OverrideResolution(False, False, parent_resolved)
+            return _OVERRIDES[True, cand.deprecated, parent_resolved]
+    return _OVERRIDES[False, False, parent_resolved]
 
 
 def resolve_static_access(access: AccessRecord, file: str,
@@ -377,17 +398,13 @@ def resolve_static_access(access: AccessRecord, file: str,
     receivers (bare same-class access) have no record, so they are never
     flagged: the rule governs how explicit receivers qualify the member.
     """
-    unresolved = StaticAccessResolution(False, False)
     target = index.resolve_type(access.receiver_type, file)
     if target is None:
-        return unresolved
+        return _UNRESOLVED
     chain = index.supertypes_of(target.qualified)
     entries = [target, *filter(None, map(index.by_qualified.get, chain))]
     name = access.member_name
     if any(name in e.instance_names for e in entries) or \
             not any(name in e.static_names for e in entries):
-        return unresolved
-    return StaticAccessResolution(
-        qualified_correctly=access.receiver_form == "className",
-        resolved=True,
-    )
+        return _UNRESOLVED
+    return _QUALIFIED if access.receiver_form == "className" else _UNQUALIFIED

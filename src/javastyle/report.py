@@ -7,17 +7,19 @@ is sorted upstream.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .checkers import Category, Violation
-from .claims import ClaimResult
 from .scoring import AdherenceVerdict, CategoryScore, CorpusStats
+
+if TYPE_CHECKING:
+    from .claims import ClaimResult
 
 TOOL_NAME = "javastyle"
 MARKDOWN_VIOLATION_LIMIT = 50
@@ -44,6 +46,8 @@ class Report:
 def config_digest(threshold: float, ordering_id: int, lexicon_path: str | None,
                   excludes: tuple[str, ...] = ()) -> str:
     """Stable digest of the knobs that influence results."""
+    import hashlib  # maps OpenSSL: only `analyze` writes a digest
+
     blob = json.dumps({
         "threshold": round(threshold, 6),
         "ordering": ordering_id,

@@ -10,8 +10,6 @@ scores.
 from __future__ import annotations
 
 import math
-import random
-import statistics
 from dataclasses import dataclass
 
 from .checkers import (CODE_STYLE_CATEGORIES, PRACTICE_CATEGORIES,
@@ -101,6 +99,8 @@ def total_normalized(scores: list[CategoryScore]) -> float:
 
 def aggregate(per_repo: list[dict[Category, float]]) -> dict[Category, CorpusStats]:
     """Min/max/mean/median per category over repositories."""
+    import statistics  # only `corpus` aggregates
+
     if not per_repo:
         raise ValueError("aggregate requires at least one repository")
     out = {}
@@ -160,6 +160,8 @@ def stratified_sample(repo_violations: list[list[Violation]],
     The partition depends only on the repository order, never the seed;
     the seed controls the visiting order inside each group.
     """
+    import random  # only `sample` draws
+
     n = len(repo_violations)
     if groups > n:
         raise ValueError(f"cannot split {n} repositories into {groups} groups")

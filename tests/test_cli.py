@@ -312,9 +312,27 @@ def test_corpus_jobs_below_one_is_usage_error(tmp_path, capsysbinary, jobs):
 def test_evolve_ineligible_is_fatal(tmp_path, capsysbinary):
     repo = make_repo(tmp_path / "repo")
     add_commit(repo, datetime(2024, 1, 15, tzinfo=timezone.utc), {"a": "1"})
-    code, _ = run_captured(capsysbinary, "evolve", str(repo),
-                           "--as-of", "2024-05-01")
+    code = main(["evolve", str(repo), "--as-of", "2024-05-01"])
+    captured = capsysbinary.readouterr()
     assert code == 3
+    assert captured.out == b""
+    assert captured.err == (
+        b"error: repository not eligible: age: first commit in 2024-01 is "
+        b"4 months before 2024-05, need 36; activity gap: no commits in "
+        b"2023-05, 2023-06, 2023-07, 2023-08, 2023-09, 2023-10, 2023-11, "
+        b"2023-12, 2024-02, 2024-03, 2024-04\n")
+
+
+def test_evolve_outside_a_git_repository_is_fatal(tmp_path, capsysbinary):
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    code = main(["evolve", str(plain), "--as-of", "2024-05-01", "--force"])
+    captured = capsysbinary.readouterr()
+    assert code == 3
+    assert captured.out == b""
+    assert captured.err.startswith(b"error: git status --porcelain failed: ")
+    assert b"not a git repository" in captured.err
+    assert captured.err.count(b"\n") == 1
 
 
 def test_sample_subcommand_roundtrip(tmp_path, capsysbinary):

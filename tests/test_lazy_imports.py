@@ -1,0 +1,88 @@
+"""Each command loads only the modules it runs.
+
+A fresh interpreter imports the CLI, runs one command and lists the
+modules that appeared in ``sys.modules`` meanwhile. `hashlib` maps
+OpenSSL and only `analyze` writes a config digest; history replay and
+its `subprocess` serve only `evolve`; `statistics` serves only `corpus`.
+A process pool imports `subprocess` itself, so the analyzing commands
+run with ``--jobs 1``.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from datetime import datetime, timezone
+from pathlib import Path
+
+import pytest
+
+from helpers import write_tree
+from test_history import add_commit, make_repo
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Writes the modules loaded after start-up, one a line, to argv[1], then
+# runs the CLI on the rest of argv (no command: import only).
+PROBE = ("import sys\n"
+         "before = set(sys.modules)\n"
+         "from javastyle.cli import main\n"
+         "code = main(sys.argv[2:]) if sys.argv[2:] else 0\n"
+         "with open(sys.argv[1], 'w', encoding='utf-8') as fh:\n"
+         "    fh.write('\\n'.join(sorted(set(sys.modules) - before)))\n"
+         "sys.exit(code)\n")
+
+JAVA = {"src/main/java/p/A.java": "package p;\n\npublic class A {\n"
+                                  "  public int size() { return 1; }\n}\n"}
+
+
+def loaded_by(tmp_path: Path, *argv: str) -> set[str]:
+    listing = tmp_path / "modules.txt"
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, str(listing), *argv],
+        capture_output=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    return set(listing.read_text(encoding="utf-8").split("\n"))
+
+
+def history_repo(tmp_path: Path) -> Path:
+    repo = make_repo(tmp_path / "repo")
+    for i in range(3):
+        add_commit(repo, datetime(2024, 2 + i, 15, 12, tzinfo=timezone.utc),
+                   {"src/p/A.java": f"package p;\nclass A {{ int f{i}; }}\n"})
+    return repo
+
+
+def command(name: str, tmp_path: Path) -> list[str]:
+    if name == "evolve":
+        return ["evolve", str(history_repo(tmp_path)), "--months", "3",
+                "--as-of", "2024-05-01", "--force"]
+    write_tree(tmp_path / "tree", JAVA)
+    if name == "analyze":
+        return ["analyze", str(tmp_path / "tree"), "--jobs", "1"]
+    paths = tmp_path / "paths.txt"
+    paths.write_text(f"{tmp_path / 'tree'}\n", encoding="utf-8")
+    return ["corpus", str(paths), "--jobs", "1"]
+
+
+@pytest.mark.parametrize("name, absent", [
+    ("import", {"hashlib", "_hashlib", "subprocess", "statistics",
+                "javastyle.history", "multiprocessing"}),
+    ("evolve", {"hashlib", "_hashlib", "statistics"}),
+    ("corpus", {"hashlib", "_hashlib", "javastyle.history"}),
+    ("analyze", {"javastyle.history", "subprocess", "statistics"}),
+])
+def test_command_loads_only_what_it_runs(tmp_path, name, absent):
+    argv = [] if name == "import" else command(name, tmp_path)
+    loaded = loaded_by(tmp_path, *argv)
+    assert "javastyle.cli" in loaded
+    assert sorted(loaded & absent) == []
+
+
+def test_the_probe_sees_what_a_command_loads(tmp_path):
+    assert "javastyle.history" in loaded_by(tmp_path,
+                                            *command("evolve", tmp_path))
+    assert "javastyle.claims" in loaded_by(tmp_path,
+                                           *command("analyze", tmp_path))

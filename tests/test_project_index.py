@@ -66,7 +66,7 @@ def test_resolution_order_same_file_first():
         "q/Helper.java": "package q;\npublic class Helper {}\n",
     })
     main = entry(index, "p.Main")
-    assert main.resolved_supertypes == ["p.Helper"]
+    assert main.resolved_supertypes == ("p.Helper",)
 
 
 def test_resolution_same_package_then_import_then_wildcard():
@@ -79,9 +79,9 @@ def test_resolution_same_package_then_import_then_wildcard():
         "r/Exact.java": "package r;\npublic class Exact {}\n",
         "s/Wild.java": "package s;\npublic class Wild {}\n",
     })
-    assert entry(index, "p.Main").resolved_supertypes == ["p.Local"]
-    assert entry(index, "p.FromImport").resolved_supertypes == ["r.Exact"]
-    assert entry(index, "p.FromWild").resolved_supertypes == ["s.Wild"]
+    assert entry(index, "p.Main").resolved_supertypes == ("p.Local",)
+    assert entry(index, "p.FromImport").resolved_supertypes == ("r.Exact",)
+    assert entry(index, "p.FromWild").resolved_supertypes == ("s.Wild",)
 
 
 def test_unresolvable_supertype_is_external():
@@ -90,8 +90,8 @@ def test_unresolvable_supertype_is_external():
                        "class Main extends com.vendor.Widget {}\n",
     })
     e = entry(index, "p.Main")
-    assert e.resolved_supertypes == []
-    assert e.external_supertypes == ["com.vendor.Widget"]
+    assert e.resolved_supertypes == ()
+    assert e.external_supertypes == ("com.vendor.Widget",)
 
 
 def test_duplicate_qualified_name_first_wins():
