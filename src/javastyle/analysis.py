@@ -10,9 +10,9 @@ with a diagnostic; analysis continues over the rest.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple, Protocol
 
 from .checkers import (ORDERING_CONFIGS, Category, CheckContext, CheckOutcome,
@@ -30,14 +30,12 @@ from .scoring import (DEFAULT_ADHERENCE_THRESHOLD, AdherenceVerdict,
 DEFAULT_ORDERING_ID = 2
 
 # Workers are started only when each gets at least this many files. On 2
-# CPUs (Python 3.11) starting and stopping a pool of 2 costs about 80-90 ms,
-# the imports of the process machinery included, and a file about 3.6 ms
-# to parse, check and ship, so a worker pays for itself after about 24
-# files: trees of 32 and 64 files took 34 ms longer and 38 ms shorter with
-# 2 workers than without.
+# CPUs (Python 3.11), trees of 32 and 64 files of about 210 lines took 3 ms
+# longer and 14 ms shorter with 2 workers than without (medians of 30
+# alternating CLI runs), so 2 workers break even at about 16 files each.
 MIN_FILES_PER_WORKER = 32
-# Files per task sent to a worker.
-FILES_PER_TASK = 8
+# Files per chunk handed to a worker.
+FILES_PER_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -138,50 +136,6 @@ def _analyze_path(root: str, ctx: CheckContext, rel: str) -> FileResult:
     return _analyze_file(rel, data, ctx)
 
 
-def map_in_processes(fn: Callable, items: list, jobs: int, *,
-                     chunksize: int = 1, initializer: Callable | None = None,
-                     initargs: tuple = ()) -> Iterator:
-    """`fn` over `items` on `jobs` worker processes; results in item order,
-    each yielded as soon as it and those before it are done.
-
-    The pool starts at the first `next` and is shut down when the results
-    run out or the generator is closed; closing it early cancels the
-    tasks not yet started. Workers are forked where the platform can
-    fork, so they inherit the imported package and whatever the caller
-    loaded before, such as the lexicon, instead of loading it again.
-    `initializer(*initargs)` runs once in each worker; `fn`, the items
-    and the results cross the process boundary, so they must pickle.
-    """
-    # Imported here: loading the package should not pay for processes.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-    pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context,
-                               initializer=initializer, initargs=initargs)
-    try:
-        yield from pool.map(fn, items, chunksize=chunksize)
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-# The tree root and file-scope check context of a worker process, set
-# once in each worker (never in the caller), so that no task carries the
-# lexicon.
-_worker_job: tuple[str, CheckContext] | None = None
-
-
-def _start_file_worker(root: str, ctx: CheckContext) -> None:
-    global _worker_job
-    _worker_job = root, ctx
-
-
-def _analyze_in_worker(rel: str) -> FileResult:
-    root, ctx = _worker_job
-    return _analyze_path(root, ctx, rel)
-
-
 def _directory_results(root: str, excludes: tuple[str, ...],
                        ctx: CheckContext, jobs: int) -> Iterable[FileResult]:
     rels = [rel for rel in discover_sources(root)
@@ -189,10 +143,10 @@ def _directory_results(root: str, excludes: tuple[str, ...],
     workers = min(jobs, len(rels) // MIN_FILES_PER_WORKER)
     if workers > 1:
         # In discovery order whatever the chunking, like the serial path.
-        return map_in_processes(_analyze_in_worker, rels, workers,
-                                chunksize=FILES_PER_TASK,
-                                initializer=_start_file_worker,
-                                initargs=(root, ctx))
+        # Imported here: only a run that starts workers compiles them.
+        from .workers import map_in_processes
+        return map_in_processes(partial(_analyze_path, root, ctx), rels,
+                                workers, chunksize=FILES_PER_CHUNK)
     # Lazily, so that one model at a time is alive.
     return (_analyze_path(root, ctx, rel) for rel in rels)
 

@@ -19,7 +19,7 @@ from functools import partial
 
 from . import __version__
 from .analysis import (DEFAULT_ORDERING_ID, MIN_FILES_PER_WORKER,
-                       AnalysisConfig, analyze_repository, map_in_processes)
+                       AnalysisConfig, analyze_repository)
 from .checkers import ORDERING_CONFIGS, Category, Violation
 from .lexicon import LexiconError
 from .report import (Report, config_digest, emit_corpus_csv, evolution_rows,
@@ -284,11 +284,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _corpus_scores(path: str, config: AnalysisConfig) -> dict[Category, float]:
-    """One corpus repository's normalized score per category.
-
-    Top-level so that a worker process can run it: only the path, the
-    config and this dict cross the process boundary.
-    """
+    """One corpus repository's normalized score per category."""
     result = analyze_repository(path, config)
     return {s.category: s.normalized for s in result.scores}
 
@@ -308,12 +304,13 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
     score = partial(_corpus_scores, config=config)
     if args.jobs > 1:
+        from .workers import map_in_processes
+
         # Each worker loads the lexicon once for all its repositories.
         # Loading it here instead, for the workers to inherit, would save
         # them about 10 ms each but keep it in this process too, which
         # then becomes the largest.
-        per_repo = list(map_in_processes(score, paths,
-                                         min(args.jobs, len(paths))))
+        per_repo = list(map_in_processes(score, paths, args.jobs))
     else:
         per_repo = [score(p) for p in paths]
 

@@ -46,15 +46,26 @@ class Report:
 def config_digest(threshold: float, ordering_id: int, lexicon_path: str | None,
                   excludes: tuple[str, ...] = ()) -> str:
     """Stable digest of the knobs that influence results."""
-    import hashlib  # maps OpenSSL: only `analyze` writes a digest
-
     blob = json.dumps({
         "threshold": round(threshold, 6),
         "ordering": ordering_id,
         "lexicon": lexicon_path or "bundled",
         "excludes": sorted(excludes),
     }, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    return _sha256()(blob.encode()).hexdigest()[:12]
+
+
+def _sha256():
+    """SHA-256 from the interpreter's built-in module, which is far smaller
+    than the OpenSSL that `hashlib` maps; `hashlib` where it is missing."""
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256  # Python 3.12 and later
+        except ImportError:
+            from hashlib import sha256
+    return sha256
 
 
 def _f4(x: float) -> float:

@@ -441,6 +441,8 @@ def test_corpus_errors_are_the_same_for_every_job_count(tmp_path,
         assert code == 3, jobs
         assert captured.out == b""
         assert captured.err.decode() == expected, jobs
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_importing_the_cli_loads_no_process_machinery():

@@ -2,24 +2,29 @@
 
 The files of a directory are parsed and file-checked on up to N worker
 processes once each gets at least MIN_FILES_PER_WORKER files; the merge,
-the index and the project-scope checks stay in the calling process.
+the index and the project-scope checks stay in the calling process. The
+map that runs the workers keeps item order, raises a worker's exception
+at its item, and leaves no child process behind, however it ends.
 """
 
 from __future__ import annotations
 
 import gc
-import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from javastyle import analysis
+from javastyle import workers
 from javastyle.analysis import MIN_FILES_PER_WORKER, analyze_repository
 from javastyle.cli import build_parser, main, usable_cpus
+from javastyle.lexicon import LexiconError
 from javastyle.model import SourceFileModel
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -83,13 +88,13 @@ def test_report_bytes_are_the_same_for_every_job_count_and_hash_seed(tree):
 def test_workers_start_only_when_each_gets_enough_files(tree, monkeypatch,
                                                          jobs):
     started = []
-    real = analysis.map_in_processes
+    real = workers.map_in_processes
 
-    def recording(fn, items, workers, **kwargs):
-        started.append(workers)
-        return real(fn, items, workers, **kwargs)
+    def recording(fn, items, count, **kwargs):
+        started.append(count)
+        return real(fn, items, count, **kwargs)
 
-    monkeypatch.setattr(analysis, "map_in_processes", recording)
+    monkeypatch.setattr(workers, "map_in_processes", recording)
     serial = outcome(analyze_repository(str(tree)))
     pooled = outcome(analyze_repository(str(tree), jobs=jobs))
     assert started == ([] if jobs == 1 else [jobs])
@@ -102,12 +107,101 @@ def test_workers_start_only_when_each_gets_enough_files(tree, monkeypatch,
     assert started == []
 
 
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Fails the block, instead of hanging, once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_map_gives_the_results_in_item_order():
+    items = list(range(-100, 0))
+    with deadline(30):
+        for jobs, chunksize in [(2, 1), (2, 7), (3, 3), (5, 200)]:
+            assert list(workers.map_in_processes(
+                abs, items, jobs, chunksize=chunksize)) == [-i for i in items]
+        assert list(workers.map_in_processes(abs, [], 2)) == []
+    assert_no_children()
+
+
 def test_pool_stops_when_the_caller_stops_reading():
-    results = analysis.map_in_processes(abs, list(range(-400, 0)), 2,
-                                        chunksize=3)
+    results = workers.map_in_processes(abs, list(range(-400, 0)), 2,
+                                       chunksize=3)
     assert next(results) == 400
     results.close()
-    assert multiprocessing.active_children() == []
+    assert_no_children()
+
+
+def big_result(i: int) -> str:
+    return str(i) * 100_000  # more than a pipe holds
+
+
+def test_closing_early_stops_workers_blocked_on_a_large_frame():
+    results = workers.map_in_processes(big_result, list(range(1, 60)), 2,
+                                       chunksize=2)
+    with deadline(30):
+        assert next(results) == "1" * 100_000
+        time.sleep(0.2)  # let the workers fill their pipes and block
+        started = time.perf_counter()
+        results.close()
+    assert time.perf_counter() - started < 5
+    assert_no_children()
+
+
+def fail_at_seven(i: int) -> int:
+    if i == 7:
+        raise LexiconError("words.tsv", [3, 9])
+    return i
+
+
+@pytest.mark.parametrize("jobs, chunksize", [(2, 1), (2, 3), (3, 4)])
+def test_an_exception_is_raised_at_its_item_after_the_items_before_it(
+        jobs, chunksize):
+    seen = []
+    with deadline(30), pytest.raises(LexiconError) as raised:
+        for result in workers.map_in_processes(fail_at_seven,
+                                               list(range(20)), jobs,
+                                               chunksize=chunksize):
+            seen.append(result)
+    assert seen == list(range(7))
+    assert str(raised.value) == "words.tsv: malformed lexicon line(s): 3, 9"
+    assert raised.value.lines == [3, 9]
+    assert_no_children()
+
+
+def exit_at_five(i: int) -> int:
+    if i == 5:
+        os._exit(4)
+    return i
+
+
+def test_a_worker_that_ends_without_its_results_is_an_error():
+    with deadline(30), pytest.raises(ChildProcessError,
+                                     match=r"exit code 4"):
+        list(workers.map_in_processes(exit_at_five, list(range(20)), 2,
+                                      chunksize=3))
+    assert_no_children()
+
+
+def test_without_fork_the_map_runs_in_the_calling_process(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    items = list(range(-50, 0))
+    pids = list(workers.map_in_processes(lambda i: (abs(i), os.getpid()),
+                                         items, 2, chunksize=4))
+    assert pids == [(-i, os.getpid()) for i in items]
 
 
 def test_skipped_files_give_the_same_diagnostics_in_order(tree):

@@ -2,10 +2,12 @@
 
 A fresh interpreter imports the CLI, runs one command and lists the
 modules that appeared in ``sys.modules`` meanwhile. `hashlib` maps
-OpenSSL and only `analyze` writes a config digest; history replay and
-its `subprocess` serve only `evolve`; `statistics` serves only `corpus`.
-A process pool imports `subprocess` itself, so the analyzing commands
-run with ``--jobs 1``.
+OpenSSL, which no command needs: the config digest uses the built-in
+SHA-256. History replay and its `subprocess` serve only `evolve`, and
+`statistics` serves only `corpus`. The worker map, `javastyle.workers`,
+loads only once workers start; it forks them directly, so `analyze` and
+`corpus` load none of `multiprocessing`, `concurrent.futures` or
+`subprocess` at ``--jobs 2`` either.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from helpers import write_tree
+from javastyle.analysis import MIN_FILES_PER_WORKER
 from test_history import add_commit, make_repo
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -35,6 +38,12 @@ PROBE = ("import sys\n"
 
 JAVA = {"src/main/java/p/A.java": "package p;\n\npublic class A {\n"
                                   "  public int size() { return 1; }\n}\n"}
+# Enough files for two workers.
+MANY_JAVA = {f"src/main/java/p/A{i}.java":
+             f"package p;\n\npublic class A{i} {{\n"
+             "  public int size() { return 1; }\n}\n"
+             for i in range(2 * MIN_FILES_PER_WORKER)}
+PROCESS_MACHINERY = {"multiprocessing", "concurrent.futures", "subprocess"}
 
 
 def loaded_by(tmp_path: Path, *argv: str) -> set[str]:
@@ -56,23 +65,29 @@ def history_repo(tmp_path: Path) -> Path:
 
 
 def command(name: str, tmp_path: Path) -> list[str]:
+    """The argv of `name`: a command, and " --jobs 2" to start workers."""
+    name, _, jobs = name.partition(" --jobs ")
+    jobs = jobs or "1"
     if name == "evolve":
         return ["evolve", str(history_repo(tmp_path)), "--months", "3",
                 "--as-of", "2024-05-01", "--force"]
-    write_tree(tmp_path / "tree", JAVA)
+    write_tree(tmp_path / "tree", MANY_JAVA if jobs == "2" else JAVA)
     if name == "analyze":
-        return ["analyze", str(tmp_path / "tree"), "--jobs", "1"]
+        return ["analyze", str(tmp_path / "tree"), "--jobs", jobs]
     paths = tmp_path / "paths.txt"
-    paths.write_text(f"{tmp_path / 'tree'}\n", encoding="utf-8")
-    return ["corpus", str(paths), "--jobs", "1"]
+    paths.write_text(f"{tmp_path / 'tree'}\n" * int(jobs), encoding="utf-8")
+    return ["corpus", str(paths), "--jobs", jobs]
 
 
 @pytest.mark.parametrize("name, absent", [
     ("import", {"hashlib", "_hashlib", "subprocess", "statistics",
-                "javastyle.history", "multiprocessing"}),
-    ("evolve", {"hashlib", "_hashlib", "statistics"}),
+                "javastyle.history", "javastyle.workers", "multiprocessing"}),
+    ("evolve", {"hashlib", "_hashlib", "statistics", "javastyle.workers"}),
     ("corpus", {"hashlib", "_hashlib", "javastyle.history"}),
-    ("analyze", {"javastyle.history", "subprocess", "statistics"}),
+    ("analyze", {"hashlib", "_hashlib", "javastyle.history", "subprocess",
+                 "statistics"}),
+    ("analyze --jobs 2", PROCESS_MACHINERY),
+    ("corpus --jobs 2", PROCESS_MACHINERY),
 ])
 def test_command_loads_only_what_it_runs(tmp_path, name, absent):
     argv = [] if name == "import" else command(name, tmp_path)
@@ -84,5 +99,7 @@ def test_command_loads_only_what_it_runs(tmp_path, name, absent):
 def test_the_probe_sees_what_a_command_loads(tmp_path):
     assert "javastyle.history" in loaded_by(tmp_path,
                                             *command("evolve", tmp_path))
+    assert "javastyle.workers" in loaded_by(
+        tmp_path, *command("analyze --jobs 2", tmp_path))
     assert "javastyle.claims" in loaded_by(tmp_path,
                                            *command("analyze", tmp_path))

@@ -6,7 +6,7 @@ static checks below run on any interpreter: every module parses as 3.10
 grammar, and no module-level pattern uses 3.11-only `re` syntax. The last
 tests find a 3.10 interpreter, if one is installed, and check that it
 produces the golden fixture report byte for byte, and the same corpus
-bytes with worker processes as without.
+and analyze bytes with worker processes as this interpreter without.
 """
 
 import ast
@@ -21,6 +21,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from javastyle.analysis import MIN_FILES_PER_WORKER
 
 try:
     from re import _parser as sre_parse
@@ -105,6 +107,10 @@ def run_on_python310(*argv: str) -> bytes:
     exe = find_python310()
     if exe is None:
         pytest.skip("no working Python 3.10 interpreter found")
+    return run_cli(exe, *argv)
+
+
+def run_cli(exe: str, *argv: str) -> bytes:
     env = {k: v for k, v in os.environ.items() if k != "JAVASTYLE_CONFIG"}
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     proc = subprocess.run(
@@ -129,3 +135,13 @@ def test_corpus_jobs_on_python310_give_the_same_bytes(tmp_path):
     serial = run_on_python310("corpus", str(paths_file), "--jobs", "1")
     assert json.loads(serial)["repos"] > 2
     assert run_on_python310("corpus", str(paths_file), "--jobs", "2") == serial
+
+
+def test_analyze_jobs_on_python310_give_this_interpreters_bytes(tmp_path):
+    for n in range(2):  # two workers' worth of files
+        shutil.copytree(REPO_ROOT / "tests" / "fixtures", tmp_path / f"c{n}")
+    assert len(list(tmp_path.rglob("*.java"))) >= 2 * MIN_FILES_PER_WORKER
+    pooled = run_on_python310("analyze", str(tmp_path), "--jobs", "2")
+    assert b"duplicate type" in pooled
+    assert pooled == run_cli(sys.executable, "analyze", str(tmp_path),
+                             "--jobs", "1")

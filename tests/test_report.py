@@ -1,6 +1,7 @@
 """Report emission: fixed key order, four-decimal floats, byte identity."""
 
 import datetime
+import hashlib
 import json
 import tracemalloc
 
@@ -189,6 +190,25 @@ def test_config_digest_separates_configs():
     # exclude order does not matter
     assert (config_digest(0.05, 2, None, ("a", "b"))
             == config_digest(0.05, 2, None, ("b", "a")))
+
+
+@pytest.mark.parametrize("threshold, ordering, lexicon, excludes", [
+    (0.05, 2, None, ()),
+    (0.04, 1, "custom.txt", ("vendor", "gen/a")),
+    (0.1234567, 4, "/abs/ünïcode.tsv", ("b", "a")),
+])
+def test_config_digest_is_a_sha256_prefix(threshold, ordering, lexicon,
+                                          excludes):
+    blob = json.dumps({"threshold": round(threshold, 6),
+                       "ordering": ordering,
+                       "lexicon": lexicon or "bundled",
+                       "excludes": sorted(excludes)}, sort_keys=True)
+    assert config_digest(threshold, ordering, lexicon, excludes) == \
+        hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def test_config_digest_of_the_defaults_is_the_golden_one():
+    assert config_digest(0.05, 2, None) == "e5349362d2c3"
 
 
 def test_diagnostics_passed_through():
