@@ -2,15 +2,16 @@
 
 Wires discovery, parsing, cross-file indexing, checking, and scoring
 into one call usable from the CLI and from history replay. The sources
-come from a directory on disk or from a snapshot such as a git tree;
-both are decoded alike. Files that fail to decode or parse are skipped
-with a diagnostic; analysis continues over the rest.
+come from a snapshot, a directory on disk or a git tree, through one
+loop that reuses unchanged files' results and maps the rest over worker
+processes. Files that fail to read, decode or parse are skipped with a
+diagnostic; analysis continues over the rest.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import NamedTuple, Protocol
@@ -21,8 +22,7 @@ from .discovery import discover_sources
 from .lexer import JavaSyntaxError
 from .lexicon import Lexicon
 from .parser import parse_compilation_unit
-from .project_index import (FileRecord, ProjectIndex, build_project_index,
-                            file_record)
+from .project_index import FileRecord, build_project_index, file_record
 from .scoring import (DEFAULT_ADHERENCE_THRESHOLD, AdherenceVerdict,
                       CategoryScore, classify_adherence, normalize,
                       total_normalized)
@@ -49,7 +49,6 @@ class AnalysisConfig:
 @dataclass
 class AnalysisResult:
     paths: list[str]  # of the analyzed files, in discovery order
-    index: ProjectIndex
     violations: list[Violation]
     counts: dict[Category, int]
     scores: list[CategoryScore]
@@ -79,15 +78,30 @@ def _excluded(rel_path: str, excludes: tuple[str, ...]) -> bool:
 
 
 class Snapshot(Protocol):
-    """A tree of sources that is not a directory on disk, such as the tree
-    of one git commit."""
+    """A tree of sources, such as a directory on disk or the tree of one
+    git commit."""
 
-    def sources(self) -> list[tuple[str, str]]:
+    def sources(self) -> list[tuple[str, str | None]]:
         """(path, blob id) of each file to analyze, as discovery selects
-        them, in order. Equal blob ids mean equal bytes."""
+        them, in order. Equal blob ids mean equal bytes; a file without
+        one has None."""
 
-    def read(self, rel: str, blob: str) -> bytes:
+    def read(self, rel: str, blob: str | None) -> bytes:
         """The bytes of the file at `rel` whose blob id is `blob`."""
+
+
+class DirectorySnapshot:
+    """The sources of a directory on disk. A file on disk has no blob id."""
+
+    def __init__(self, root: str) -> None:
+        self.root = root
+
+    def sources(self) -> list[tuple[str, None]]:
+        return [(rel, None) for rel in discover_sources(self.root)]
+
+    def read(self, rel: str, blob: None) -> bytes:
+        with open(os.path.join(self.root, *rel.split("/")), "rb") as fh:
+            return fh.read()
 
 
 class FileResult(NamedTuple):
@@ -113,11 +127,16 @@ def decode_source(data: bytes) -> str:
     return text
 
 
-def _analyze_file(rel: str, data: bytes, ctx: CheckContext) -> FileResult:
-    """Decode, parse and run the file-scope checks on one file. Only its
-    record leaves: the model is dropped here."""
+def _analyze_source(source: Snapshot, ctx: CheckContext,
+                    file: tuple[str, str | None]) -> FileResult:
+    """Read, decode, parse and run the file-scope checks on one file. Only
+    its record leaves: the model is dropped here."""
+    rel, blob = file
     try:
-        model = parse_compilation_unit(decode_source(data), rel)
+        model = parse_compilation_unit(
+            decode_source(source.read(rel, blob)), rel)
+    except OSError as exc:
+        return FileResult(f"skipped {rel}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
         return FileResult(f"skipped {rel}: not valid UTF-8 ({exc.reason})")
     except JavaSyntaxError as exc:
@@ -127,53 +146,34 @@ def _analyze_file(rel: str, data: bytes, ctx: CheckContext) -> FileResult:
     return FileResult(file_record(model), check_file(model, ctx))
 
 
-def _analyze_path(root: str, ctx: CheckContext, rel: str) -> FileResult:
-    try:
-        with open(os.path.join(root, *rel.split("/")), "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        return FileResult(f"skipped {rel}: {exc.strerror or exc}")
-    return _analyze_file(rel, data, ctx)
-
-
-def _directory_results(root: str, excludes: tuple[str, ...],
-                       ctx: CheckContext, jobs: int) -> Iterable[FileResult]:
-    rels = [rel for rel in discover_sources(root)
-            if not _excluded(rel, excludes)]
-    workers = min(jobs, len(rels) // MIN_FILES_PER_WORKER)
+def _file_results(source: Snapshot, excludes: tuple[str, ...],
+                  ctx: CheckContext, reuse: dict | None,
+                  jobs: int) -> Iterator[FileResult]:
+    """Each selected file's result, in source order: from `reuse` where it
+    holds the file, else analyzed."""
+    files = [file for file in source.sources()
+             if not _excluded(file[0], excludes)]
+    known = reuse or {}
+    misses = [file for file in files if file not in known]
+    analyze = partial(_analyze_source, source, ctx)
+    workers = min(jobs, len(misses) // MIN_FILES_PER_WORKER)
     if workers > 1:
-        # In discovery order whatever the chunking, like the serial path.
         # Imported here: only a run that starts workers compiles them.
         from .workers import map_in_processes
-        return map_in_processes(partial(_analyze_path, root, ctx), rels,
-                                workers, chunksize=FILES_PER_CHUNK)
-    # Lazily, so that one model at a time is alive.
-    return (_analyze_path(root, ctx, rel) for rel in rels)
-
-
-def _snapshot_results(snapshot: Snapshot, excludes: tuple[str, ...],
-                      ctx: CheckContext,
-                      reuse: dict | None) -> list[FileResult]:
-    results: list[FileResult] = []
+        fresh = map_in_processes(analyze, misses, workers,
+                                 chunksize=FILES_PER_CHUNK)
+    else:
+        fresh = map(analyze, misses)  # lazily: one model at a time
     used: dict[tuple[str, str], FileResult] = {}
-    for rel, blob in snapshot.sources():
-        if _excluded(rel, excludes):
-            continue
-        result = reuse.get((rel, blob)) if reuse else None
-        if result is None:
-            try:
-                data = snapshot.read(rel, blob)
-            except OSError as exc:
-                results.append(FileResult(
-                    f"skipped {rel}: {exc.strerror or exc}"))
-                continue
-            result = _analyze_file(rel, data, ctx)
-        used[rel, blob] = result
-        results.append(result)
+    for file in files:
+        result = known[file] if file in known else next(fresh)
+        if file[1] is not None:
+            used[file] = result
+        yield result
+    next(fresh, None)  # runs the map to its end, which reaps the workers
     if reuse is not None:
         reuse.clear()
         reuse.update(used)
-    return results
 
 
 def analyze_repository(source: str | Snapshot,
@@ -187,31 +187,28 @@ def analyze_repository(source: str | Snapshot,
     project-scope checks then run over the records, so no parsed model
     outlives its file.
 
-    `jobs` > 1 analyzes the files of a directory on up to that many
-    worker processes, each given at least MIN_FILES_PER_WORKER files;
-    fewer files stay in this process. The result is the same for every
-    `jobs`. Snapshots are always analyzed in this process.
-
     `reuse` maps (rel, blob id) to the FileResult of that file, so a
     caller analyzing snapshots of one tree reads, parses and file-checks
     each unchanged file once; each snapshot then reruns only the index
     and the project-scope checks. It is replaced by the entries this call
     used, so it holds one snapshot at a time. Files on disk have no blob
     id and are never reused.
+
+    `jobs` > 1 analyzes the files that `reuse` does not hold on up to
+    that many worker processes, each given at least MIN_FILES_PER_WORKER
+    files; fewer stay in this process. The workers call `source.read`,
+    so a source whose reads must stay in this process is analyzed with
+    `jobs` 1. The result is the same for every `jobs`.
     """
     config = config or AnalysisConfig()
     if config.ordering_id not in ORDERING_CONFIGS:
         raise ValueError(f"unknown ordering config: {config.ordering_id}")
     lexicon = load_lexicon(config)
     ordering = ORDERING_CONFIGS[config.ordering_id]
-    file_ctx = CheckContext(None, lexicon, ordering)
-
     if isinstance(source, str):
-        if reuse is not None:
-            reuse.clear()
-        results = _directory_results(source, config.excludes, file_ctx, jobs)
-    else:
-        results = _snapshot_results(source, config.excludes, file_ctx, reuse)
+        source = DirectorySnapshot(source)
+    results = _file_results(source, config.excludes,
+                            CheckContext(None, lexicon, ordering), reuse, jobs)
 
     # Each file's outcome is folded in as it arrives; the project checks'
     # violations go last. Violation.sort_key holds the category and the
@@ -241,5 +238,5 @@ def analyze_repository(source: str | Snapshot,
     scores = normalize(violations, counts)
     total = total_normalized(scores)
     verdict = classify_adherence(scores, config.threshold)
-    return AnalysisResult([r.path for r in records], index, violations,
-                          counts, scores, total, verdict, diagnostics)
+    return AnalysisResult([r.path for r in records], violations, counts,
+                          scores, total, verdict, diagnostics)

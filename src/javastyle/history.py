@@ -241,7 +241,10 @@ class TreeSnapshot:
 
     Satisfies analysis.Snapshot: discovery selects among the tree's files
     as it would in a checkout of the commit, and each file's blob id is
-    its version.
+    its version. It is read only in the process that made it, so it is
+    analyzed with `jobs` 1: `read` talks to the reader's one `git
+    cat-file` child, and a forked worker would share that child's pipes
+    with this process, mixing their requests and answers.
     """
 
     def __init__(self, reader: ObjectReader, tree_id: str) -> None:

@@ -1,5 +1,7 @@
 """Repository-level analysis: discovery, skips, excludes, verdict wiring."""
 
+import errno
+import os
 from pathlib import Path
 
 import pytest
@@ -192,6 +194,26 @@ def test_reuse_holds_the_last_snapshot_only():
     assert list(reuse) == [(alpha, alpha_blob)]
     assert reuse[alpha, alpha_blob] is kept
     assert second.violations == first.violations
+
+
+def test_a_snapshot_read_error_is_skipped_as_on_disk(tmp_path):
+    write_tree(tmp_path, {"src/p/Alpha.java": GOOD})
+    (tmp_path / "src/p/Gone.java").symlink_to(tmp_path / "nowhere.java")
+    on_disk = analyze_repository(str(tmp_path))
+
+    class VanishingSnapshot(MemorySnapshot):
+        def read(self, rel, blob):
+            if rel == "src/p/Gone.java":
+                raise FileNotFoundError(errno.ENOENT,
+                                        os.strerror(errno.ENOENT))
+            return super().read(rel, blob)
+
+    snapshot = VanishingSnapshot({"src/p/Alpha.java": GOOD,
+                                  "src/p/Gone.java": GOOD})
+    result = analyze_repository(snapshot)
+    assert result.diagnostics == on_disk.diagnostics == [
+        "skipped src/p/Gone.java: No such file or directory"]
+    assert result.paths == on_disk.paths == ["src/p/Alpha.java"]
 
 
 def test_files_on_disk_are_never_reused(tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from javastyle.checkers import (CHECKS, ORDERING_CONFIGS, PROJECT, Category,
                                 check_private_instances,
                                 check_string_concatenation,
                                 check_useless, check_variable_names)
+from javastyle.project_index import build_project_index, file_record
 
 from helpers import analyze_files, of_category, parse_source, run_check
 
@@ -605,12 +606,13 @@ def test_only_two_checks_read_the_project_index(lexicon):
     trees = sorted(FIXTURES.glob("*/*"))
     assert len(trees) == 34
     for tree in trees:
-        result = analyze_repository(str(tree))
-        indexed = CheckContext(result.index, lexicon, ordering)
+        models = [parse_source(decode_source((tree / path).read_bytes()),
+                               path)
+                  for path in analyze_repository(str(tree)).paths]
+        index = build_project_index([file_record(m) for m in models])
+        indexed = CheckContext(index, lexicon, ordering)
         alone = CheckContext(None, lexicon, ordering)
-        for path in result.paths:
-            model = parse_source(decode_source((tree / path).read_bytes()),
-                                 path)
+        for model in models:
             for category, _, _, check in CHECKS:
                 if category not in cross_file:
                     assert check(model, alone) == check(model, indexed), \

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from javastyle import analysis
-from javastyle.analysis import AnalysisConfig, analyze_repository
+from javastyle import analysis, workers
+from javastyle.analysis import (MIN_FILES_PER_WORKER, AnalysisConfig,
+                                analyze_repository)
 from javastyle.cli import main
 from javastyle.discovery import discover_sources
 from javastyle.history import (CommitRecord, EvolutionSample, HistoryError,
@@ -677,6 +678,25 @@ def test_replay_starts_a_bounded_number_of_processes(tmp_path, started):
         assert not any(s.failed for s in samples)
         counts.append(len(started))
     assert counts[0] == counts[1] <= 4
+
+
+def test_replay_never_starts_workers(tmp_path, monkeypatch, capsysbinary):
+    # TreeSnapshot.read talks to the replay's one git cat-file child,
+    # which a forked worker must never use.
+    def refuse(*args, **kwargs):
+        raise AssertionError("evolve started worker processes")
+
+    monkeypatch.setattr(workers, "map_in_processes", refuse)
+    repo = make_repo(tmp_path / "repo")
+    add_commit(repo, at(2024, 5, 15), {
+        f"src/p/C{n}.java": java_class(f"C{n}", 0, None)
+        for n in range(2 * MIN_FILES_PER_WORKER)})
+    add_commit(repo, at(2024, 6, 15),
+               {"src/p/C0.java": java_class("C0", 1, None)})
+    assert main(["evolve", str(repo), "--as-of", "2024-07-01",
+                 "--months", "2", "--force"]) == 0
+    rows = json.loads(capsysbinary.readouterr().out)["samples"]
+    assert [row["failed"] for row in rows] == [False, False]
 
 
 def listing_analyzer(seen):

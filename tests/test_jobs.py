@@ -1,10 +1,11 @@
 """`analyze --jobs N`: the same report from worker processes as from one.
 
-The files of a directory are parsed and file-checked on up to N worker
-processes once each gets at least MIN_FILES_PER_WORKER files; the merge,
-the index and the project-scope checks stay in the calling process. The
-map that runs the workers keeps item order, raises a worker's exception
-at its item, and leaves no child process behind, however it ends.
+The files of a directory or snapshot that `reuse` does not hold are
+parsed and file-checked on up to N worker processes once each gets at
+least MIN_FILES_PER_WORKER files; the merge, the index and the
+project-scope checks stay in the calling process. The map that runs the
+workers keeps item order, raises a worker's exception at its item, and
+leaves no child process behind, however it ends.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from javastyle.analysis import MIN_FILES_PER_WORKER, analyze_repository
 from javastyle.cli import build_parser, main, usable_cpus
 from javastyle.lexicon import LexiconError
 from javastyle.model import SourceFileModel
+
+from helpers import MemorySnapshot
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -84,17 +87,23 @@ def test_report_bytes_are_the_same_for_every_job_count_and_hash_seed(tree):
     assert b"duplicate type" in reports[1, "0"]
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 3])
-def test_workers_start_only_when_each_gets_enough_files(tree, monkeypatch,
-                                                         jobs):
-    started = []
+@pytest.fixture
+def started(monkeypatch) -> list[int]:
+    """The worker count of each map_in_processes call while the test runs.
+    MemorySnapshot.reads cannot tell: the workers' reads stay in them."""
+    counts = []
     real = workers.map_in_processes
 
     def recording(fn, items, count, **kwargs):
-        started.append(count)
+        counts.append(count)
         return real(fn, items, count, **kwargs)
 
     monkeypatch.setattr(workers, "map_in_processes", recording)
+    return counts
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_workers_start_only_when_each_gets_enough_files(tree, started, jobs):
     serial = outcome(analyze_repository(str(tree)))
     pooled = outcome(analyze_repository(str(tree), jobs=jobs))
     assert started == ([] if jobs == 1 else [jobs])
@@ -105,6 +114,38 @@ def test_workers_start_only_when_each_gets_enough_files(tree, monkeypatch,
     assert outcome(analyze_repository(str(small), jobs=jobs)) == \
         outcome(analyze_repository(str(small)))
     assert started == []
+
+
+@pytest.fixture(scope="module")
+def tree_files(tree) -> dict[str, bytes]:
+    """The readable files of the tree, {path: bytes}."""
+    return {path.relative_to(tree).as_posix(): path.read_bytes()
+            for path in sorted(tree.rglob("*.java")) if path.exists()}
+
+
+def test_a_snapshot_is_analyzed_on_workers_too(tree_files, started):
+    assert len(tree_files) >= 2 * MIN_FILES_PER_WORKER
+    serial = outcome(analyze_repository(MemorySnapshot(tree_files)))
+    assert started == []
+    snapshot = MemorySnapshot(tree_files)
+    pooled = outcome(analyze_repository(snapshot, jobs=2))
+    assert started == [2]
+    assert snapshot.reads == []  # the workers read every file
+    assert pooled == serial
+
+
+def test_only_the_files_reuse_lacks_go_to_workers(tree_files, started):
+    snapshot = MemorySnapshot(tree_files)
+    reuse = {}
+    first = analyze_repository(snapshot, reuse=reuse, jobs=2)
+    assert started == [2] and len(reuse) == len(tree_files)
+    changed = first.paths[5]
+    snapshot.files[changed] += b"\nclass Extra {}\n"
+    second = analyze_repository(snapshot, reuse=reuse, jobs=2)
+    assert started == [2]  # one miss: analyzed in this process
+    assert snapshot.reads == [changed]
+    fresh = analyze_repository(MemorySnapshot(snapshot.files))
+    assert outcome(second) == outcome(fresh) != outcome(first)
 
 
 def assert_no_children():

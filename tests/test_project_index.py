@@ -119,12 +119,15 @@ def test_deep_inheritance_chain_analyzes_cleanly(tmp_path):
     # Sorted order visits the most-derived class first, so the cycle
     # search walks the whole chain in one descent.
     depth = 1500
-    write_tree(tmp_path, {"src/p/Chain.java": "package p;\n" + "".join(
+    source = "package p;\n" + "".join(
         f"class C{k:04d} extends C{k + 1:04d} {{}}\n" for k in range(depth)
-    ) + f"class C{depth:04d} {{}}\n"})
+    ) + f"class C{depth:04d} {{}}\n"
+    write_tree(tmp_path, {"src/p/Chain.java": source})
     result = analyze_repository(str(tmp_path))
     assert result.diagnostics == []
-    assert len(result.index.supertype_chain("p.C0000")) == depth + 1
+    index = build_project_index([file_record(
+        parse_compilation_unit(source, "src/p/Chain.java"))])
+    assert len(index.supertype_chain("p.C0000")) == depth + 1
 
 
 def test_supertype_chain_ends_at_object():
