@@ -55,7 +55,7 @@ STRING_TYPE_NAMES = frozenset({"String", "java.lang.String"})
 _PACKAGE_RE = re.compile(r"^[a-z][a-z0-9]*(\.[a-z][a-z0-9]*)*$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     category: Category
     file_path: str

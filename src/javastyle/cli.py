@@ -124,10 +124,11 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _jobs_error(jobs: int) -> bool:
-    if jobs >= 1:
+def _below_one(option: str, value: int) -> bool:
+    """Report a count option below 1 as a usage error."""
+    if value >= 1:
         return False
-    print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
+    print(f"error: {option} must be at least 1, got {value}", file=sys.stderr)
     return True
 
 
@@ -147,7 +148,7 @@ def scan_claims(path: str, deep: bool = False):
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    if _jobs_error(args.jobs):
+    if _below_one("--jobs", args.jobs):
         return EXIT_USAGE
     config = merged_config(args)
     result = analyze_repository(args.path, config, jobs=args.jobs)
@@ -189,9 +190,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
 
-    if args.months < 1:
-        print(f"error: --months must be at least 1, got {args.months}",
-              file=sys.stderr)
+    if _below_one("--months", args.months):
         return EXIT_USAGE
     # Each snapshot reuses the previous one's unchanged files: their
     # parses and file-scope check results.
@@ -229,6 +228,8 @@ def _cmd_claims(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    if _below_one("--groups", args.groups):
+        return EXIT_USAGE
     try:
         names = sorted(n for n in os.listdir(args.scores_dir)
                        if n.endswith(".json"))
@@ -290,7 +291,7 @@ def _corpus_scores(path: str, config: AnalysisConfig) -> dict[Category, float]:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    if _jobs_error(args.jobs):
+    if _below_one("--jobs", args.jobs):
         return EXIT_USAGE
     config = merged_config(args)
     try:

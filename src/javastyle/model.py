@@ -9,6 +9,7 @@ separators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Closed vocabularies. Kept as plain strings on the facts; these sets are
 # the reference for validation in tests.
@@ -24,7 +25,6 @@ MEMBER_KINDS = frozenset(
     }
 )
 VISIBILITIES = frozenset({"public", "protected", "package", "private"})
-RECEIVER_FORMS = frozenset({"className", "instanceExpr", "methodReturn", "implicit"})
 
 
 @dataclass(slots=True)
@@ -84,12 +84,17 @@ class ConcatSiteFact:
     target: str
 
 
-@dataclass(slots=True)
-class AccessFact:
+class AccessRecord(NamedTuple):
+    """A body access through an explicit receiver whose type is known.
+
+    A bare call, a `super.` access, a later link of a dotted chain or a
+    receiver of unknown type never resolves, so it gets no record.
+    """
+
     line: int
     member_name: str
-    receiver_form: str  # one of RECEIVER_FORMS
-    receiver_type: str | None = None
+    through_class: bool  # the receiver names a class, not an instance
+    receiver_type: str
 
 
 @dataclass(slots=True)
@@ -105,7 +110,7 @@ class BodyFacts:
     catches: list[CatchFact] = field(default_factory=list)
     loops: int = 0  # for, while and do statements
     concat_sites: list[ConcatSiteFact] = field(default_factory=list)
-    accesses: list[AccessFact] = field(default_factory=list)
+    accesses: list[AccessRecord] = field(default_factory=list)
     local_vars: list[LocalVarFact] = field(default_factory=list)
 
 

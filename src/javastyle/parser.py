@@ -23,7 +23,7 @@ from .javadoc import extract_javadoc
 from .lexer import (EOF, IDENT, KEYWORD, OP, JavaSyntaxError, is_javadoc,
                     line_col, tokenize)
 from .model import (
-    AccessFact,
+    AccessRecord,
     BodyFacts,
     CatchFact,
     CommentFact,
@@ -694,29 +694,28 @@ class _Parser:
         facts = member.body
         assert facts is not None
         kinds, values, line = self.kinds, self.values, self.line
-        enclosing = stack[-1].name if stack else None
+        enclosing = stack[-1].name
 
         locals_map: dict[str, str] = {}
         param_types = {p.name: simple_name_of(p.type_name) for p in member.params}
         loop_stack: list[int] = []
         do_while_skips: set[int] = set()
-        # Receivers of this.x / super.x chains; their accesses go last.
-        self_forms = {"this": ("instanceExpr", enclosing), "super": ("implicit", None)}
-        self_accesses: list[AccessFact] = []
+        # Only a chain's first link has a receiver whose type is known;
+        # the scan steps over the later links. this.x accesses go last.
+        this_accesses: list[AccessRecord] = []
         accesses = facts.accesses
 
-        def resolve_receiver(name: str) -> tuple[str, str | None]:
+        def receiver(name: str) -> tuple[bool, str | None]:
+            """Whether name denotes a class, and its type when known."""
             if name in locals_map:
-                return "instanceExpr", locals_map[name] or None
+                return False, locals_map[name] or None
             if name in param_types:
-                return "instanceExpr", param_types[name]
+                return False, param_types[name]
             if name in field_types:
-                return "instanceExpr", field_types[name] or None
-            if name in class_names:
-                return "className", name
-            if name[:1].isupper():
-                return "className", name
-            return "instanceExpr", None
+                return False, field_types[name] or None
+            if name in class_names or name[:1].isupper():
+                return True, name
+            return False, None
 
         def declare(i: int) -> int | None:
             """Record the local declaration at token i, if any; returns
@@ -734,8 +733,8 @@ class _Parser:
                 )
             return resume
 
-        # Before `quiet` lies a catch or declaration head: this./super.
-        # chains only. Literals and the operators other than `+=`, `=` and
+        # Before `quiet` lies a catch or declaration head: this. accesses
+        # only. Literals and the operators other than `+=`, `=` and
         # `)` start no fact.
         i = quiet = open_idx + 1
         while i < close_idx:
@@ -751,22 +750,17 @@ class _Parser:
                     quiet = resume
                 elif nxt_v in (".", "::") and i + 2 <= close_idx and \
                         kinds[i + 2] == IDENT:
-                    form, rtype = resolve_receiver(values[i])
-                    i = self._walk_chain(accesses, i + 2, close_idx, form, rtype) + 1
-                    continue
-                elif nxt_v == "(" and prev_v != "new":
-                    accesses.append(
-                        AccessFact(line=line(i), member_name=values[i],
-                                   receiver_form="implicit", receiver_type=None)
-                    )
+                    through_class, rtype = receiver(values[i])
+                    if rtype is not None:
+                        accesses.append(AccessRecord(
+                            line(i + 2), values[i + 2], through_class, rtype))
             elif kind == KEYWORD:
                 v = values[i]
-                if v in self_forms and values[i - 1] not in (".", "::") and \
+                if v == "this" and values[i - 1] not in (".", "::") and \
                         values[i + 1] == "." and kinds[i + 2] == IDENT:
-                    i = self._walk_chain(self_accesses, i + 2, close_idx,
-                                         *self_forms[v]) + 1
-                    continue
-                if i < quiet:
+                    this_accesses.append(AccessRecord(
+                        line(i + 2), values[i + 2], False, enclosing))
+                elif i < quiet:
                     pass
                 elif v in ("for", "while", "do") and i not in do_while_skips:
                     facts.loops += 1
@@ -796,17 +790,16 @@ class _Parser:
                         )
                 elif v == ")" and i + 2 <= close_idx and \
                         values[i + 1] == "." and kinds[i + 2] == IDENT:
-                    rtype = None
+                    # A bare call whose name has one return type in the file.
                     callee = self.partner.get(i, -1) - 1  # -2 when unmatched
-                    if callee > open_idx:
-                        before_v = values[callee - 1] if callee - 1 > open_idx else ""
-                        if kinds[callee] == IDENT and before_v not in (".", "::"):
-                            rtype = method_returns.get(values[callee])
-                    i = self._walk_chain(accesses, i + 2, close_idx,
-                                         "methodReturn", rtype) + 1
-                    continue
+                    if callee > open_idx and kinds[callee] == IDENT and \
+                            values[callee - 1] not in (".", "::"):
+                        rtype = method_returns.get(values[callee])
+                        if rtype is not None:
+                            accesses.append(AccessRecord(
+                                line(i + 2), values[i + 2], False, rtype))
             i += 1
-        accesses.extend(self_accesses)
+        accesses.extend(this_accesses)
 
         if facts.local_vars:
             # A token spelled like a local's name is always an identifier.
@@ -814,29 +807,6 @@ class _Parser:
             declared = [lv.name for lv in facts.local_vars]
             for lv in facts.local_vars:
                 lv.used = body.count(lv.name) > declared.count(lv.name)
-
-    def _walk_chain(self, out: list[AccessFact], j: int, close_idx: int,
-                    form: str, rtype: str | None) -> int:
-        """Append to out the member accesses along a dotted chain starting
-        at the member token j. Stops after a call so the `).member` rule
-        can resume with methodReturn form. Returns last consumed index."""
-        kinds, values = self.kinds, self.values
-        while True:
-            out.append(
-                AccessFact(line=self.line(j), member_name=values[j],
-                           receiver_form=form, receiver_type=rtype)
-            )
-            if j + 1 <= close_idx and values[j + 1] == "(":  # a call
-                return j
-            if (
-                j + 2 <= close_idx
-                and values[j + 1] in (".", "::")
-                and kinds[j + 2] == IDENT
-            ):
-                form, rtype = "instanceExpr", None
-                j += 2
-                continue
-            return j
 
     def _scan_catch(self, i: int, close_idx: int, facts: BodyFacts) -> int:
         kinds, values = self.kinds, self.values

@@ -19,7 +19,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import MemberFact, SourceFileModel, TypeFact, simple_name_of
+from .model import (AccessRecord, MemberFact, SourceFileModel, TypeFact,
+                    simple_name_of)
 
 OBJECT_TYPE = "java.lang.Object"
 
@@ -33,19 +34,6 @@ class MethodRecord(NamedTuple):
     line: int
     deprecated: bool
     override: bool  # carries @Override
-
-
-class AccessRecord(NamedTuple):
-    """A body access through an explicit receiver whose type is known.
-
-    An implicit receiver or an unknown receiver type never resolves, so
-    such accesses get no record.
-    """
-
-    line: int
-    member_name: str
-    receiver_form: str  # one of model.RECEIVER_FORMS, not "implicit"
-    receiver_type: str
 
 
 class TypeRecord(NamedTuple):
@@ -84,12 +72,7 @@ def _type_record(t: TypeFact, qualified: str, accesses: list[AccessRecord],
             if m.kind == "instanceMethod":
                 methods.append(_method_record(m))
         if m.body is not None:
-            accesses.extend(
-                AccessRecord(a.line, a.member_name, a.receiver_form,
-                             a.receiver_type)
-                for a in m.body.accesses
-                if a.receiver_form != "implicit"
-                and a.receiver_type is not None)
+            accesses.extend(m.body.accesses)
     return TypeRecord(qualified, tuple(t.supertypes), tuple(static),
                       tuple(instance), tuple(methods))
 
@@ -133,7 +116,6 @@ class TypeEntry:
     package: str | None
     supertypes: tuple[str, ...]  # as written
     resolved_supertypes: tuple[str, ...] = ()
-    external_supertypes: tuple[str, ...] = ()
     static_names: frozenset[str] = frozenset()
     instance_names: frozenset[str] = frozenset()
     methods: tuple[MethodRecord, ...] = ()  # instance only
@@ -304,15 +286,10 @@ def _resolve_supertypes(index: ProjectIndex) -> None:
     for entry in index.by_qualified.values():
         if not entry.supertypes:
             continue
-        resolved, external = [], []
-        for name in entry.supertypes:
-            target = index.resolve_type(name, entry.file)
-            if target is not None and target.qualified != entry.qualified:
-                resolved.append(target.qualified)
-            else:
-                external.append(name)
-        entry.resolved_supertypes = tuple(resolved)
-        entry.external_supertypes = tuple(external)
+        entry.resolved_supertypes = tuple(
+            target.qualified for name in entry.supertypes
+            if (target := index.resolve_type(name, entry.file)) is not None
+            and target.qualified != entry.qualified)
 
 
 def _drop_hierarchy_cycles(index: ProjectIndex) -> None:
@@ -343,7 +320,6 @@ def _drop_hierarchy_cycles(index: ProjectIndex) -> None:
                     kept = list(entry.resolved_supertypes)
                     kept.remove(succ)
                     entry.resolved_supertypes = tuple(kept)
-                    entry.external_supertypes += (succ,)
                     index.diagnostics.append(
                         f"inheritance cycle: dropped edge {node} -> {succ}"
                     )
@@ -394,9 +370,9 @@ def resolve_static_access(access: AccessRecord, file: str,
     Resolution succeeds only when the receiver names a project-local
     type that (with its project-local supertypes) declares the accessed
     name as a static member and never also as an instance member; any
-    ambiguity or external type yields resolved=False. Implicit
-    receivers (bare same-class access) have no record, so they are never
-    flagged: the rule governs how explicit receivers qualify the member.
+    ambiguity or external type yields resolved=False. Bare same-class
+    calls have no record, so they are never flagged: the rule governs
+    how explicit receivers qualify the member.
     """
     target = index.resolve_type(access.receiver_type, file)
     if target is None:
@@ -407,4 +383,4 @@ def resolve_static_access(access: AccessRecord, file: str,
     if any(name in e.instance_names for e in entries) or \
             not any(name in e.static_names for e in entries):
         return _UNRESOLVED
-    return _QUALIFIED if access.receiver_form == "className" else _UNQUALIFIED
+    return _QUALIFIED if access.through_class else _UNQUALIFIED

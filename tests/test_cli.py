@@ -368,6 +368,20 @@ def test_sample_too_many_groups_is_usage_error(tmp_path, capsysbinary):
     assert code == 2
 
 
+@pytest.mark.parametrize("groups", ["0", "-1"])
+def test_sample_groups_below_one_is_usage_error(tmp_path, capsysbinary,
+                                                groups):
+    reports_dir = tmp_path / "reports"
+    reports_dir.mkdir()
+    (reports_dir / "only.json").write_text(
+        json.dumps({"repo": "x", "violations": []}), encoding="utf-8")
+    code = main(["sample", str(reports_dir), "--groups", groups])
+    captured = capsysbinary.readouterr()
+    assert (code, captured.out) == (2, b"")
+    assert captured.err == (
+        f"error: --groups must be at least 1, got {groups}\n".encode())
+
+
 def test_sample_garbage_json_is_fatal(tmp_path, capsysbinary):
     reports_dir = tmp_path / "reports"
     reports_dir.mkdir()

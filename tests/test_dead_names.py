@@ -12,23 +12,25 @@ the functions it wraps in strings), in any Python file under ``src/``,
 An import is used when the file reads the name it binds, directly or in
 a string that is a Python expression (a quoted annotation).
 
-Every field of a ``model.py`` dataclass is read somewhere in ``src/``
-as an attribute (``x.field``); a keyword argument or an assignment that
-writes it is no read, so a field only the parser fills fails. The guard
-matches field names, not classes: a field named like a field of another
-class that is read (``kind``, ``line``, ``annotations``) passes even when
-nothing reads it on its own class. Every model dataclass has
-``__slots__``, which keeps the many small fact objects compact.
+Every field of a ``model.py`` dataclass or named tuple, and of the
+classes in ``GROWING``, is read somewhere in ``src/`` as an attribute
+(``x.field``); a keyword argument or an assignment that writes it is no
+read, so a field only the parser fills fails. The guard matches field
+names, not classes: a field named like a field of another class that is
+read (``kind``, ``line``, ``annotations``) passes even when nothing reads
+it on its own class. Every model dataclass and every ``GROWING`` class
+has ``__slots__``, which keeps the many small objects compact.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
-from javastyle import model
+from javastyle import checkers, model, project_index
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "javastyle"
@@ -37,6 +39,9 @@ IMPORTS_CHECKED = ("src", "tests", "scripts")
 _WORD = re.compile(r"[A-Za-z_]\w*")
 # A `name = "module:function"` line; tomllib is not in Python 3.10.
 _ENTRY_POINT = re.compile(r'^\s*[\w.-]+\s*=\s*"[\w.]+:(\w+)"', re.MULTILINE)
+# Outside the model, the classes with one instance per finding or per
+# type of the tree.
+GROWING = (checkers.Violation, project_index.TypeEntry)
 
 
 def defined_names(tree: ast.Module) -> list[tuple[str, int]]:
@@ -92,14 +97,15 @@ def dead_names(modules: dict[str, str], sources: list[str],
 
 
 def unread_fields(model_text: str, sources: list[str]) -> list[str]:
-    """``Class.field`` of each dataclass field in model_text that no
-    source reads as an attribute."""
+    """``Class.field`` of each dataclass or named tuple field in
+    model_text that no source reads as an attribute."""
     reads = {node.attr for text in sources for node in ast.walk(ast.parse(text))
              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     return [f"{node.name}.{item.target.id}"
             for node in ast.parse(model_text).body
-            if isinstance(node, ast.ClassDef) and any(
+            if isinstance(node, ast.ClassDef) and (any(
                 "dataclass" in ast.unparse(d) for d in node.decorator_list)
+                or any(ast.unparse(b) == "NamedTuple" for b in node.bases))
             for item in node.body
             if isinstance(item, ast.AnnAssign)
             and isinstance(item.target, ast.Name)
@@ -184,20 +190,28 @@ def test_every_model_field_is_read():
                for p in sorted((ROOT / "src").rglob("*.py"))]
     assert unread_fields((PACKAGE / "model.py").read_text(encoding="utf-8"),
                          sources) == []
+    growing = {c.__name__ for c in GROWING}
+    assert [f for c in GROWING
+            for f in unread_fields(Path(inspect.getfile(c)).read_text(
+                encoding="utf-8"), sources)
+            if f.partition(".")[0] in growing] == []
 
 
 def test_guard_flags_a_field_nothing_reads():
     module = ("from dataclasses import dataclass\n"
               "@dataclass(slots=True)\nclass Fact:\n"
               "    line: int\n    kind: str\n    done: bool = False\n"
-              "class Plain:\n    size: int\n")
+              "class Plain:\n    size: int\n"
+              "class Row(NamedTuple):\n    line: int\n    cells: int\n")
     caller = ("def make(n):\n    f = Fact(line=n, kind='x', done=True)\n"
               "    f.done = False\n    f.kind += '!'\n    return f.line\n")
-    assert unread_fields(module, [module, caller]) == ["Fact.kind", "Fact.done"]
+    assert unread_fields(module, [module, caller]) == [
+        "Fact.kind", "Fact.done", "Row.cells"]
 
 
 def test_every_model_dataclass_has_slots():
     classes = [c for c in vars(model).values()
                if isinstance(c, type) and dataclasses.is_dataclass(c)]
     assert classes
-    assert [c.__name__ for c in classes if "__slots__" not in vars(c)] == []
+    assert [c.__name__ for c in [*classes, *GROWING]
+            if "__slots__" not in vars(c)] == []

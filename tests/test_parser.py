@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from javastyle.checkers import check_empty_catch
 from javastyle.lexer import JavaSyntaxError, tokenize
-from javastyle.model import MEMBER_KINDS, RECEIVER_FORMS, TYPE_KINDS, VISIBILITIES
+from javastyle.model import (MEMBER_KINDS, TYPE_KINDS, VISIBILITIES,
+                             AccessRecord)
 from javastyle.parser import _Parser
 
 from helpers import parse_source, run_check
@@ -215,16 +216,61 @@ def test_body_facts(model):
 
 
 def test_access_facts(model):
-    body = member(model, "run").body
-    calls = {(a.member_name, a.receiver_form) for a in body.accesses}
-    assert ("add", "instanceExpr") in calls
-    process_body = member(model, "process").body
-    forms = {(a.member_name, a.receiver_form)
-             for a in process_body.accesses}
-    assert ("run", "implicit") in forms
-    assert ("length", "instanceExpr") in forms
-    assert all(a.receiver_form in RECEIVER_FORMS
-               for a in body.accesses + process_body.accesses)
+    # The bare calls run() and max(1, 2) get no record.
+    assert member(model, "run").body.accesses == [
+        AccessRecord(42, "add", False, "List")]
+    assert member(model, "process").body.accesses == [
+        AccessRecord(36, "length", False, "String")]
+    assert member(model, "Sample", "constructor").body.accesses == [
+        AccessRecord(17, "count", False, "Sample")]
+
+
+RECEIVER_SHAPES = """\
+package p;
+
+class Shapes extends Base {
+    Helper field;
+    Helper make() { return null; }
+    String pick() { return ""; }
+    int pick(int n) { return n; }
+
+    void all(Param param) {
+        Local local = new Local();
+        local.a();
+        int x = param.b;
+        field.c();
+        Helper.d();
+        this.e = 1;
+        super.f();
+        g();
+        local.h.i = 2;
+        local.j().k = 3;
+        Runnable r = local::m;
+        new Helper().n();
+        make().o();
+        pick().p();
+        unknown.q();
+    }
+}
+"""
+
+
+def test_access_records_for_every_receiver_shape():
+    """Only a receiver whose type is known gets a record: not super.f,
+    the bare g(), the later links i and k, new Helper().n, the call
+    with two return types nor the unknown receiver. this.e goes last."""
+    model = parse_source(RECEIVER_SHAPES, "p/Shapes.java")
+    assert member(model, "all").body.accesses == [
+        AccessRecord(11, "a", False, "Local"),
+        AccessRecord(12, "b", False, "Param"),
+        AccessRecord(13, "c", False, "Helper"),
+        AccessRecord(14, "d", True, "Helper"),
+        AccessRecord(18, "h", False, "Local"),
+        AccessRecord(19, "j", False, "Local"),
+        AccessRecord(20, "m", False, "Local"),
+        AccessRecord(22, "o", False, "Helper"),
+        AccessRecord(15, "e", False, "Shapes"),
+    ]
 
 
 def test_nested_type(model):

@@ -90,8 +90,8 @@ def test_unresolvable_supertype_is_external():
                        "class Main extends com.vendor.Widget {}\n",
     })
     e = entry(index, "p.Main")
+    assert e.supertypes == ("com.vendor.Widget",)
     assert e.resolved_supertypes == ()
-    assert e.external_supertypes == ("com.vendor.Widget",)
 
 
 def test_duplicate_qualified_name_first_wins():
@@ -360,21 +360,21 @@ def run_accesses(caller_body: str):
 def test_class_name_receiver_is_correctly_qualified():
     results = run_accesses("        Utils.doWork();")
     (a, r), = [x for x in results if x[0].member_name == "doWork"]
-    assert a.receiver_form == "className"
+    assert a.through_class
     assert r.resolved and r.qualified_correctly
 
 
 def test_instance_receiver_is_flagged_form():
     results = run_accesses("        utilInstance.doWork();")
     (a, r), = [x for x in results if x[0].member_name == "doWork"]
-    assert a.receiver_form == "instanceExpr"
+    assert a == (6, "doWork", False, "Utils")
     assert r.resolved and not r.qualified_correctly
 
 
 def test_method_return_receiver_is_flagged_form():
     results = run_accesses("        getUtils().doWork();")
     (a, r), = [x for x in results if x[0].member_name == "doWork"]
-    assert a.receiver_form == "methodReturn"
+    assert a == (6, "doWork", False, "Utils")
     assert r.resolved and not r.qualified_correctly
 
 
@@ -391,8 +391,8 @@ def test_implicit_receiver_unresolved_by_design():
         "    static void helper() {}\n"
         "    void caller() { helper(); }\n}\n", "p/Self.java")
     (caller,) = [m for m in model.types[0].members if m.name == "caller"]
-    assert [a.receiver_form for a in caller.body.accesses] == ["implicit"]
     # Never resolved, so never recorded, inspected or flagged.
+    assert caller.body.accesses == []
     record = file_record(model)
     assert record.accesses == ()
     index = build_project_index([record])
@@ -600,7 +600,7 @@ def test_static_access_resolution_matches_brute_force():
             got = resolve_static_access(a, caller.path, index)
             assert got.resolved == want, (trial, i, a)
             assert got.qualified_correctly == (
-                want and a.receiver_form == "className"), (trial, i, a)
+                want and a.through_class), (trial, i, a)
     assert duplicates > 20 and cycles > 10
 
 
@@ -643,9 +643,9 @@ DUPLICATED = {
 
 
 def duplicated_resolutions():
-    """(path, method, 'override') or (path, accessed name, receiver form)
-    -> resolution tuple for every instance method of each Thing and every
-    explicit-receiver access."""
+    """(path, method, 'override') or (path, accessed name, 'class' or
+    'instance' receiver) -> resolution tuple for every instance method of
+    each Thing and every explicit-receiver access."""
     records, index = index_of(DUPLICATED)
     out = {}
     for record in records:
@@ -658,7 +658,8 @@ def duplicated_resolutions():
                     r.overrides, r.parent_deprecated, r.parent_resolved)
         for a in record.accesses:
             r = resolve_static_access(a, record.path, index)
-            out[record.path, a.member_name, a.receiver_form] = (
+            receiver = "class" if a.through_class else "instance"
+            out[record.path, a.member_name, receiver] = (
                 r.resolved, r.qualified_correctly)
     return out, index
 
@@ -681,13 +682,13 @@ def test_resolution_inside_a_duplicated_type():
         ("b/p/Thing.java", "nearby", "override"): (True, False, False),
         ("b/p/Thing.java", "use", "override"): (False, False, False),
         # q.Util resolves through b's own import
-        ("b/p/Thing.java", "LIMIT", "instanceExpr"): (True, False),
-        ("b/p/Thing.java", "LIMIT", "className"): (True, True),
+        ("b/p/Thing.java", "LIMIT", "instance"): (True, False),
+        ("b/p/Thing.java", "LIMIT", "class"): (True, True),
         # no declared supertypes: resolved
         ("c/p/Thing.java", "work", "override"): (True, False, True),
         ("c/p/Thing.java", "use", "override"): (False, False, True),
         # c has no import of q.Util
-        ("c/p/Thing.java", "LIMIT", "instanceExpr"): (False, False),
+        ("c/p/Thing.java", "LIMIT", "instance"): (False, False),
         # in the default package, Base's package-private method is not
         # visible; the public one is
         ("d/Outer.java", "work", "override"): (True, False, False),

@@ -129,11 +129,10 @@ def test_each_resolver_runs_once_per_construct(lexicon, monkeypatch):
                for t in parse_source(text, path).all_types()
                for m in t.members]
     instance_methods = [m for m in members if m.kind == "instanceMethod"]
-    # An implicit receiver or an unknown receiver type never resolves, so
-    # the resolver is not asked.
+    # Only accesses whose receiver type is known are recorded, and the
+    # resolver is asked once for each.
     accesses = [a for m in members if m.body is not None
-                for a in m.body.accesses
-                if a.receiver_form != "implicit" and a.receiver_type]
+                for a in m.body.accesses]
     assert len(results["resolve_override"]) == len(instance_methods) == 7
     assert len(results["resolve_static_access"]) == len(accesses) > 0
     # equals, go and stop override; the annotated go is inspected, not flagged
