@@ -346,8 +346,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                              f"(or ${CONFIG_ENV_VAR})")
     parser.add_argument("--threshold", type=float, default=None,
                         metavar="T", help="adherence threshold (default 0.05)")
-    parser.add_argument("--ordering", type=int, choices=(1, 2, 3, 4),
-                        default=None, help="member ordering convention")
+    parser.add_argument("--ordering", type=int,
+                        choices=sorted(ORDERING_CONFIGS), default=None,
+                        help="member ordering convention")
     parser.add_argument("--lexicon", metavar="FILE", default=None,
                         help="word category lexicon (default: bundled)")
     parser.add_argument("--exclude", action="append", metavar="PREFIX",

@@ -5,6 +5,13 @@ the token span of every method or constructor body; a second pass scans
 those spans for statement-level facts (catch clauses, loops, string
 concatenation sites, member accesses, local variables).
 
+Both passes read a construct with the same index-based scanners, which
+step over (, [ and { groups through the lexer's bracket table:
+`_type_at` reads a type reference, `_angles_end` finds the `>` that
+closes a `<` (the one place that counts nesting), and `_stop_at` finds
+the first stop token outside bracket pairs. The declaration pass calls
+them through `parse_type_ref`, `skip_angles` and `skip_initializer`.
+
 Supported: classes, enums, interfaces, records, nested types, generics
 (parsed and ignored), annotations, all loop forms, try/catch/finally,
 switch, lambdas. Module declarations, annotation-type bodies, record
@@ -48,11 +55,15 @@ _MODIFIER_WORDS = frozenset(
         "default", "sealed",
     }
 )
+# The tokens a local declaration with a class type can follow; a `(` only
+# after `for` or `try`.
 _LOCAL_DECL_PREV = frozenset({";", "{", "}", "(", ","})
-# The keywords that can be a local variable's type, and those that can
-# start its declaration.
-_LOCAL_TYPES = _PRIMITIVES - {"void"} | {"var"}
-_DECL_START = _LOCAL_TYPES | {"final"}
+# The keywords that can start a local declaration.
+_DECL_START = _PRIMITIVES - {"void"} | {"var", "final"}
+_OPENS = frozenset({"(", "[", "{"})
+_CLOSES = frozenset({")", "]", "}"})
+# The tokens that end a search for the `>` closing a `<`.
+_ANGLE_STOPS = _CLOSES | {";", "{"}
 # The tokens a lambda can follow.
 _LAMBDA_PREV = frozenset({"(", ",", "=", "return", "->", "?", ":", "{", ")"})
 # Deepest type nesting parsed; deeper files are skipped with a diagnostic
@@ -181,19 +192,78 @@ class _Parser:
         return j
 
     def skip_angles(self) -> None:
-        """Skip a balanced <...> region; >> and >>> close two/three."""
-        self.expect("<")
-        depth = 1
-        while depth > 0:
-            v = self.values[self.pop()]
+        """Skip the <...> region at the current token."""
+        end = self._angles_end(self.pos, self.last)
+        if end is None:
+            self.fail("expected type")
+        self.pos = end + 1
+
+    def _angles_end(self, j: int, limit: int) -> int | None:
+        """Index of the token that closes the `<` at token j, where `>>`
+        and `>>>` close two and three; ( and [ pairs are stepped over.
+        None when a `;`, `{` or close bracket comes first, or when
+        nothing closes it up to limit."""
+        values, partner = self.values, self.partner
+        depth = 0
+        while j <= limit:
+            v = values[j]
             if v == "<":
                 depth += 1
-            elif v == ">":
-                depth -= 1
-            elif v == ">>":
-                depth -= 2
-            elif v == ">>>":
-                depth -= 3
+            elif v == ">" or v == ">>" or v == ">>>":
+                depth -= len(v)
+                if depth <= 0:
+                    return j
+            elif v == "(" or v == "[":
+                j = partner.get(j, limit)
+            elif v in _ANGLE_STOPS:
+                return None
+            j += 1
+        return None
+
+    def _type_at(self, j: int, limit: int) -> tuple[int, str] | None:
+        """The type reference at token j: a primitive, `var`, or a dotted
+        name with type arguments after any segment, then dims.
+
+        Returns the index after it and its name, dims included and type
+        arguments left out; None when no type starts or its type
+        arguments do not close before limit.
+        """
+        kinds, values = self.kinds, self.values
+        name = values[j]
+        if name in _PRIMITIVES or name == "var":
+            j += 1
+        elif kinds[j] == IDENT:
+            j += 1
+            while True:
+                if j <= limit and values[j] == "<":
+                    end = self._angles_end(j, limit)
+                    if end is None:
+                        return None
+                    j = end + 1
+                if j + 1 <= limit and values[j] == "." and \
+                        kinds[j + 1] == IDENT:
+                    name += "." + values[j + 1]
+                    j += 2
+                else:
+                    break
+        else:
+            return None
+        end = self._dims_end(j, limit)
+        return end, name + "[]" * ((end - j) // 2)
+
+    def _stop_at(self, j: int, limit: int, stops: tuple[str, ...]) -> int:
+        """Index of the first token from j to limit that is in stops or is
+        a close bracket whose open lies before j; bracket pairs are
+        stepped over. limit + 1 when there is none."""
+        values, partner = self.values, self.partner
+        while j <= limit:
+            v = values[j]
+            if v in stops or v in _CLOSES:
+                return j
+            if v in _OPENS:
+                j = partner.get(j, limit)
+            j += 1
+        return limit + 1
 
     # ------------------------------------------------------------------
     # compilation unit
@@ -541,47 +611,29 @@ class _Parser:
     def skip_initializer(self) -> None:
         """Consume an initializer expression up to a declarator , or ; .
 
-        Commas inside generic arguments sit at bracket depth zero, so a
+        Commas inside generic arguments lie outside bracket pairs, so a
         comma only ends the declarator when what follows looks like
         another declarator (ident, optional dims, then = , or ;).
         """
-        depth = 0
-        while True:
-            if self.kinds[self.pos] == EOF:
-                self.fail("unexpected end of file in initializer")
-            v = self.values[self.pos]
-            if v in ("(", "[", "{"):
-                depth += 1
-            elif v in (")", "]", "}"):
-                if depth == 0:
-                    self.fail("unbalanced initializer")
-                depth -= 1
-            elif depth == 0 and v == ";":
-                return
-            elif depth == 0 and v == "," and \
-                    self._declarator_ahead(self.pos + 1, self.last):
-                return
-            self.pop()
+        values, last = self.values, self.last
+        j = self._stop_at(self.pos, last, (";", ","))
+        while j < last and values[j] == "," and \
+                not self._declarator_ahead(j + 1, last):
+            j = self._stop_at(j + 1, last, (";", ","))
+        if j > last:
+            self.fail("unexpected end of file in initializer", last)
+        if values[j] in _CLOSES:
+            self.fail("unbalanced initializer", j)
+        self.pos = j
 
     def parse_type_ref(self) -> str:
         while self.at("@"):
             self.parse_annotation()
-        base = self.values[self.pos]
-        if base in _PRIMITIVES or base == "var":
-            self.pop()
-        elif self.kinds[self.pos] == IDENT:
-            self.pop()
-            while True:
-                if self.at("<"):
-                    self.skip_angles()
-                if self.at(".") and self.peek_kind(1) == IDENT:
-                    self.pop()
-                    base += "." + self.values[self.pop()]
-                else:
-                    break
-        else:
+        found = self._type_at(self.pos, self.last)
+        if found is None:
             self.fail("expected type")
-        return base + self.dims()
+        self.pos, name = found
+        return name
 
     @staticmethod
     def _visibility(mods: set[str], container_kind: str | None) -> str:
@@ -668,18 +720,18 @@ class _Parser:
                     declaring.append(i - 1)
             elif values[j] == ")" and \
                     values[self.partner.get(j, 0) - 1] in _LAMBDA_PREV:
-                depth = 0  # of type arguments and annotation arguments
-                for k in range(self.partner[j] + 1, j):
-                    v = values[k]
-                    if v == "<" or v == "(":
-                        depth += 1
-                    elif v == ")":
-                        depth -= 1
-                    elif v in (">", ">>", ">>>"):
-                        depth -= len(v)
-                    elif depth == 0 and kinds[k] == IDENT and \
-                            values[k + 1] in (",", ")"):
+                # Type and annotation arguments are stepped over.
+                k = self.partner[j] + 1
+                while k < j:
+                    if values[k] == "<":
+                        k = self._angles_end(k, j - 1)
+                        if k is None:
+                            break
+                    elif values[k] == "(":
+                        k = self.partner[k]
+                    elif kinds[k] == IDENT and values[k + 1] in (",", ")"):
                         declaring.append(k)
+                    k += 1
 
     def _scan_body(
         self,
@@ -746,7 +798,8 @@ class _Parser:
                     pass
                 elif prev_v in _LOCAL_DECL_PREV and (
                         kinds[i + 1] == IDENT or nxt_v in (".", "<", "[")
-                ) and (resume := declare(i)) is not None:
+                ) and (prev_v != "(" or values[i - 2] in ("for", "try")) \
+                        and (resume := declare(i)) is not None:
                     quiet = resume
                 elif nxt_v in (".", "::") and i + 2 <= close_idx and \
                         kinds[i + 2] == IDENT:
@@ -913,21 +966,9 @@ class _Parser:
                 end = self._matching_close(j)
                 j = end + 1
             return end
-        # plain statement: first ; at depth zero
-        depth = 0
-        j = i
-        while j <= limit:
-            val = values[j]
-            if val in ("(", "[", "{"):
-                depth += 1
-            elif val in (")", "]", "}"):
-                if depth == 0:
-                    return j - 1  # ran into the enclosing close
-                depth -= 1
-            elif val == ";" and depth == 0:
-                return j
-            j += 1
-        return limit
+        # plain statement: its `;`, or the token before the enclosing close
+        end = self._stop_at(i, limit, (";",))
+        return end if end <= limit and values[end] == ";" else end - 1
 
     def _try_local_decl(
         self, i: int, limit: int
@@ -939,79 +980,31 @@ class _Parser:
         name (so initializer expressions still get scanned), or None.
         """
         kinds, values = self.kinds, self.values
-        j = i
-        if values[j] == "final":
-            j += 1
-        base = values[j]
-        if base in _LOCAL_TYPES:
-            j += 1
-        elif kinds[j] == IDENT:
-            j += 1
-            while j + 1 <= limit and values[j] == "." and kinds[j + 1] == IDENT:
-                base += "." + values[j + 1]
-                j += 2
-            if j <= limit and values[j] == "<":
-                closed = self._skip_angles_at(j, limit)
-                if closed is None:
-                    return None
-                j = closed + 1
-        else:
+        found = self._type_at(i + 1 if values[i] == "final" else i, limit)
+        if found is None:
             return None
-        dims_end = self._dims_end(j, limit)
-        base += "[]" * ((dims_end - j) // 2)
-        j = dims_end
+        j, base = found
         if j > limit or kinds[j] != IDENT:
             return None
         names = [j]
         j = self._dims_end(j + 1, limit)
         if j > limit or values[j] not in ("=", ";", ",", ":"):
             return None
-        resume = j
         # Walk the declarator list for additional names; generic-argument
         # commas are filtered by the declarator lookahead.
-        depth = 0
         k = j
-        while k <= limit:
-            val = values[k]
-            if val in ("(", "[", "{"):
-                depth += 1
-            elif val in (")", "]", "}"):
-                if depth == 0:
-                    if val == ")" and values[k + 1] == "->":
-                        return None  # typed lambda parameters
-                    break
-                depth -= 1
-            elif val in (";", ":") and depth == 0:
-                break
-            elif val == "," and depth == 0 and self._declarator_ahead(k + 1, limit):
+        while (k := self._stop_at(k, limit, (";", ":", ","))) <= limit and \
+                values[k] == ",":
+            if self._declarator_ahead(k + 1, limit):
                 names.append(k + 1)
                 k += 1
             k += 1
-        return names, base, resume
+        if k <= limit and values[k] == ")" and values[k + 1] == "->":
+            return None  # typed lambda parameters
+        return names, base, j
 
     def _declarator_ahead(self, j: int, limit: int) -> bool:
         if self.kinds[j] != IDENT:
             return False
         j = self._dims_end(j + 1, limit)
         return j <= limit and self.values[j] in ("=", ",", ";")
-
-    def _skip_angles_at(self, i: int, limit: int) -> int | None:
-        """Balanced <...> skip by index; None when it does not close."""
-        depth = 0
-        j = i
-        while j <= limit:
-            v = self.values[j]
-            if v == "<":
-                depth += 1
-            elif v == ">":
-                depth -= 1
-            elif v == ">>":
-                depth -= 2
-            elif v == ">>>":
-                depth -= 3
-            elif v in (";", "{"):
-                return None
-            if depth <= 0:
-                return j
-            j += 1
-        return None

@@ -148,6 +148,25 @@ def test_exclude_flag_drops_subtree(tmp_path, capsysbinary):
     assert code == 0 and json.loads(out)["totalNormalized"] == 0.0
 
 
+def test_comparison_after_if_declares_no_local(tmp_path, capsysbinary):
+    write_tree(tmp_path, {"src/main/java/p/Pick.java": (
+        "package p;\n"
+        "class Pick {\n"
+        "  private int d;\n"
+        "  boolean pick(int a, int b, int c) {\n"
+        "    boolean x = false;\n"
+        "    if (a < b) x = c > d;\n"
+        "    return x;\n"
+        "  }\n"
+        "}\n")})
+    _, out = run_captured(capsysbinary, "analyze", str(tmp_path))
+    data = json.loads(out)
+    assert [v for v in data["violations"] if v["category"] == "Useless"] == []
+    (names,) = [row for row in data["scores"]
+                if row["category"] == "VariableNames"]
+    assert names["denominator"] == 5  # d, a, b, c, x
+
+
 def _class_names_denominator(out: bytes) -> int:
     return next(row["denominator"] for row in json.loads(out)["scores"]
                 if row["category"] == "ClassNames")

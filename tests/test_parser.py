@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from javastyle.checkers import check_empty_catch
 from javastyle.lexer import JavaSyntaxError, tokenize
 from javastyle.model import (MEMBER_KINDS, TYPE_KINDS, VISIBILITIES,
-                             AccessRecord)
+                             AccessRecord, simple_name_of)
 from javastyle.parser import _Parser
 
 from helpers import parse_source, run_check
@@ -327,6 +327,11 @@ def test_syntax_error_positions():
         ("class A { int x =", ("unexpected end of file in initializer", 1, 17)),
         ("module m", ("expected '{'", 1, 8)),
         ("class A { <T>", ("unexpected end of file", 1, 13)),
+        ("class A<T {", ("expected type", 1, 8)),
+        ("class A { List<String f; }", ("expected type", 1, 11)),
+        ("class A { int x = a]; }", ("unbalanced initializer", 1, 20)),
+        ("class A { int x = f(; }", ("unexpected end of file in initializer",
+                                     1, 23)),
     ]:
         with pytest.raises(JavaSyntaxError) as err:
             parse_source(text, "Bad.java")
@@ -469,7 +474,8 @@ def test_nested_loop_ends_are_walked_once(monkeypatch, nest):
 _FIXTURE_TEXTS = [p.read_text("utf-8")
                   for p in sorted(FIXTURE_ROOT.rglob("*.java"))]
 _SNIPPETS = ["if (a)", "do", "for(;;)", "while (b)", "else", "{", "}", "(",
-             ")", ";", "try", "catch (E e)", "class B {", "->", "<"]
+             ")", ";", "try", "catch (E e)", "class B {", "->", "<", ">",
+             ">>", ",", "=", "a < b"]
 
 
 @st.composite
@@ -533,3 +539,73 @@ def test_generic_and_array_types():
     assert names["index"].kind == "instanceField"
     assert names["counts"].return_type == "int[]"
     assert names["pick"].params[0].type_name == "T[]"
+
+
+def local_names(body: str) -> list[tuple[str, str]]:
+    """(name, type) of each local declared in a method with this body."""
+    m = parse_source("class A { int d; void f() {\n" + body + "\n} }\n",
+                     "A.java")
+    return [(lv.name, lv.type_name)
+            for lv in m.types[0].members[1].body.local_vars]
+
+
+@pytest.mark.parametrize("body", [
+    "if (a < b) x = c > d;",
+    "g(a < b, c > d, e);",
+    "while (a < b) x = c > d;",
+    "x = f(y, a < b) ? c > d : e;",
+])
+def test_comparisons_declare_no_local(body):
+    assert local_names(body) == []
+
+
+@pytest.mark.parametrize("body, declared", [
+    ("for (List<String> s : all) {}", [("s", "List")]),
+    ("for (Map.Entry<K, V> e = first(); e != null; e = next(e)) {}",
+     [("e", "Entry")]),
+    ("try (Reader<A> r = open()) {}", [("r", "Reader")]),
+    ("Outer<String>.Inner q = null;", [("q", "Inner")]),
+    ("Map<A, List<B>> m = f(), n;", [("m", "Map"), ("n", "Map")]),
+    ("int[] a = {1, 2}, b[] = {};", [("a", "int[]"), ("b", "int[]")]),
+])
+def test_local_declaration_shapes(body, declared):
+    assert local_names(body) == declared
+
+
+_TYPE_NAMES = st.sampled_from(["A", "b", "Map", "java", "util", "Outer",
+                               "Inner", "T"])
+
+
+@st.composite
+def type_refs(draw, depth=2):
+    """(source text, name the parser records) of a type reference."""
+    if draw(st.integers(0, 3)) == 0:
+        source = name = draw(st.sampled_from(
+            ["boolean", "byte", "char", "short", "int", "long", "float",
+             "double"]))
+    else:
+        segments = draw(st.lists(_TYPE_NAMES, min_size=1, max_size=3))
+        name = ".".join(segments)
+        source = ""
+        for k, segment in enumerate(segments):
+            source += ("." if k else "") + segment
+            if depth and draw(st.booleans()):
+                args = draw(st.lists(
+                    type_refs(depth - 1) | st.just(("?", "?")),
+                    min_size=1, max_size=2))
+                source += "<" + ", ".join(a for a, _ in args) + ">"
+    dims = "[]" * draw(st.integers(0, 2))
+    return source + dims, name + dims
+
+
+@settings(max_examples=200, deadline=None)
+@given(type_refs())
+def test_field_and_local_of_a_type_record_one_type_name(ref):
+    source, name = ref
+    m = parse_source(
+        f"class A {{ {source} f; void m() {{ {source} q = null; }} }}\n",
+        "A.java")
+    field, method = m.types[0].members
+    assert field.return_type == name
+    (local,) = method.body.local_vars
+    assert local.type_name == simple_name_of(name)
