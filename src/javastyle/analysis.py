@@ -34,7 +34,7 @@ DEFAULT_ORDERING_ID = 2
 # longer and 14 ms shorter with 2 workers than without (medians of 30
 # alternating CLI runs), so 2 workers break even at about 16 files each.
 MIN_FILES_PER_WORKER = 32
-# Files per chunk handed to a worker.
+# Files per chunk that a worker takes from the queue.
 FILES_PER_CHUNK = 8
 
 

@@ -56,8 +56,11 @@ _MODIFIER_WORDS = frozenset(
     }
 )
 # The tokens a local declaration with a class type can follow; a `(` only
-# after `for` or `try`.
-_LOCAL_DECL_PREV = frozenset({";", "{", "}", "(", ","})
+# after `for` or `try`, and a `:` only where it ends a switch label.
+_LOCAL_DECL_PREV = frozenset({";", "{", "}", "(", ":"})
+# The tokens that end the walk back from a `:` to what it belongs to; a
+# `?` or an earlier `:` stops it short of a `case` before them.
+_COLON_OWNERS = frozenset({"case", "default", "?", ";", "{", "}", ":"})
 # The keywords that can start a local declaration.
 _DECL_START = _PRIMITIVES - {"void"} | {"var", "final"}
 _OPENS = frozenset({"(", "[", "{"})
@@ -799,6 +802,7 @@ class _Parser:
                 elif prev_v in _LOCAL_DECL_PREV and (
                         kinds[i + 1] == IDENT or nxt_v in (".", "<", "[")
                 ) and (prev_v != "(" or values[i - 2] in ("for", "try")) \
+                        and (prev_v != ":" or self._ends_label(i - 1)) \
                         and (resume := declare(i)) is not None:
                     quiet = resume
                 elif nxt_v in (".", "::") and i + 2 <= close_idx and \
@@ -1002,6 +1006,16 @@ class _Parser:
         if k <= limit and values[k] == ")" and values[k + 1] == "->":
             return None  # typed lambda parameters
         return names, base, j
+
+    def _ends_label(self, k: int) -> bool:
+        """Whether the `:` at k ends a switch label (`case 1:`, `default:`),
+        not a conditional expression, an enhanced `for` head, an `assert`
+        or a statement label."""
+        values = self.values
+        j = k - 1
+        while values[j] not in _COLON_OWNERS:
+            j -= 1
+        return values[j] in ("case", "default")
 
     def _declarator_ahead(self, j: int, limit: int) -> bool:
         if self.kinds[j] != IDENT:

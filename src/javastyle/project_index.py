@@ -173,9 +173,7 @@ class ProjectIndex:
         Order: same file, same package, explicit import, wildcard
         import; unresolved names are treated as external.
         """
-        ctx = self._contexts.get(file)
-        if ctx is None:
-            return self.by_qualified.get(name)
+        ctx = self._contexts[file]
         if "." in name:
             entry = self.by_qualified.get(name)
             if entry is not None:

@@ -13,7 +13,8 @@ from javastyle.checkers import (CHECKS, ORDERING_CONFIGS, PROJECT, Category,
                                 check_finalize_override,
                                 check_private_instances,
                                 check_string_concatenation,
-                                check_useless, check_variable_names)
+                                check_useless, check_variable_names,
+                                looks_like_code)
 from javastyle.project_index import build_project_index, file_record
 
 from helpers import analyze_files, of_category, parse_source, run_check
@@ -540,6 +541,19 @@ def test_commented_out_code_lines_end_only_at_line_feed(char):
            f"int z; // x = 1;{char}y = 2;\n}}")
     out = [v for v in useless(src) if "commented-out" in v.message]
     assert [v.line for v in out] == [3, 4, 5]
+
+
+@pytest.mark.parametrize("line, code", [
+    ("// if (done)", True),
+    ("// return total", True),
+    ("   * return total", True),
+    ("   * while (busy)", True),
+    ("   * the total", False),
+    ("// note (see above)", False),
+    ("   *", False),
+])
+def test_a_keyword_start_looks_like_code(line, code):
+    assert looks_like_code(line) is code
 
 
 def test_prose_comment_not_flagged():

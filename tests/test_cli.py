@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from javastyle.cli import main
+from javastyle.cli import ConfigError, main, parse_config_file
 
 from helpers import write_tree
 from test_history import add_commit, make_repo
@@ -250,6 +250,22 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
     code = main(["analyze", str(tmp_path), "--config", str(config)])
     assert code == 2
     assert "style.cfg:1" in capsys.readouterr().err
+
+
+def test_config_file_keys_and_bad_values(tmp_path):
+    config = tmp_path / "style.cfg"
+    config.write_text("lexicon = words.tsv\nexclude = gen\nexclude = old\n",
+                      encoding="utf-8")
+    assert parse_config_file(str(config)) == {
+        "lexicon": "words.tsv", "excludes": ["gen", "old"]}
+    for line, value in [("threshold = high", "'high'"),
+                        ("ordering = 2.5", "'2.5'")]:
+        config.write_text(f"# profile\n{line}\n", encoding="utf-8")
+        key = line.split()[0]
+        with pytest.raises(ConfigError) as raised:
+            parse_config_file(str(config))
+        assert str(raised.value) == (
+            f"{config}:2: bad value for {key}: {value}")
 
 
 def test_unknown_ordering_is_usage_error(tmp_path, capsysbinary):

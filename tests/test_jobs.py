@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import os
+import select
 import shutil
 import signal
 import subprocess
@@ -234,6 +235,50 @@ def test_a_worker_that_ends_without_its_results_is_an_error():
                                      match=r"exit code 4"):
         list(workers.map_in_processes(exit_at_five, list(range(20)), 2,
                                       chunksize=3))
+    assert_no_children()
+
+
+def abs_and_pid(i: int) -> tuple[int, int]:
+    return abs(i), os.getpid()
+
+
+def test_more_chunks_than_one_pipe_write_holds_come_back_in_order():
+    items = list(range(-5000, 0))
+    cap = select.PIPE_BUF // 4  # chunk numbers that fit in one write
+    assert len(items) > cap
+    with deadline(60):  # more workers than CPUs share the one queue
+        results = list(workers.map_in_processes(abs_and_pid, items,
+                                                usable_cpus() + 2))
+    assert [r for r, _ in results] == [-i for i in items]
+    # chunksize grew so that the chunk numbers fit: each run of
+    # `chunksize` items ran in one worker
+    chunksize = -(-len(items) // cap)
+    assert chunksize > 1
+    pids = [pid for _, pid in results]
+    assert all(len(set(pids[k:k + chunksize])) == 1
+               for k in range(0, len(pids), chunksize))
+    assert_no_children()
+
+
+def kill_self_at_five(i: int) -> int:
+    if i == 5:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return i
+
+
+def exit_cleanly_at_five(i: int) -> int:
+    if i == 5:
+        os._exit(0)  # as if the queue were empty, with chunk 1 lost
+    return i
+
+
+@pytest.mark.parametrize("fn, message", [
+    (kill_self_at_five, rf"\(signal {int(signal.SIGKILL)}\)"),
+    (exit_cleanly_at_five, "ended before sending every result"),
+])
+def test_a_worker_that_dies_mid_map_is_an_error(fn, message):
+    with deadline(30), pytest.raises(ChildProcessError, match=message):
+        list(workers.map_in_processes(fn, list(range(20)), 2, chunksize=3))
     assert_no_children()
 
 

@@ -554,8 +554,23 @@ def local_names(body: str) -> list[tuple[str, str]]:
     "g(a < b, c > d, e);",
     "while (a < b) x = c > d;",
     "x = f(y, a < b) ? c > d : e;",
+    "g(x, a < b, c > d, e);",
+    "x = c ? y : a < b && e > g;",
+    "x = c ? d ? y : z : a < b && e > g;",
 ])
 def test_comparisons_declare_no_local(body):
+    assert local_names(body) == []
+
+
+
+@pytest.mark.parametrize("body", [
+    "x = c ? a : b.d();",
+    "assert ok : msg;",
+    "assert ok : msg.text();",
+    "out: for (;;) { break out; }",
+    "switch (k) { case 1: assert ok : a < b && e > g; }",
+])
+def test_other_colons_declare_nothing(body):
     assert local_names(body) == []
 
 
@@ -567,9 +582,115 @@ def test_comparisons_declare_no_local(body):
     ("Outer<String>.Inner q = null;", [("q", "Inner")]),
     ("Map<A, List<B>> m = f(), n;", [("m", "Map"), ("n", "Map")]),
     ("int[] a = {1, 2}, b[] = {};", [("a", "int[]"), ("b", "int[]")]),
+    ("for (Foo f : foo.bar()) {}", [("f", "Foo")]),
+    ("switch (k) { case 1: String s = g(); int n = 1;\n"
+     "  default: List<String> q = h(); }",
+     [("s", "String"), ("n", "int"), ("q", "List")]),
+    ("switch (k) { case A, B: Bar r = g(); }", [("r", "Bar")]),
 ])
 def test_local_declaration_shapes(body, declared):
     assert local_names(body) == declared
+
+
+# Declaration shapes the fixtures lack: annotation types, sealed
+# hierarchies, enum constants with annotations or bodies, compact record
+# constructors, receiver and varargs parameters, field declarator lists,
+# type annotations, and braceless loop bodies that are a switch,
+# synchronized or try statement.
+SHAPES = """\
+@interface Marker {
+  String value() default "";
+  int[] sizes() default {1, 2};
+}
+
+sealed interface Shape permits Circle, Square {}
+
+non-sealed class Circle implements Shape {}
+
+final class Square implements Shape {}
+
+enum Color {
+  @Deprecated RED,
+  GREEN {
+    @Override
+    String label() { return "g"; }
+  },
+  BLUE;
+
+  String label() { return name(); }
+}
+
+record Range(int lo, int hi) {
+  Range {
+    if (lo > hi) throw new IllegalArgumentException();
+  }
+}
+
+class Holder {
+  int a, b;
+  Map<String, Integer> m = new HashMap<String, Integer>(), n;
+  @Marker("x") java.util.List<@Marker String> typed;
+
+  void run(@Marker("p") final String name, int... rest)
+      throws java.io.IOException, InterruptedException {
+    String s = "";
+    for (int i = 0; i < 3; i++)
+      switch (i) { case 1: s += "a"; break; default: s += "b"; }
+    s += "1";
+    while (rest.length > 0)
+      synchronized (this) { s += "c"; }
+    s += "2";
+    do
+      try { s += "d"; } finally { s = s + "e"; }
+    while (s.isEmpty());
+    s += "3";
+  }
+
+  void take(Holder this, String[] parts) {}
+}
+"""
+
+
+def test_facts_of_rarer_declaration_shapes():
+    m = parse_source(SHAPES, "Shapes.java")
+    assert [(t.kind, t.name, t.line, t.supertypes) for t in m.all_types()] == [
+        ("annotation", "Marker", 1, []), ("interface", "Shape", 6, []),
+        ("class", "Circle", 8, ["Shape"]), ("class", "Square", 10, ["Shape"]),
+        ("enum", "Color", 12, []), ("record", "Range", 23, []),
+        ("class", "Holder", 29, [])]
+    # The members of annotation types and enum-constant bodies are not
+    # pinned here: the parser skips both bodies today (CHANGES.md, FOUND).
+    members = {t.name: [(mf.kind, mf.name, mf.line) for mf in t.members]
+               for t in m.all_types() if t.kind != "annotation"}
+    assert ("instanceMethod", "label", 20) in members.pop("Color")
+    assert members == {
+        "Shape": [], "Circle": [], "Square": [],
+        "Range": [("constructor", "Range", 24)],
+        "Holder": [("instanceField", "a", 30), ("instanceField", "b", 30),
+                   ("instanceField", "m", 31), ("instanceField", "n", 31),
+                   ("instanceField", "typed", 32),
+                   ("instanceMethod", "run", 34),
+                   ("instanceMethod", "take", 49)]}
+    holder = {mf.name: mf for mf in m.types[-1].members}
+    assert [holder[n].return_type for n in "abmn"] == [
+        "int", "int", "Map", "Map"]
+    assert holder["typed"].return_type == "java.util.List"
+    assert holder["typed"].annotations == ["Marker"]
+    run, take = holder["run"], holder["take"]
+    assert [(p.name, p.type_name) for p in run.params] == [
+        ("name", "String"), ("rest", "int[]")]
+    assert run.thrown_types == ["IOException", "InterruptedException"]
+    assert [(p.name, p.type_name) for p in take.params] == [
+        ("parts", "String[]")]
+    assert m.types[-2].members[0].params == []  # compact constructor
+    # Concatenations in each braceless loop body count; the one after
+    # each loop does not.
+    body = run.body
+    assert body.loops == 3
+    assert [(c.line, c.target) for c in body.concat_sites] == [
+        (38, "s"), (38, "s"), (41, "s"), (44, "s"), (44, "s")]
+    assert [(lv.name, lv.type_name) for lv in body.local_vars] == [
+        ("s", "String"), ("i", "int")]
 
 
 _TYPE_NAMES = st.sampled_from(["A", "b", "Map", "java", "util", "Outer",

@@ -84,6 +84,39 @@ def test_resolution_same_package_then_import_then_wildcard():
     assert entry(index, "p.FromWild").resolved_supertypes == ("s.Wild",)
 
 
+def test_dotted_supertypes_resolve():
+    _, index = index_of({
+        "p/Main.java": "package p;\nimport q.Imported;\n"
+                       "class Full extends p.Base {}\n"
+                       "class Nested extends Outer.Inner {}\n"
+                       "class ViaImport extends Imported.Inner {}\n"
+                       "class Missing extends Imported.Absent {}\n",
+        "p/Base.java": "package p;\nclass Base {}\n",
+        "p/Outer.java": "package p;\nclass Outer { static class Inner {} }\n",
+        "q/Imported.java": "package q;\n"
+                           "public class Imported { public static class Inner {} }\n",
+    })
+    assert entry(index, "p.Full").resolved_supertypes == ("p.Base",)
+    assert entry(index, "p.Nested").resolved_supertypes == ("p.Outer.Inner",)
+    assert entry(index, "p.ViaImport").resolved_supertypes == (
+        "q.Imported.Inner",)
+    assert entry(index, "p.Missing").resolved_supertypes == ()
+
+
+def test_a_default_package_supertype_resolves_only_there():
+    _, index = index_of({
+        "Main.java": "class Main extends Base {}\n"
+                     "class Other extends Thing {}\n"
+                     "class Deep extends Outer.Inner {}\n",
+        "Base.java": "class Base {}\n",
+        "Outer.java": "class Outer { static class Inner {} }\n",
+        "p/Thing.java": "package p;\npublic class Thing {}\n",
+    })
+    assert entry(index, "Main").resolved_supertypes == ("Base",)
+    assert entry(index, "Deep").resolved_supertypes == ("Outer.Inner",)
+    assert entry(index, "Other").resolved_supertypes == ()  # p.Thing
+
+
 def test_unresolvable_supertype_is_external():
     _, index = index_of({
         "p/Main.java": "package p;\n"

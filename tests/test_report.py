@@ -164,6 +164,18 @@ def test_markdown_claim_line():
     assert "README.md:4" in text
 
 
+def test_markdown_lists_diagnostics_last():
+    diagnostics = ["skipped a/B.java: not valid UTF-8",
+                   "hierarchy cycle dropped: p.A -> p.B"]
+    text = emit_report(build_report(diagnostics=diagnostics),
+                       "markdown").decode()
+    assert text.endswith("## Diagnostics\n\n"
+                         "- skipped a/B.java: not valid UTF-8\n"
+                         "- hierarchy cycle dropped: p.A -> p.B\n\n")
+    assert "## Diagnostics" not in emit_report(build_report(),
+                                               "markdown").decode()
+
+
 def test_csv_shape():
     lines = emit_report(build_report(), "csv").decode().splitlines()
     assert lines[0] == "category,absolute,denominator,normalized,adherent"
