@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import NamedTuple, Protocol
 
@@ -38,23 +37,21 @@ MIN_FILES_PER_WORKER = 32
 FILES_PER_CHUNK = 8
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(NamedTuple):
     threshold: float = DEFAULT_ADHERENCE_THRESHOLD
     ordering_id: int = DEFAULT_ORDERING_ID
     lexicon_path: str | None = None
     excludes: tuple[str, ...] = ()
 
 
-@dataclass
-class AnalysisResult:
+class AnalysisResult(NamedTuple):
     paths: list[str]  # of the analyzed files, in discovery order
     violations: list[Violation]
     counts: dict[Category, int]
     scores: list[CategoryScore]
     total_normalized: float
     verdict: AdherenceVerdict
-    diagnostics: list[str] = field(default_factory=list)
+    diagnostics: list[str]
 
 
 def load_lexicon(config: AnalysisConfig) -> Lexicon:

@@ -15,9 +15,8 @@ from __future__ import annotations
 import enum
 import posixpath
 import re
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .lexer import KEYWORDS
 from .lexicon import NOUN, VERB, Lexicon, matches_casing, split_identifier
@@ -55,8 +54,7 @@ STRING_TYPE_NAMES = frozenset({"String", "java.lang.String"})
 _PACKAGE_RE = re.compile(r"^[a-z][a-z0-9]*(\.[a-z][a-z0-9]*)*$")
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(NamedTuple):
     category: Category
     file_path: str
     line: int
@@ -67,8 +65,7 @@ class Violation:
         return (self.category.value, self.file_path, self.line)
 
 
-@dataclass(frozen=True)
-class OrderingConfig:
+class OrderingConfig(NamedTuple):
     id: int
     ranked_groups: tuple[str, ...]
 
@@ -105,8 +102,7 @@ _MEMBER_GROUP = {
 }
 
 
-@dataclass(frozen=True)
-class CheckContext:
+class CheckContext(NamedTuple):
     """What a check may consult besides the file it inspects."""
 
     index: ProjectIndex | None  # None for the file-scope checks

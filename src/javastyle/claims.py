@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 NO_MENTION = "NoMention"
 MENTION_CODE_STYLE = "MentionCodeStyle"
@@ -34,17 +34,15 @@ _GOOGLE_RES = [re.compile(p, re.IGNORECASE) for p in GOOGLE_PATTERNS]
 _GENERAL_RES = [re.compile(p, re.IGNORECASE) for p in GENERAL_PATTERNS]
 
 
-@dataclass(frozen=True)
-class ClaimEvidence:
+class ClaimEvidence(NamedTuple):
     file: str
     line: int
     matched: str
 
 
-@dataclass
-class ClaimResult:
+class ClaimResult(NamedTuple):
     category: str
-    evidence: list[ClaimEvidence] = field(default_factory=list)
+    evidence: list[ClaimEvidence]
 
 
 def _scan_text(path_label: str, text: str, patterns) -> list[ClaimEvidence]:

@@ -13,9 +13,8 @@ free, and a blob is fetched only when the analyzer asks for it.
 from __future__ import annotations
 
 import subprocess
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .discovery import WalkStep, select_sources
 from .scoring import CategoryScore
@@ -38,20 +37,17 @@ class HistoryError(Exception):
     """Raised when git interaction or sampling preconditions fail."""
 
 
-@dataclass(frozen=True)
-class CommitRecord:
+class CommitRecord(NamedTuple):
     id: str
     timestamp: datetime
 
 
-@dataclass
-class EligibilityResult:
+class EligibilityResult(NamedTuple):
     eligible: bool
-    reasons: list[str] = field(default_factory=list)
+    reasons: list[str]
 
 
-@dataclass
-class EvolutionSample:
+class EvolutionSample(NamedTuple):
     month_label: str
     commit: CommitRecord | None
     scores: list[CategoryScore]

@@ -38,8 +38,9 @@ _CASING_RE = {
 _WORD_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|[0-9]+")
 
 _ENTRY_RE = re.compile(r"^(\S+)\t([nvaro](?:,[nvaro])*)$")
-# One such line ending at "\n", or at the end of the text.
-_LINE_RE = re.compile(r"(\S+)\t([nvaro](?:,[nvaro])*)(?:\n|\Z)")
+# A text of such lines only, each ending at "\n" but perhaps the last.
+_ENTRIES_RE = re.compile(
+    r"(?:\S+\t[nvaro](?:,[nvaro])*\n)*(?:\S+\t[nvaro](?:,[nvaro])*)?")
 
 
 class LexiconError(ValueError):
@@ -100,36 +101,42 @@ class Lexicon:
     @classmethod
     def _parse(cls, text: str, path: str) -> "Lexicon":
         # The words with the same letters share one set.
-        sets: dict[str, frozenset[str]] = {}
-        entries: dict[str, frozenset[str]] = {}
+        if _ENTRIES_RE.fullmatch(text):
+            # Entry lines only, so the text splits at whitespace into
+            # word, letters, word, letters and so on.
+            fields = text.split()
+            letters = fields[1::2]
+            sets = {each: _category_set(each) for each in set(letters)}
+            entries = dict(zip(map(str.lower, fields[::2]),
+                               map(sets.__getitem__, letters)))
+            if len(entries) == len(letters):
+                return cls(entries)
+        # A malformed line, or a word listed twice: line by line.
+        sets = {}
+        entries = {}
         for word, letters in _fields(text, path):
             cats = sets.get(letters)
             if cats is None:
-                cats = sets[letters] = frozenset(
-                    CATEGORY_BY_LETTER[c] for c in letters.split(","))
+                cats = sets[letters] = _category_set(letters)
             word = word.lower()
             seen = entries.get(word)
             entries[word] = cats if seen is None else seen | cats
         return cls(entries)
 
 
+def _category_set(letters: str) -> frozenset[str]:
+    return frozenset(CATEGORY_BY_LETTER[c] for c in letters.split(","))
+
+
 def _fields(text: str, path: str) -> Iterator[tuple[str, str]]:
-    """The word and the category letters of each line of a lexicon file.
+    """The word and the category letters of each line of a lexicon file,
+    as str.splitlines() ends them.
 
     Raises LexiconError, once every line is read, with the numbers of
     the lines that _ENTRY_RE rejects.
     """
-    end = lineno = 0
-    for m in _LINE_RE.finditer(text):
-        if m.start() != end:
-            break
-        end = m.end()
-        lineno += 1
-        yield m.groups()
-    # From the first line that is not an entry ending at "\n" on, the
-    # lines are read one by one, as str.splitlines() ends them.
     bad = []
-    for lineno, line in enumerate(text[end:].splitlines(), start=lineno + 1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         m = _ENTRY_RE.match(line)
         if m is None:
             bad.append(lineno)

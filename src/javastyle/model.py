@@ -8,7 +8,6 @@ separators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 # Closed vocabularies. Kept as plain strings on the facts; these sets are
@@ -27,8 +26,7 @@ MEMBER_KINDS = frozenset(
 VISIBILITIES = frozenset({"public", "protected", "package", "private"})
 
 
-@dataclass(slots=True)
-class TagFact:
+class TagFact(NamedTuple):
     """One block tag inside a Javadoc comment, e.g. ``@param x the input``."""
 
     name: str
@@ -36,18 +34,34 @@ class TagFact:
     description_word_count: int
 
 
-@dataclass(slots=True)
-class JavadocFact:
+class JavadocFact(NamedTuple):
     line: int
     word_count: int
-    tags: list[TagFact] = field(default_factory=list)
+    tags: list[TagFact]
 
 
-@dataclass(slots=True)
-class CommentFact:
+class CommentFact(NamedTuple):
     line: int
     text: str
     is_javadoc: bool
+
+
+class _Filled:
+    """Base of the facts the parser completes after building them.
+
+    Its repr lists ``name=value`` for each field in ``__slots__`` order,
+    except those a class names in ``_derived``, as a named tuple's repr
+    lists its fields.
+    """
+
+    __slots__ = ()
+    _derived = ()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__slots__
+                          if name not in self._derived)
+        return f"{type(self).__name__}({shown})"
 
 
 def simple_name_of(dotted: str) -> str:
@@ -55,29 +69,35 @@ def simple_name_of(dotted: str) -> str:
     return dotted.rsplit(".", 1)[-1]
 
 
-@dataclass(slots=True)
-class ImportFact:
+class ImportFact(_Filled):
+    __slots__ = ("target", "line", "is_static", "is_wildcard", "used")
     target: str
     line: int
-    is_static: bool = False
-    is_wildcard: bool = False
-    used: bool = True
+    is_static: bool
+    is_wildcard: bool
+    used: bool
+
+    def __init__(self, target: str, line: int, is_static: bool,
+                 is_wildcard: bool):
+        self.target = target
+        self.line = line
+        self.is_static = is_static
+        self.is_wildcard = is_wildcard
+        self.used = True
 
     @property
     def simple_name(self) -> str:
         return simple_name_of(self.target)
 
 
-@dataclass(slots=True)
-class CatchFact:
+class CatchFact(NamedTuple):
     line: int
     exception_var: str
     body_empty: bool
     has_comment: bool
 
 
-@dataclass(slots=True)
-class ConcatSiteFact:
+class ConcatSiteFact(NamedTuple):
     """A ``+=`` or ``x = x + ...`` site observed inside a loop span."""
 
     line: int
@@ -97,78 +117,123 @@ class AccessRecord(NamedTuple):
     receiver_type: str
 
 
-@dataclass(slots=True)
-class LocalVarFact:
+class LocalVarFact(_Filled):
+    __slots__ = ("name", "type_name", "line", "used")
     name: str
     type_name: str
     line: int
-    used: bool = False
+    used: bool
+
+    def __init__(self, name: str, type_name: str, line: int):
+        self.name = name
+        self.type_name = type_name
+        self.line = line
+        self.used = False
 
 
-@dataclass(slots=True)
-class BodyFacts:
-    catches: list[CatchFact] = field(default_factory=list)
-    loops: int = 0  # for, while and do statements
-    concat_sites: list[ConcatSiteFact] = field(default_factory=list)
-    accesses: list[AccessRecord] = field(default_factory=list)
-    local_vars: list[LocalVarFact] = field(default_factory=list)
+class BodyFacts(_Filled):
+    __slots__ = ("catches", "loops", "concat_sites", "accesses", "local_vars")
+    catches: list[CatchFact]
+    loops: int  # for, while and do statements
+    concat_sites: list[ConcatSiteFact]
+    accesses: list[AccessRecord]
+    local_vars: list[LocalVarFact]
+
+    def __init__(self):
+        self.catches = []
+        self.loops = 0
+        self.concat_sites = []
+        self.accesses = []
+        self.local_vars = []
 
 
-@dataclass(slots=True)
-class ParamFact:
+class ParamFact(NamedTuple):
     name: str
     type_name: str
 
 
-@dataclass(slots=True)
-class MemberFact:
+class MemberFact(_Filled):
+    __slots__ = ("kind", "name", "visibility", "line", "is_static_final",
+                 "javadoc", "annotations", "params", "return_type",
+                 "thrown_types", "body", "nested")
     kind: str  # one of MEMBER_KINDS
     name: str
     visibility: str
     line: int
-    is_static_final: bool = False
-    javadoc: JavadocFact | None = None
-    annotations: list[str] = field(default_factory=list)
-    params: list[ParamFact] = field(default_factory=list)
-    return_type: str | None = None
-    thrown_types: list[str] = field(default_factory=list)
-    body: BodyFacts | None = None
-    nested: "TypeFact | None" = None  # populated for kind == innerType
+    is_static_final: bool
+    javadoc: JavadocFact | None
+    annotations: list[str]
+    params: list[ParamFact]
+    return_type: str | None
+    thrown_types: list[str]
+    body: BodyFacts | None  # set when the parser meets the body
+    nested: TypeFact | None  # set for kind == innerType
+
+    def __init__(self, kind: str, name: str, visibility: str, line: int,
+                 annotations: list[str], *, is_static_final: bool = False,
+                 javadoc: JavadocFact | None = None,
+                 params: list[ParamFact] | None = None,
+                 return_type: str | None = None,
+                 thrown_types: list[str] | None = None,
+                 nested: TypeFact | None = None):
+        self.kind = kind
+        self.name = name
+        self.visibility = visibility
+        self.line = line
+        self.is_static_final = is_static_final
+        self.javadoc = javadoc
+        self.annotations = annotations
+        self.params = [] if params is None else params
+        self.return_type = return_type
+        self.thrown_types = [] if thrown_types is None else thrown_types
+        self.body = None
+        self.nested = nested
 
 
-@dataclass(slots=True)
-class TypeFact:
+class TypeFact(NamedTuple):
     kind: str  # one of TYPE_KINDS
     name: str
     visibility: str
     line: int
-    supertypes: list[str] = field(default_factory=list)
-    members: list[MemberFact] = field(default_factory=list)
-    javadoc: JavadocFact | None = None
+    supertypes: list[str]
+    members: list[MemberFact]
+    javadoc: JavadocFact | None
 
     def members_of_kind(self, *kinds: str) -> list[MemberFact]:
         return [m for m in self.members if m.kind in kinds]
 
 
-@dataclass(slots=True)
-class SourceFileModel:
+class SourceFileModel(_Filled):
+    __slots__ = ("path", "package", "package_line", "imports", "types",
+                 "comments", "line_count", "use_counts", "declared_types")
+    # The types of `types` and all their nested ones, each before its
+    # nested ones, listed by the parser as it declares them. Derived
+    # from `types`, so left out of the repr.
+    _derived = ("declared_types",)
     path: str
     package: str | None
-    package_line: int | None = None
-    imports: list[ImportFact] = field(default_factory=list)
-    types: list[TypeFact] = field(default_factory=list)
-    comments: list[CommentFact] = field(default_factory=list)
-    line_count: int = 0
+    package_line: int | None
+    imports: list[ImportFact]
+    types: list[TypeFact]
+    comments: list[CommentFact]
+    line_count: int
     # Per name, its identifier tokens that do not declare it: occurrences
     # outside comments and package/import statements, less the declaring
     # ones (types, enum constants, members, parameters, locals, catch and
     # lambda parameters). Names with no use are absent.
-    use_counts: dict[str, int] = field(default_factory=dict)
-    # The types of `types` and all their nested ones, each before its
-    # nested ones, listed by the parser as it declares them. Derived
-    # from `types`, so left out of repr and comparison.
-    declared_types: list[TypeFact] = field(default_factory=list, repr=False,
-                                           compare=False)
+    use_counts: dict[str, int]
+    declared_types: list[TypeFact]
+
+    def __init__(self, path: str, declared_types: list[TypeFact]):
+        self.path = path
+        self.package = None
+        self.package_line = None
+        self.imports = []
+        self.types = []
+        self.comments = []
+        self.line_count = 0
+        self.use_counts = {}
+        self.declared_types = declared_types
 
     def all_types(self) -> list[TypeFact]:
         """Top-level and nested types, in declaration order."""

@@ -272,8 +272,7 @@ class _Parser:
     # compilation unit
 
     def parse(self) -> SourceFileModel:
-        model = SourceFileModel(path=self.path, package=None,
-                                declared_types=self.declared_types)
+        model = SourceFileModel(self.path, self.declared_types)
         while self.kinds[self.pos] != EOF:
             v = self.values[self.pos]
             if v == ";":
@@ -417,6 +416,7 @@ class _Parser:
             visibility=self._visibility(mods, container_kind),
             line=self.line(name_idx),
             supertypes=supertypes,
+            members=[],
             javadoc=javadoc,
         )
         self.declared_types.append(tf)

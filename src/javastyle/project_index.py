@@ -16,7 +16,6 @@ between processes.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import (AccessRecord, MemberFact, SourceFileModel, TypeFact,
@@ -106,38 +105,50 @@ OBJECT_METHODS: tuple[tuple[str, tuple[str, ...], bool], ...] = (
 )
 
 
-# Most types have no supertype, no static members or no instance
-# members: those fields keep the one empty default each instead of an
-# empty object per type.
-@dataclass(slots=True)
+_NO_NAMES: frozenset[str] = frozenset()
+
+
 class TypeEntry:
+    __slots__ = ("qualified", "file", "package", "supertypes",
+                 "resolved_supertypes", "static_names", "instance_names",
+                 "methods")
     qualified: str
     file: str
     package: str | None
     supertypes: tuple[str, ...]  # as written
-    resolved_supertypes: tuple[str, ...] = ()
-    static_names: frozenset[str] = frozenset()
-    instance_names: frozenset[str] = frozenset()
-    methods: tuple[MethodRecord, ...] = ()  # instance only
+    resolved_supertypes: tuple[str, ...]
+    static_names: frozenset[str]
+    instance_names: frozenset[str]
+    methods: tuple[MethodRecord, ...]  # instance only
+
+    def __init__(self, qualified: str, file: str, package: str | None,
+                 supertypes: tuple[str, ...]):
+        self.qualified = qualified
+        self.file = file
+        self.package = package
+        self.supertypes = supertypes
+        # Most types have no supertype, no static members or no instance
+        # members: those fields keep one shared empty value each instead
+        # of an empty object per type.
+        self.resolved_supertypes = ()
+        self.static_names = self.instance_names = _NO_NAMES
+        self.methods = ()
 
 
-@dataclass
-class _FileContext:
+class _FileContext(NamedTuple):
     package: str | None
     single_imports: dict[str, str]
     wildcard_packages: list[str]
     local_simple: dict[str, str]
 
 
-@dataclass(frozen=True)
-class OverrideResolution:
+class OverrideResolution(NamedTuple):
     overrides: bool
     parent_deprecated: bool
     parent_resolved: bool
 
 
-@dataclass(frozen=True)
-class StaticAccessResolution:
+class StaticAccessResolution(NamedTuple):
     qualified_correctly: bool
     resolved: bool
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 import io
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .checkers import Category, Violation
@@ -30,8 +29,7 @@ MARKDOWN_VIOLATION_LIMIT = 50
 VIOLATIONS_PER_CHUNK = 256
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     repo_path: str
     config_digest: str
     counts: dict[Category, int]
@@ -40,7 +38,7 @@ class Report:
     verdict: AdherenceVerdict
     claim: ClaimResult | None
     violations: list[Violation]
-    diagnostics: list[str] = field(default_factory=list)
+    diagnostics: list[str]
 
 
 def config_digest(threshold: float, ordering_id: int, lexicon_path: str | None,

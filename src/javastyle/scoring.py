@@ -10,7 +10,7 @@ scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .checkers import (CODE_STYLE_CATEGORIES, PRACTICE_CATEGORIES,
                        TABLE_CATEGORIES, Category, Violation)
@@ -20,8 +20,7 @@ THRESHOLDS = (0.25, 0.20, 0.15, 0.10, 0.05, 0.04, 0.03, 0.02, 0.01, 0.0)
 DEFAULT_ADHERENCE_THRESHOLD = 0.05
 
 
-@dataclass
-class CategoryScore:
+class CategoryScore(NamedTuple):
     category: Category
     absolute: int
     denominator: int
@@ -29,31 +28,27 @@ class CategoryScore:
     undefined: bool = False
 
 
-@dataclass
-class CorpusStats:
+class CorpusStats(NamedTuple):
     minimum: float
     maximum: float
     mean: float
     median: float
 
 
-@dataclass
-class AdherenceVerdict:
+class AdherenceVerdict(NamedTuple):
     threshold: float
     per_category: dict[Category, bool]
     code_style_adherent: bool
     practice_adherent: bool
 
 
-@dataclass
-class SampledViolation:
+class SampledViolation(NamedTuple):
     group: int
     repo_position: int
     violation: Violation
 
 
-@dataclass
-class SampleResult:
+class SampleResult(NamedTuple):
     samples: dict[Category, list[SampledViolation]]
     diagnostics: list[str]
 

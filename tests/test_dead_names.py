@@ -12,20 +12,23 @@ the functions it wraps in strings), in any Python file under ``src/``,
 An import is used when the file reads the name it binds, directly or in
 a string that is a Python expression (a quoted annotation).
 
-Every field of a ``model.py`` dataclass or named tuple, and of the
-classes in ``GROWING``, is read somewhere in ``src/`` as an attribute
-(``x.field``); a keyword argument or an assignment that writes it is no
-read, so a field only the parser fills fails. The guard matches field
-names, not classes: a field named like a field of another class that is
-read (``kind``, ``line``, ``annotations``) passes even when nothing reads
-it on its own class. Every model dataclass and every ``GROWING`` class
-has ``__slots__``, which keeps the many small objects compact.
+Every annotated field of a ``model.py`` class that is a dataclass, a
+named tuple or declares ``__slots__``, and of the classes in ``GROWING``,
+is read somewhere in ``src/`` as an attribute (``x.field``); a keyword
+argument or an assignment that writes it is no read, so a field only the
+parser fills fails. The guard matches field names, not classes: a field
+named like a field of another class that is read (``kind``, ``line``,
+``annotations``) passes even when nothing reads it on its own class.
+Every class ``model.py`` defines and every ``GROWING`` class has
+``__slots__``, which keeps the many small objects compact. No named
+tuple of the package has a list, dict or set default, which every
+instance would share.
 """
 
 from __future__ import annotations
 
 import ast
-import dataclasses
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -96,16 +99,25 @@ def dead_names(modules: dict[str, str], sources: list[str],
             if name not in refs]
 
 
+def declares_slots(node: ast.ClassDef) -> bool:
+    return any(isinstance(item, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                       for t in item.targets)
+               for item in node.body)
+
+
 def unread_fields(model_text: str, sources: list[str]) -> list[str]:
-    """``Class.field`` of each dataclass or named tuple field in
-    model_text that no source reads as an attribute."""
+    """``Class.field`` of each annotated field of a dataclass, a named
+    tuple or a class with ``__slots__`` in model_text that no source
+    reads as an attribute."""
     reads = {node.attr for text in sources for node in ast.walk(ast.parse(text))
              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     return [f"{node.name}.{item.target.id}"
             for node in ast.parse(model_text).body
             if isinstance(node, ast.ClassDef) and (any(
                 "dataclass" in ast.unparse(d) for d in node.decorator_list)
-                or any(ast.unparse(b) == "NamedTuple" for b in node.bases))
+                or any(ast.unparse(b) == "NamedTuple" for b in node.bases)
+                or declares_slots(node))
             for item in node.body
             if isinstance(item, ast.AnnAssign)
             and isinstance(item.target, ast.Name)
@@ -209,9 +221,36 @@ def test_guard_flags_a_field_nothing_reads():
         "Fact.kind", "Fact.done", "Row.cells"]
 
 
-def test_every_model_dataclass_has_slots():
+def test_guard_reads_the_fields_of_a_slotted_class():
+    module = ("class Entry:\n"
+              "    __slots__ = ('name', 'size', 'seen')\n"
+              "    name: str\n    size: int\n    seen: bool\n"
+              "    def __init__(self, name, size):\n"
+              "        self.name, self.size, self.seen = name, size, False\n"
+              "class Loose:\n    size: int\n")
+    caller = ("def mark(e):\n    e.seen = True\n    e.size += 1\n"
+              "    return e.name\n")
+    assert unread_fields(module, [module, caller]) == [
+        "Entry.size", "Entry.seen"]
+
+
+def test_every_model_class_has_slots():
     classes = [c for c in vars(model).values()
-               if isinstance(c, type) and dataclasses.is_dataclass(c)]
+               if isinstance(c, type) and c.__module__ == model.__name__]
     assert classes
     assert [c.__name__ for c in [*classes, *GROWING]
             if "__slots__" not in vars(c)] == []
+
+
+def test_no_named_tuple_shares_a_mutable_default():
+    # A named tuple's default is one object for all its instances, so a
+    # list default would carry facts from one file into the next.
+    modules = [importlib.import_module(f"javastyle.{p.stem}")
+               for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"]
+    tuples = [c for m in modules for c in vars(m).values()
+              if isinstance(c, type) and issubclass(c, tuple)
+              and c.__module__ == m.__name__ and hasattr(c, "_field_defaults")]
+    assert tuples
+    assert [f"{c.__name__}.{name}" for c in tuples
+            for name, value in c._field_defaults.items()
+            if isinstance(value, (list, dict, set))] == []

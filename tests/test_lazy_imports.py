@@ -3,11 +3,13 @@
 A fresh interpreter imports the CLI, runs one command and lists the
 modules that appeared in ``sys.modules`` meanwhile. `hashlib` maps
 OpenSSL, which no command needs: the config digest uses the built-in
-SHA-256. History replay and its `subprocess` serve only `evolve`, and
-`statistics` serves only `corpus`. The worker map, `javastyle.workers`,
-loads only once workers start; it forks them directly, so `analyze` and
-`corpus` load none of `multiprocessing`, `concurrent.futures` or
-`subprocess` at ``--jobs 2`` either.
+SHA-256. No command loads `dataclasses` or the `inspect` it brings: the
+record types are named tuples and slotted classes. History replay and
+its `subprocess` serve only `evolve`, and `statistics` serves only
+`corpus`. The worker map, `javastyle.workers`, loads only once workers
+start; it forks them directly, so `analyze` and `corpus` load none of
+`multiprocessing`, `concurrent.futures` or `subprocess` at ``--jobs 2``
+either.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ MANY_JAVA = {f"src/main/java/p/A{i}.java":
              "  public int size() { return 1; }\n}\n"
              for i in range(2 * MIN_FILES_PER_WORKER)}
 PROCESS_MACHINERY = {"multiprocessing", "concurrent.futures", "subprocess"}
+# Loaded by no command at all.
+NOWHERE = {"hashlib", "_hashlib", "dataclasses", "inspect"}
 
 
 def loaded_by(tmp_path: Path, *argv: str) -> set[str]:
@@ -71,7 +75,15 @@ def command(name: str, tmp_path: Path) -> list[str]:
     if name == "evolve":
         return ["evolve", str(history_repo(tmp_path)), "--months", "3",
                 "--as-of", "2024-05-01", "--force"]
+    if name == "sample":
+        (tmp_path / "reports").mkdir()
+        (tmp_path / "reports" / "a.json").write_text(
+            '{"repo": "a", "violations": [{"category": "Useless", '
+            '"file": "A.java", "line": 1, "message": "m"}]}', encoding="utf-8")
+        return ["sample", str(tmp_path / "reports"), "--groups", "1"]
     write_tree(tmp_path / "tree", MANY_JAVA if jobs == "2" else JAVA)
+    if name == "claims":
+        return ["claims", str(tmp_path / "tree")]
     if name == "analyze":
         return ["analyze", str(tmp_path / "tree"), "--jobs", jobs]
     paths = tmp_path / "paths.txt"
@@ -80,20 +92,21 @@ def command(name: str, tmp_path: Path) -> list[str]:
 
 
 @pytest.mark.parametrize("name, absent", [
-    ("import", {"hashlib", "_hashlib", "subprocess", "statistics",
-                "javastyle.history", "javastyle.workers", "multiprocessing"}),
-    ("evolve", {"hashlib", "_hashlib", "statistics", "javastyle.workers"}),
-    ("corpus", {"hashlib", "_hashlib", "javastyle.history"}),
-    ("analyze", {"hashlib", "_hashlib", "javastyle.history", "subprocess",
-                 "statistics"}),
+    ("import", {"subprocess", "statistics", "javastyle.history",
+                "javastyle.workers", "multiprocessing"}),
+    ("evolve", {"statistics", "javastyle.workers"}),
+    ("corpus", {"javastyle.history"}),
+    ("analyze", {"javastyle.history", "subprocess", "statistics"}),
     ("analyze --jobs 2", PROCESS_MACHINERY),
     ("corpus --jobs 2", PROCESS_MACHINERY),
+    ("claims", set()),
+    ("sample", set()),
 ])
 def test_command_loads_only_what_it_runs(tmp_path, name, absent):
     argv = [] if name == "import" else command(name, tmp_path)
     loaded = loaded_by(tmp_path, *argv)
     assert "javastyle.cli" in loaded
-    assert sorted(loaded & absent) == []
+    assert sorted(loaded & (absent | NOWHERE)) == []
 
 
 def test_the_probe_sees_what_a_command_loads(tmp_path):

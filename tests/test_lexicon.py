@@ -142,7 +142,8 @@ LEXICON_LINES = st.one_of(
                                                 "x-y", "caf\xe9"]),
               st.sampled_from(["n", "v", "a,v", "n,v,a", "r", "o,o"])),
     st.sampled_from(["", "run", "run\t", "run\tx", "run\tn,", " run\tn",
-                     "run\tn ", "run\t\tn", "# c", "run n"]))
+                     "run\tn ", "run\t\tn", "# c", "run n",
+                     "run\tn run\tv", "run\tn\trun\tv"]))
 
 
 @given(st.lists(st.tuples(LEXICON_LINES, st.sampled_from(LINE_ENDS)),

@@ -20,12 +20,13 @@ from javastyle.scoring import (CorpusStats, classify_adherence, normalize,
                                threshold_table, total_normalized)
 
 
-def build_report(violations=(), claim=None, diagnostics=()):
+def build_report(violations=(), claim=None, diagnostics=(),
+                 repo_path="/repos/demo"):
     violations = list(violations)
     counts = {cat: 3 for cat in Category}
     scores = normalize(violations, counts)
     return Report(
-        repo_path="/repos/demo",
+        repo_path=repo_path,
         config_digest=config_digest(0.05, 2, None),
         counts=counts,
         scores=scores,
@@ -98,8 +99,8 @@ VIOLATION = st.builds(Violation, st.sampled_from(list(Category)), TRICKY,
                                     [ClaimEvidence(text, 1, text)]), TRICKY)))
 def test_json_chunks_equal_one_json_dumps(pool, n, repo, diagnostics, claim):
     violations = [pool[i % len(pool)] for i in range(n)]
-    report = build_report(violations, claim=claim, diagnostics=diagnostics)
-    report.repo_path = repo
+    report = build_report(violations, claim=claim, diagnostics=diagnostics,
+                          repo_path=repo)
     chunks = list(report_chunks(report, "json"))
     expected = json.dumps(report_to_dict(report), indent=2) + "\n"
     assert b"".join(chunks) == expected.encode()
