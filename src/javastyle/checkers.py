@@ -127,7 +127,7 @@ def _methods(t: TypeFact) -> list[MemberFact]:
 
 def check_class_names(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
     out, inspected = [], 0
-    for t in model.all_types():
+    for t in model.types:
         if t.kind not in ("class", "enum"):
             continue
         inspected += 1
@@ -147,7 +147,7 @@ def check_class_names(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
 
 def check_method_names(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
     out, inspected = [], 0
-    for t in model.all_types():
+    for t in model.types:
         for m in _methods(t):
             inspected += 1
             if not matches_casing(m.name, "lowerCamel"):
@@ -175,7 +175,7 @@ def check_variable_names(model: SourceFileModel,
             Category.VARIABLE_NAMES, model.path, line,
             f"{what} name is not {convention}", name))
 
-    for t in model.all_types():
+    for t in model.types:
         for m in t.members:
             if m.kind in ("instanceField", "staticField"):
                 inspected += 1
@@ -232,7 +232,7 @@ _PRESENCE = {
 
 
 def _public_declarations(model: SourceFileModel, kind: str):
-    for t in model.all_types():
+    for t in model.types:
         if kind == "class":
             if t.kind in ("class", "enum") and t.visibility == "public":
                 yield t.line, t.name, t.javadoc
@@ -270,7 +270,7 @@ def check_javadoc_presence(model: SourceFileModel, ctx: CheckContext,
 def check_javadoc_formatting(model: SourceFileModel,
                              ctx: CheckContext) -> CheckResult:
     out, inspected = [], 0
-    for t in model.all_types():
+    for t in model.types:
         for m in _methods(t):
             doc = m.javadoc
             if doc is None:
@@ -331,7 +331,7 @@ def check_missing_override(record: FileRecord,
 
 def check_empty_catch(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
     out, inspected = [], 0
-    for t in model.all_types():
+    for t in model.types:
         for m in t.members:
             if m.body is None:
                 continue
@@ -369,7 +369,7 @@ def check_unqualified_static(record: FileRecord,
 def check_finalize_override(model: SourceFileModel,
                             ctx: CheckContext) -> CheckResult:
     out, inspected = [], 0
-    for t in model.all_types():
+    for t in model.types:
         inspected += 1
         for m in _methods(t):
             if m.name == "finalize" and not m.params and m.return_type == "void":
@@ -382,7 +382,7 @@ def check_finalize_override(model: SourceFileModel,
 def check_private_instances(model: SourceFileModel,
                             ctx: CheckContext) -> CheckResult:
     out, inspected = [], 0
-    for t in model.all_types():
+    for t in model.types:
         for m in t.members_of_kind("instanceField"):
             inspected += 1
             if m.visibility in ("public", "package"):
@@ -396,7 +396,7 @@ def check_string_concatenation(model: SourceFileModel,
                                ctx: CheckContext) -> CheckResult:
     """Inspects every loop, whether or not it concatenates."""
     out, inspected = [], 0
-    for t in model.all_types():
+    for t in model.types:
         field_types = {m.name: m.return_type for m in t.members
                        if m.kind in ("instanceField", "staticField")}
         for m in t.members:
@@ -468,7 +468,7 @@ def check_useless(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
     # A private member is reachable only from its own top-level class, so
     # this file decides its use: any identifier spelled like it that does
     # not declare a name.
-    for t in model.all_types():
+    for t in model.types:
         for m in t.members:
             what = _NAMED_MEMBER.get(m.kind)
             # Annotations often mark reflective entry points of a method.
@@ -504,7 +504,7 @@ def check_useless(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
 
 def check_ordering(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
     out, inspected = [], 0
-    for t in model.all_types():
+    for t in model.types:
         max_rank = -1
         for m in t.members:
             inspected += 1

@@ -8,6 +8,7 @@ the tool has no runtime dependency on a dictionary library.
 
 from __future__ import annotations
 
+import os
 import re
 from collections.abc import Iterator
 from functools import lru_cache
@@ -148,12 +149,12 @@ def _fields(text: str, path: str) -> Iterator[tuple[str, str]]:
 
 @lru_cache(maxsize=1)
 def _load_bundled() -> Lexicon:
-    # importlib.resources brings pathlib, tempfile and shutil with it:
-    # only the commands that check names load them.
-    from importlib import resources
-
-    data = resources.files("javastyle").joinpath("data/lexicon.txt")
-    return Lexicon._parse(data.read_text(encoding="utf-8"), "bundled lexicon")
+    # The package is installed as files, so the word list lies next to
+    # this module; importlib.resources would bring pathlib, zipfile and
+    # tempfile into every command that checks names.
+    path = os.path.join(os.path.dirname(__file__), "data", "lexicon.txt")
+    with open(path, encoding="utf-8") as fh:
+        return Lexicon._parse(fh.read(), "bundled lexicon")
 
 
 def _suffix_candidates(word: str):

@@ -105,11 +105,13 @@ class _Parser:
         self.doc_by_next = {after: com for com, after
                             in zip(self.comments, self.comment_next)
                             if com.is_javadoc}
-        # (member, enclosing type stack, open brace idx, close brace idx)
-        self.body_jobs: list[tuple[MemberFact, tuple[TypeFact, ...], int, int]] = []
+        # (member, enclosing type stack, the member's index in its type's
+        # members, open brace idx, close brace idx)
+        self.body_jobs: list[
+            tuple[MemberFact, tuple[TypeFact, ...], int, int, int]] = []
         self.type_stack: list[TypeFact] = []
         # Every type in declaration order, each before its nested ones.
-        self.declared_types: list[TypeFact] = []
+        self.types: list[TypeFact] = []
         # Index of every identifier token that declares a name.
         self.declaring: list[int] = []
         # statement start -> index of its last token (bodies are disjoint)
@@ -225,7 +227,8 @@ class _Parser:
 
     def _type_at(self, j: int, limit: int) -> tuple[int, str] | None:
         """The type reference at token j: a primitive, `var`, or a dotted
-        name with type arguments after any segment, then dims.
+        name with type arguments after any segment and type annotations
+        before any segment but the first, then dims.
 
         Returns the index after it and its name, dims included and type
         arguments left out; None when no type starts or its type
@@ -243,16 +246,32 @@ class _Parser:
                     if end is None:
                         return None
                     j = end + 1
-                if j + 1 <= limit and values[j] == "." and \
-                        kinds[j + 1] == IDENT:
-                    name += "." + values[j + 1]
-                    j += 2
-                else:
+                if j + 1 > limit or values[j] != ".":
                     break
+                k = j + 1
+                if values[k] == "@":
+                    k = self._annotations_end(k, limit)
+                if k > limit or kinds[k] != IDENT:
+                    break
+                name += "." + values[k]
+                j = k + 1
         else:
             return None
         end = self._dims_end(j, limit)
         return end, name + "[]" * ((end - j) // 2)
+
+    def _annotations_end(self, j: int, limit: int) -> int:
+        """Index after the annotations (`@Name`, `@a.Name(...)`) that
+        start at token j; j when none does."""
+        kinds, values = self.kinds, self.values
+        while j + 1 <= limit and values[j] == "@" and kinds[j + 1] == IDENT:
+            j += 2
+            while j + 1 <= limit and values[j] == "." and \
+                    kinds[j + 1] == IDENT:
+                j += 2
+            if j <= limit and values[j] == "(":
+                j = self.partner.get(j, limit) + 1
+        return j
 
     def _stop_at(self, j: int, limit: int, stops: tuple[str, ...]) -> int:
         """Index of the first token from j to limit that is in stops or is
@@ -272,26 +291,25 @@ class _Parser:
     # compilation unit
 
     def parse(self) -> SourceFileModel:
-        model = SourceFileModel(self.path, self.declared_types)
+        package = package_line = None
+        imports: list[tuple[str, int, bool, bool]] = []
         while self.kinds[self.pos] != EOF:
             v = self.values[self.pos]
             if v == ";":
                 self.pop()
-            elif v == "package" and model.package is None:
-                model.package_line = self.line(self.pop())
-                model.package = self.dotted_name()
+            elif v == "package" and package is None:
+                package_line = self.line(self.pop())
+                package = self.dotted_name()
                 self.expect(";")
             elif v == "import":
-                model.imports.append(self.parse_import())
+                imports.append(self.parse_import())
             elif v == "module" or (v == "open" and self.peek(1) == "module"):
                 while not self.at("{") and self.kinds[self.pos] != EOF:
                     self.pop()
                 self.skip_balanced("{")
             else:
-                model.types.append(self.parse_declaration(None, None))
-
-        self.finish(model)
-        return model
+                self.parse_declaration(None, None)
+        return self.finish(package, package_line, imports)
 
     def dotted_name(self) -> str:
         parts = [self.values[self.expect_ident()]]
@@ -300,7 +318,8 @@ class _Parser:
             parts.append(self.values[self.pop()])
         return ".".join(parts)
 
-    def parse_import(self) -> ImportFact:
+    def parse_import(self) -> tuple[str, int, bool, bool]:
+        """(target, line, is_static, is_wildcard) of an import."""
         line = self.line(self.expect("import"))
         is_static = self.match("static")
         target = self.dotted_name()
@@ -308,19 +327,20 @@ class _Parser:
         if is_wildcard and not self.match("*"):
             self.fail("expected identifier")
         self.expect(";")
-        return ImportFact(target=target + (".*" if is_wildcard else ""), line=line,
-                          is_static=is_static, is_wildcard=is_wildcard)
+        return (target + (".*" if is_wildcard else ""), line, is_static,
+                is_wildcard)
 
     # ------------------------------------------------------------------
     # declarations
 
     def parse_declaration(
         self, container_name: str | None, container_kind: str | None
-    ) -> TypeFact | list[MemberFact]:
-        """Parse one type or member declaration.
+    ) -> list[MemberFact]:
+        """Parse one type or member declaration; a top-level one when
+        container_name is None.
 
-        Returns the TypeFact of a top-level type (container_name None),
-        else the declared members: none for an initializer block.
+        Returns the declared members: none for a top-level type or an
+        initializer block.
         """
         doc = self.doc_by_next.get(self.pos)
         annotations: list[str] = []
@@ -355,16 +375,9 @@ class _Parser:
                 "annotation" if ann_type else v, mods, javadoc, container_kind,
             )
             if container_name is None:
-                return tf
-            member = MemberFact(
-                kind="innerType",
-                name=tf.name,
-                visibility=tf.visibility,
-                line=tf.line,
-                annotations=annotations,
-                nested=tf,
-            )
-            return [member]
+                return []
+            return [MemberFact("innerType", tf.name, tf.visibility, tf.line,
+                               annotations, [], [], nested=tf)]
 
         if container_name is None:
             self.fail("expected type declaration")
@@ -419,7 +432,7 @@ class _Parser:
             members=[],
             javadoc=javadoc,
         )
-        self.declared_types.append(tf)
+        self.types.append(tf)
 
         if kind == "annotation":
             self.skip_balanced("{")  # permissive, no facts
@@ -481,13 +494,9 @@ class _Parser:
         if self.at("{") and rtype == container_name:
             self.declaring.append(first)
             member = MemberFact(
-                kind="constructor",
-                name=container_name,
-                visibility=self._visibility(mods, container_kind),
-                line=self.line(first),
-                annotations=annotations,
-                javadoc=javadoc,
-            )
+                "constructor", container_name,
+                self._visibility(mods, container_kind), self.line(first),
+                annotations, [], [], javadoc=javadoc)
             self.skip_body(member)
             return [member]
 
@@ -523,16 +532,9 @@ class _Parser:
             while self.match(","):
                 thrown.append(simple_name_of(self.parse_type_ref()))
         member = MemberFact(
-            kind=kind,
-            name=self.values[name_idx],
-            visibility=self._visibility(mods, container_kind),
-            line=self.line(name_idx),
-            annotations=annotations,
-            javadoc=javadoc,
-            params=params,
-            return_type=rtype,
-            thrown_types=thrown,
-        )
+            kind, self.values[name_idx],
+            self._visibility(mods, container_kind), self.line(name_idx),
+            annotations, params, thrown, javadoc=javadoc, return_type=rtype)
         if self.at("{"):
             self.skip_body(member)
         elif self.match("default"):
@@ -545,10 +547,12 @@ class _Parser:
         return member
 
     def skip_body(self, member: MemberFact) -> None:
-        """Skip a { body } now and queue it for the phase-two scan."""
-        member.body = BodyFacts()
+        """Skip a { body } now and queue it for the phase-two scan. The
+        member is the next one its type's members will take."""
         open_idx, close_idx = self.skip_balanced("{")
-        self.body_jobs.append((member, tuple(self.type_stack), open_idx, close_idx))
+        stack = tuple(self.type_stack)
+        self.body_jobs.append((member, stack, len(stack[-1].members),
+                               open_idx, close_idx))
 
     def parse_params(self) -> list[ParamFact]:
         self.expect("(")
@@ -593,15 +597,12 @@ class _Parser:
             dtype = ftype + self.dims()
             members.append(
                 MemberFact(
-                    kind="staticField" if is_static else "instanceField",
-                    name=self.values[name_idx],
-                    visibility=self._visibility(mods, container_kind),
-                    line=self.line(name_idx),
+                    "staticField" if is_static else "instanceField",
+                    self.values[name_idx],
+                    self._visibility(mods, container_kind),
+                    self.line(name_idx), annotations, [], [],
                     is_static_final=is_static and is_final,
-                    annotations=annotations,
-                    javadoc=javadoc,
-                    return_type=dtype,
-                )
+                    javadoc=javadoc, return_type=dtype)
             )
             if self.match("="):
                 self.skip_initializer()
@@ -648,12 +649,14 @@ class _Parser:
     # ------------------------------------------------------------------
     # body scanning (phase two)
 
-    def finish(self, model: SourceFileModel) -> None:
+    def finish(self, package: str | None, package_line: int | None,
+               imports: list[tuple[str, int, bool, bool]]) -> SourceFileModel:
         # Receiver names that denote a class: the file's types, single imports.
-        class_names = {imp.simple_name for imp in model.imports if not imp.is_wildcard}
+        class_names = {simple_name_of(target)
+                       for target, _, _, wildcard in imports if not wildcard}
         returns: dict[str, set[str]] = {}
         field_types_by_type: dict[int, dict[str, str]] = {}
-        for tf in model.all_types():
+        for tf in self.types:
             class_names.add(tf.name)
             field_types = field_types_by_type[id(tf)] = {}
             for m in tf.members:
@@ -666,36 +669,42 @@ class _Parser:
         # The enclosing stack follows from its innermost type, so bodies of
         # one type share its merged, read-only field map.
         merged: dict[int, dict[str, str]] = {}
-        for member, stack, open_idx, close_idx in self.body_jobs:
+        for member, stack, index, open_idx, close_idx in self.body_jobs:
             fields = merged.get(id(stack[-1]))
             if fields is None:
                 fields = merged[id(stack[-1])] = {}
                 for tf in stack:  # inner shadows outer
                     fields.update(field_types_by_type[id(tf)])
-            self._scan_body(
-                member, stack, open_idx, close_idx, fields,
+            body = self._scan_body(
+                member, stack[-1].name, open_idx, close_idx, fields,
                 class_names, method_returns,
             )
+            # The member is built again, once, with its body facts. `body`
+            # and `nested` are its last fields, and it nests no type; this
+            # positional call costs half of `_replace`.
+            stack[-1].members[index] = MemberFact(*member[:-2], body)
 
         # Identifier occurrences outside comments and package/import lines.
         # The only identifiers in those lines are the parts of their names.
         counts = Counter(compress(self.values, map(IDENT.__eq__, self.kinds)))
-        for imp in model.imports:
-            counts.subtract(imp.target.removesuffix(".*").split("."))
-        if model.package is not None:
-            counts.subtract(model.package.split("."))
-        for imp in model.imports:
-            imp.used = imp.is_wildcard or counts[imp.simple_name] > 0
+        for target, _, _, _ in imports:
+            counts.subtract(target.removesuffix(".*").split("."))
+        if package is not None:
+            counts.subtract(package.split("."))
+        import_facts = [
+            ImportFact(target, line, is_static, is_wildcard,
+                       is_wildcard or counts[simple_name_of(target)] > 0)
+            for target, line, is_static, is_wildcard in imports]
 
         # A name's uses are its occurrences minus its declaring ones; a
         # typed lambda parameter may also have been taken for a local.
         self._declare_lambda_params()
         counts.subtract(Counter(map(self.values.__getitem__,
                                     set(self.declaring))))
-        model.use_counts = {name: n for name, n in counts.items() if n > 0}
-
-        model.comments = self.comments
-        model.line_count = self.line_count
+        return SourceFileModel(
+            self.path, package, package_line, import_facts, self.types,
+            self.comments, self.line_count,
+            {name: n for name, n in counts.items() if n > 0})
 
     def _declare_lambda_params(self) -> None:
         """Add the parameters of every lambda, in bodies and initializers
@@ -739,18 +748,20 @@ class _Parser:
     def _scan_body(
         self,
         member: MemberFact,
-        stack: tuple[TypeFact, ...],
+        enclosing: str,
         open_idx: int,
         close_idx: int,
         field_types: dict[str, str],
         class_names: set[str],
         method_returns: dict[str, str],
-    ) -> None:
-        facts = member.body
-        assert facts is not None
+    ) -> BodyFacts:
         kinds, values, line = self.kinds, self.values, self.line
-        enclosing = stack[-1].name
 
+        catches: list[CatchFact] = []
+        loops = 0
+        concat_sites: list[ConcatSiteFact] = []
+        accesses: list[AccessRecord] = []
+        declared: list[tuple[int, str]] = []  # (name index, type name)
         locals_map: dict[str, str] = {}
         param_types = {p.name: simple_name_of(p.type_name) for p in member.params}
         loop_stack: list[int] = []
@@ -758,7 +769,6 @@ class _Parser:
         # Only a chain's first link has a receiver whose type is known;
         # the scan steps over the later links. this.x accesses go last.
         this_accesses: list[AccessRecord] = []
-        accesses = facts.accesses
 
         def receiver(name: str) -> tuple[bool, str | None]:
             """Whether name denotes a class, and its type when known."""
@@ -783,9 +793,7 @@ class _Parser:
             self.declaring.extend(names)
             for k in names:
                 locals_map[values[k]] = type_name
-                facts.local_vars.append(
-                    LocalVarFact(name=values[k], type_name=type_name, line=line(k))
-                )
+                declared.append((k, type_name))
             return resume
 
         # Before `quiet` lies a catch or declaration head: this. accesses
@@ -820,7 +828,7 @@ class _Parser:
                 elif i < quiet:
                     pass
                 elif v in ("for", "while", "do") and i not in do_while_skips:
-                    facts.loops += 1
+                    loops += 1
                     loop_stack.append(self._stmt_end(i, close_idx))
                     if v == "do":
                         body_end = self._stmt_end(i + 1, close_idx)
@@ -828,7 +836,7 @@ class _Parser:
                                 values[body_end + 1] == "while":
                             do_while_skips.add(body_end + 1)
                 elif v == "catch":
-                    quiet = self._scan_catch(i, close_idx, facts)
+                    quiet = self._scan_catch(i, close_idx, catches)
                 elif v in _DECL_START and (resume := declare(i)) is not None:
                     quiet = resume
             elif kind == OP and i >= quiet:
@@ -842,7 +850,7 @@ class _Parser:
                         kinds[i + 1] == IDENT and values[i + 1] == prev_v
                         and i + 2 <= close_idx and values[i + 2] == "+"
                     )):
-                        facts.concat_sites.append(
+                        concat_sites.append(
                             ConcatSiteFact(line=line(i), target=prev_v)
                         )
                 elif v == ")" and i + 2 <= close_idx and \
@@ -858,14 +866,19 @@ class _Parser:
             i += 1
         accesses.extend(this_accesses)
 
-        if facts.local_vars:
+        local_vars: list[LocalVarFact] = []
+        if declared:
             # A token spelled like a local's name is always an identifier.
             body = values[open_idx + 1:close_idx]
-            declared = [lv.name for lv in facts.local_vars]
-            for lv in facts.local_vars:
-                lv.used = body.count(lv.name) > declared.count(lv.name)
+            names = [values[k] for k, _ in declared]
+            local_vars = [
+                LocalVarFact(name, type_name, line(k),
+                             body.count(name) > names.count(name))
+                for name, (k, type_name) in zip(names, declared)]
+        return BodyFacts(catches, loops, concat_sites, accesses, local_vars)
 
-    def _scan_catch(self, i: int, close_idx: int, facts: BodyFacts) -> int:
+    def _scan_catch(self, i: int, close_idx: int,
+                    catches: list[CatchFact]) -> int:
         kinds, values = self.kinds, self.values
         j = i + 1
         if j > close_idx or values[j] != "(":
@@ -889,7 +902,7 @@ class _Parser:
         after = bisect_right(self.comment_next, bopen)
         has_comment = (after < len(self.comment_next)
                        and self.comment_next[after] <= bclose)
-        facts.catches.append(
+        catches.append(
             CatchFact(line=self.line(i), exception_var=var,
                       body_empty=body_empty, has_comment=has_comment)
         )

@@ -80,11 +80,13 @@ def file_record(model: SourceFileModel) -> FileRecord:
     """What the index and the project-scope checks read of one file."""
     prefix = model.package + "." if model.package else ""
     accesses: list[AccessRecord] = []
-    # all_types() lists each type before its nested ones, so a nested
-    # type's qualified name is known by the time it comes.
-    names = {id(t): prefix + t.name for t in model.types}
-    types = [_type_record(t, names[id(t)], accesses, names)
-             for t in model.all_types()]
+    # model.types lists each type before its nested ones, so a nested
+    # type's qualified name is known by the time it comes; a type that
+    # no member has named is top-level.
+    names: dict[int, str] = {}
+    types = [_type_record(t, names.get(id(t)) or prefix + t.name, accesses,
+                          names)
+             for t in model.types]
     imports = tuple((imp.target, imp.is_wildcard) for imp in model.imports
                     if not imp.is_static)
     return FileRecord(model.path, model.package, imports, tuple(types),

@@ -20,9 +20,10 @@ parser fills fails. The guard matches field names, not classes: a field
 named like a field of another class that is read (``kind``, ``line``,
 ``annotations``) passes even when nothing reads it on its own class.
 Every class ``model.py`` defines and every ``GROWING`` class has
-``__slots__``, which keeps the many small objects compact. No named
-tuple of the package has a list, dict or set default, which every
-instance would share.
+``__slots__``, which keeps the many small objects compact, and every
+class ``model.py`` defines is a named tuple without an ``__init__`` of
+its own. No named tuple of the package has a list, dict or set default,
+which every instance would share.
 """
 
 from __future__ import annotations
@@ -240,6 +241,11 @@ def test_every_model_class_has_slots():
     assert classes
     assert [c.__name__ for c in [*classes, *GROWING]
             if "__slots__" not in vars(c)] == []
+    # The parser builds each fact once, as a named tuple, when its last
+    # field is known.
+    assert [c.__name__ for c in classes
+            if not (issubclass(c, tuple) and hasattr(c, "_fields"))
+            or "__init__" in vars(c)] == []
 
 
 def test_no_named_tuple_shares_a_mutable_default():

@@ -4,12 +4,13 @@ A fresh interpreter imports the CLI, runs one command and lists the
 modules that appeared in ``sys.modules`` meanwhile. `hashlib` maps
 OpenSSL, which no command needs: the config digest uses the built-in
 SHA-256. No command loads `dataclasses` or the `inspect` it brings: the
-record types are named tuples and slotted classes. History replay and
-its `subprocess` serve only `evolve`, and `statistics` serves only
-`corpus`. The worker map, `javastyle.workers`, loads only once workers
-start; it forks them directly, so `analyze` and `corpus` load none of
-`multiprocessing`, `concurrent.futures` or `subprocess` at ``--jobs 2``
-either.
+record types and the parsed model are named tuples. Nor does one load
+`importlib.resources`: the bundled lexicon is read as a file beside its
+module. History replay and its `subprocess` serve only `evolve`, and
+`statistics` serves only `corpus`. The worker map, `javastyle.workers`,
+loads only once workers start; it forks them directly, so `analyze` and
+`corpus` load none of `multiprocessing`, `concurrent.futures` or
+`subprocess` at ``--jobs 2`` either.
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ PROCESS_MACHINERY = {"multiprocessing", "concurrent.futures", "subprocess"}
 NOWHERE = {"hashlib", "_hashlib", "dataclasses", "inspect"}
 
 
-def loaded_by(tmp_path: Path, *argv: str) -> set[str]:
+def loaded_by(tmp_path: Path, *argv: str,
+              flags: tuple[str, ...] = ()) -> set[str]:
     listing = tmp_path / "modules.txt"
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(listing), *argv],
+        [sys.executable, *flags, "-c", PROBE, str(listing), *argv],
         capture_output=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
@@ -116,3 +118,14 @@ def test_the_probe_sees_what_a_command_loads(tmp_path):
         tmp_path, *command("analyze --jobs 2", tmp_path))
     assert "javastyle.claims" in loaded_by(tmp_path,
                                            *command("analyze", tmp_path))
+
+
+@pytest.mark.parametrize("name", ["analyze", "evolve", "corpus"])
+def test_the_bundled_lexicon_is_read_without_importlib_resources(tmp_path,
+                                                                 name):
+    # A `.pth` file may load importlib.resources at start-up, before the
+    # probe looks; without `site` (-S) nothing does.
+    loaded = loaded_by(tmp_path, *command(name, tmp_path), flags=("-S",))
+    assert "javastyle.lexicon" in loaded
+    assert sorted(m for m in loaded
+                  if m.startswith("importlib.resources")) == []

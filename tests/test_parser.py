@@ -1,6 +1,5 @@
 """Parsing facts: declarations, members, bodies, comments, counts."""
 
-import gc
 from pathlib import Path
 
 import pytest
@@ -10,7 +9,8 @@ from hypothesis import strategies as st
 from javastyle.checkers import check_empty_catch
 from javastyle.lexer import JavaSyntaxError, tokenize
 from javastyle.model import (MEMBER_KINDS, TYPE_KINDS, VISIBILITIES,
-                             AccessRecord, simple_name_of)
+                             AccessRecord, LocalVarFact, ParamFact,
+                             simple_name_of)
 from javastyle.parser import _Parser
 
 from helpers import parse_source, run_check
@@ -75,7 +75,7 @@ def model():
 
 
 def member(model, name, kind=None):
-    for t in model.all_types():
+    for t in model.types:
         for m in t.members:
             if m.name == name and (kind is None or m.kind == kind):
                 return m
@@ -93,14 +93,13 @@ def test_package_and_imports(model):
 
 
 def test_type_declaration_facts(model):
-    assert [t.name for t in model.types] == ["Sample"]
     sample = model.types[0]
     assert sample.kind == "class"
     assert sample.visibility == "public"
     assert sample.line == 11
     assert sample.supertypes == ["Base", "Runnable"]
     assert sample.javadoc is not None and sample.javadoc.word_count >= 10
-    assert [t.name for t in model.all_types()] == ["Sample", "Helper"]
+    assert [t.name for t in model.types] == ["Sample", "Helper"]
 
 
 NESTED = """\
@@ -114,7 +113,8 @@ class I { record J(int y) {} }
 
 
 def recursive_types(model):
-    """Reference pre-order walk of a model's types."""
+    """Reference pre-order walk of a model's types, from the types that
+    no member nests."""
     out = []
 
     def walk(t):
@@ -123,33 +123,21 @@ def recursive_types(model):
             if m.nested is not None:
                 walk(m.nested)
 
+    nested = {id(m.nested) for t in model.types for m in t.members}
     for t in model.types:
-        walk(t)
+        if id(t) not in nested:
+            walk(t)
     return out
 
 
-def test_all_types_is_a_pre_order_walk():
+def test_types_is_a_pre_order_walk():
     nested = parse_source(NESTED)
-    assert [t.name for t in nested.all_types()] == list("ABCDEFGHIJ")
+    assert [t.name for t in nested.types] == list("ABCDEFGHIJ")
     paths = sorted(FIXTURE_ROOT.rglob("*.java"))
     assert paths
     for m in [nested] + [parse_source(p.read_text("utf-8")) for p in paths]:
-        assert [id(t) for t in m.all_types()] == \
+        assert [id(t) for t in m.types] == \
             [id(t) for t in recursive_types(m)]
-
-
-def test_all_types_leaves_no_garbage_cycle():
-    nested = parse_source(NESTED)
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(10):
-            nested.all_types()
-        assert gc.collect() == 0
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def test_member_kinds_and_order(model):
@@ -653,7 +641,7 @@ class Holder {
 
 def test_facts_of_rarer_declaration_shapes():
     m = parse_source(SHAPES, "Shapes.java")
-    assert [(t.kind, t.name, t.line, t.supertypes) for t in m.all_types()] == [
+    assert [(t.kind, t.name, t.line, t.supertypes) for t in m.types] == [
         ("annotation", "Marker", 1, []), ("interface", "Shape", 6, []),
         ("class", "Circle", 8, ["Shape"]), ("class", "Square", 10, ["Shape"]),
         ("enum", "Color", 12, []), ("record", "Range", 23, []),
@@ -661,7 +649,7 @@ def test_facts_of_rarer_declaration_shapes():
     # The members of annotation types and enum-constant bodies are not
     # pinned here: the parser skips both bodies today (CHANGES.md, FOUND).
     members = {t.name: [(mf.kind, mf.name, mf.line) for mf in t.members]
-               for t in m.all_types() if t.kind != "annotation"}
+               for t in m.types if t.kind != "annotation"}
     assert ("instanceMethod", "label", 20) in members.pop("Color")
     assert members == {
         "Shape": [], "Circle": [], "Square": [],
@@ -730,3 +718,19 @@ def test_field_and_local_of_a_type_record_one_type_name(ref):
     assert field.return_type == name
     (local,) = method.body.local_vars
     assert local.type_name == simple_name_of(name)
+
+
+def test_type_annotation_inside_a_qualified_type():
+    m = parse_source(
+        "class A extends java.lang.@Deprecated Object {\n"
+        "  java.util.@Deprecated List<String> xs;\n"
+        "  void f(java.util.@a.B(x = 1) List<String> ys) {\n"
+        "    java.util.@Deprecated List<String> zs = ys;\n"
+        "  }\n"
+        "}\n", "A.java")
+    (t,) = m.types
+    assert t.supertypes == ["java.lang.Object"]
+    field, method = t.members
+    assert field.return_type == "java.util.List"
+    assert method.params == [ParamFact("ys", "java.util.List")]
+    assert method.body.local_vars == [LocalVarFact("zs", "List", 4, False)]

@@ -126,7 +126,7 @@ def test_each_resolver_runs_once_per_construct(lexicon, monkeypatch):
     violations, counts = check_files(files, lexicon)
 
     members = [m for path, text in files.items()
-               for t in parse_source(text, path).all_types()
+               for t in parse_source(text, path).types
                for m in t.members]
     instance_methods = [m for m in members if m.kind == "instanceMethod"]
     # Only accesses whose receiver type is known are recorded, and the
