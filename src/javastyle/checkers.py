@@ -66,7 +66,6 @@ class Violation(NamedTuple):
 
 
 class OrderingConfig(NamedTuple):
-    id: int
     ranked_groups: tuple[str, ...]
 
     def rank(self, group: str) -> int:
@@ -74,19 +73,19 @@ class OrderingConfig(NamedTuple):
 
 
 ORDERING_CONFIGS: dict[int, OrderingConfig] = {
-    1: OrderingConfig(1, (
+    1: OrderingConfig((
         "innerTypes", "staticFields", "staticMethods",
         "instanceFields", "constructors", "instanceMethods",
     )),
-    2: OrderingConfig(2, (
+    2: OrderingConfig((
         "staticFields", "staticMethods", "instanceFields",
         "constructors", "instanceMethods", "innerTypes",
     )),
-    3: OrderingConfig(3, (
+    3: OrderingConfig((
         "staticFields", "staticMethods", "instanceFields",
         "instanceMethods", "constructors", "innerTypes",
     )),
-    4: OrderingConfig(4, (
+    4: OrderingConfig((
         "instanceFields", "constructors", "instanceMethods",
         "staticFields", "staticMethods", "innerTypes",
     )),
@@ -315,9 +314,9 @@ def check_missing_override(record: FileRecord,
                            ctx: CheckContext) -> CheckResult:
     """Inspects every overriding instance method, annotated or not."""
     out, inspected = [], 0
-    for t, owner in zip(record.types, ctx.index.owners[record.path]):
+    for t in record.types:
         for m in t.methods:
-            r = resolve_override(m, owner, ctx.index)
+            r = resolve_override(m, t, ctx.index)
             if not r.overrides:
                 continue
             inspected += 1

@@ -10,7 +10,9 @@ is skipped by the callers.
 The index and the two checks that consult it read one compact record
 per file (`file_record`) instead of the parsed model: plain tuples of
 the few facts they need, cheap to keep for a whole tree and to send
-between processes.
+between processes. The index reads the records as the workers send
+them: it keeps their `TypeRecord`s and adds only the supertypes it
+resolves, in one table.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ class MethodRecord(NamedTuple):
 
 class TypeRecord(NamedTuple):
     qualified: str
+    package: str | None  # of its file
     supertypes: tuple[str, ...]  # as written
     static_names: tuple[str, ...]  # static fields and methods
     instance_names: tuple[str, ...]  # instance fields and methods
@@ -58,7 +61,8 @@ def _method_record(m: MemberFact) -> MethodRecord:
                         "Override" in m.annotations)
 
 
-def _type_record(t: TypeFact, qualified: str, accesses: list[AccessRecord],
+def _type_record(t: TypeFact, qualified: str, package: str | None,
+                 accesses: list[AccessRecord],
                  nested_names: dict[int, str]) -> TypeRecord:
     static, instance, methods = [], [], []
     for m in t.members:
@@ -72,8 +76,8 @@ def _type_record(t: TypeFact, qualified: str, accesses: list[AccessRecord],
                 methods.append(_method_record(m))
         if m.body is not None:
             accesses.extend(m.body.accesses)
-    return TypeRecord(qualified, tuple(t.supertypes), tuple(static),
-                      tuple(instance), tuple(methods))
+    return TypeRecord(qualified, package, tuple(t.supertypes),
+                      tuple(static), tuple(instance), tuple(methods))
 
 
 def file_record(model: SourceFileModel) -> FileRecord:
@@ -84,8 +88,8 @@ def file_record(model: SourceFileModel) -> FileRecord:
     # type's qualified name is known by the time it comes; a type that
     # no member has named is top-level.
     names: dict[int, str] = {}
-    types = [_type_record(t, names.get(id(t)) or prefix + t.name, accesses,
-                          names)
+    types = [_type_record(t, names.get(id(t)) or prefix + t.name,
+                          model.package, accesses, names)
              for t in model.types]
     imports = tuple((imp.target, imp.is_wildcard) for imp in model.imports
                     if not imp.is_static)
@@ -105,36 +109,6 @@ OBJECT_METHODS: tuple[tuple[str, tuple[str, ...], bool], ...] = (
     ("clone", (), False),
     ("finalize", (), True),
 )
-
-
-_NO_NAMES: frozenset[str] = frozenset()
-
-
-class TypeEntry:
-    __slots__ = ("qualified", "file", "package", "supertypes",
-                 "resolved_supertypes", "static_names", "instance_names",
-                 "methods")
-    qualified: str
-    file: str
-    package: str | None
-    supertypes: tuple[str, ...]  # as written
-    resolved_supertypes: tuple[str, ...]
-    static_names: frozenset[str]
-    instance_names: frozenset[str]
-    methods: tuple[MethodRecord, ...]  # instance only
-
-    def __init__(self, qualified: str, file: str, package: str | None,
-                 supertypes: tuple[str, ...]):
-        self.qualified = qualified
-        self.file = file
-        self.package = package
-        self.supertypes = supertypes
-        # Most types have no supertype, no static members or no instance
-        # members: those fields keep one shared empty value each instead
-        # of an empty object per type.
-        self.resolved_supertypes = ()
-        self.static_names = self.instance_names = _NO_NAMES
-        self.methods = ()
 
 
 class _FileContext(NamedTuple):
@@ -167,20 +141,19 @@ _UNQUALIFIED = StaticAccessResolution(False, True)
 
 class ProjectIndex:
     def __init__(self):
-        self.by_qualified: dict[str, TypeEntry] = {}
-        # Per file, the entry of each of its records' types, in record
-        # order. A type whose qualified name an earlier type took has an
-        # entry of its own that by_qualified does not hold: its methods
-        # resolve along the kept type's chain, but from its own package
-        # and declared supertypes.
-        self.owners: dict[str, list[TypeEntry]] = {}
+        # The first type of each qualified name; resolve_override says
+        # how a later type of that name resolves.
+        self.by_qualified: dict[str, TypeRecord] = {}
+        # The project types that a kept type's declared supertypes
+        # resolve to, for each kept type that declares any.
+        self.supers: dict[str, tuple[str, ...]] = {}
         self.diagnostics: list[str] = []
         self._contexts: dict[str, _FileContext] = {}
         self._chains: dict[str, tuple[str, ...]] = {}
 
     # -- lookups ----------------------------------------------------------
 
-    def resolve_type(self, name: str, file: str) -> TypeEntry | None:
+    def resolve_type(self, name: str, file: str) -> TypeRecord | None:
         """Resolve a type name as written, using the file's context.
 
         Order: same file, same package, explicit import, wildcard
@@ -197,21 +170,18 @@ class ProjectIndex:
                     return entry
             head, _, tail = name.partition(".")
             base = self._resolve_simple(head, ctx)
-            if base is not None:
-                return self.by_qualified.get(base.qualified + "." + tail)
-            return None
+            return (None if base is None
+                    else self.by_qualified.get(base.qualified + "." + tail))
         return self._resolve_simple(name, ctx)
 
-    def _resolve_simple(self, name: str, ctx: _FileContext) -> TypeEntry | None:
+    def _resolve_simple(self, name: str, ctx: _FileContext) -> TypeRecord | None:
         qual = ctx.local_simple.get(name)
         if qual is not None:
             return self.by_qualified.get(qual)
-        if ctx.package:
-            entry = self.by_qualified.get(ctx.package + "." + name)
-        else:
-            entry = self.by_qualified.get(name)
-            entry = entry if entry is not None and entry.package is None else None
-        if entry is not None:
+        entry = self.by_qualified.get(
+            ctx.package + "." + name if ctx.package else name)
+        # From the default package, only a default-package type resolves.
+        if entry is not None and (ctx.package or entry.package is None):
             return entry
         target = ctx.single_imports.get(name)
         if target is not None:
@@ -231,7 +201,7 @@ class ProjectIndex:
         chain = [qualified]
         visited = {qualified, OBJECT_TYPE}  # never walk into Object
         for q in chain:
-            for sup in self.by_qualified[q].resolved_supertypes:
+            for sup in self.supers.get(q, ()):
                 if sup not in visited:
                     visited.add(sup)
                     chain.append(sup)
@@ -254,53 +224,39 @@ class ProjectIndex:
 
 def build_project_index(records: list[FileRecord]) -> ProjectIndex:
     index = ProjectIndex()
+    kept_in: dict[str, str] = {}  # qualified name -> path of its kept type
 
     for record in records:
-        ctx = _FileContext(
+        ctx = index._contexts[record.path] = _FileContext(
             package=record.package,
             single_imports={simple_name_of(target): target
                             for target, wildcard in record.imports
                             if not wildcard},
-            wildcard_packages=[
-                target[:-2] if target.endswith(".*") else target
-                for target, wildcard in record.imports if wildcard
-            ],
+            wildcard_packages=[target[:-2]  # drop the ".*"
+                               for target, wildcard in record.imports
+                               if wildcard],
             local_simple={},
         )
-        index._contexts[record.path] = ctx
-        owners = index.owners[record.path] = []
         for t in record.types:
-            entry = TypeEntry(t.qualified, record.path, record.package,
-                              t.supertypes)
-            owners.append(entry)
-            first = index.by_qualified.get(t.qualified)
+            first = kept_in.get(t.qualified)
             if first is not None:
                 index.diagnostics.append(
-                    f"duplicate type {t.qualified}: kept {first.file}, "
+                    f"duplicate type {t.qualified}: kept {first}, "
                     f"ignored {record.path}")
                 continue
-            index.by_qualified[t.qualified] = entry
+            kept_in[t.qualified] = record.path
+            index.by_qualified[t.qualified] = t
             ctx.local_simple.setdefault(t.qualified.rpartition(".")[2],
                                         t.qualified)
-            if t.static_names:
-                entry.static_names = frozenset(t.static_names)
-            if t.instance_names:
-                entry.instance_names = frozenset(t.instance_names)
-            entry.methods = t.methods
 
-    _resolve_supertypes(index)
+    for t in index.by_qualified.values():
+        if t.supertypes:
+            index.supers[t.qualified] = tuple(
+                target.qualified for name in t.supertypes
+                if (target := index.resolve_type(name, kept_in[t.qualified]))
+                is not None and target.qualified != t.qualified)
     _drop_hierarchy_cycles(index)
     return index
-
-
-def _resolve_supertypes(index: ProjectIndex) -> None:
-    for entry in index.by_qualified.values():
-        if not entry.supertypes:
-            continue
-        entry.resolved_supertypes = tuple(
-            target.qualified for name in entry.supertypes
-            if (target := index.resolve_type(name, entry.file)) is not None
-            and target.qualified != entry.qualified)
 
 
 def _drop_hierarchy_cycles(index: ProjectIndex) -> None:
@@ -314,7 +270,7 @@ def _drop_hierarchy_cycles(index: ProjectIndex) -> None:
 
     def enter(node: str) -> tuple[str, Iterator[str]]:
         color[node] = GRAY
-        return node, iter(index.by_qualified[node].resolved_supertypes)
+        return node, iter(index.supers.get(node, ()))
 
     for root in sorted(index.by_qualified):
         if color.get(root, WHITE) != WHITE:
@@ -327,13 +283,10 @@ def _drop_hierarchy_cycles(index: ProjectIndex) -> None:
                     continue
                 state = color.get(succ, WHITE)
                 if state == GRAY:
-                    entry = index.by_qualified[node]
-                    kept = list(entry.resolved_supertypes)
-                    kept.remove(succ)
-                    entry.resolved_supertypes = tuple(kept)
+                    index.supers[node] = tuple(
+                        s for s in index.supers[node] if s != succ)
                     index.diagnostics.append(
-                        f"inheritance cycle: dropped edge {node} -> {succ}"
-                    )
+                        f"inheritance cycle: dropped edge {node} -> {succ}")
                 elif state == WHITE:
                     path.append(enter(succ))
                     break
@@ -342,7 +295,7 @@ def _drop_hierarchy_cycles(index: ProjectIndex) -> None:
                 path.pop()
 
 
-def resolve_override(method: MethodRecord, owner: TypeEntry,
+def resolve_override(method: MethodRecord, owner: TypeRecord,
                      index: ProjectIndex) -> OverrideResolution:
     """Decide whether an instance method of `owner` overrides a reachable
     parent.
@@ -352,7 +305,11 @@ def resolve_override(method: MethodRecord, owner: TypeEntry,
     owner's declared supertypes are all external the result reports
     parent_resolved=False so callers can skip conservatively.
     """
-    parent_resolved = not owner.supertypes or bool(owner.resolved_supertypes)
+    # A type whose qualified name an earlier type took resolves no
+    # supertypes of its own, but walks the kept type's chain below.
+    parent_resolved = not owner.supertypes or (
+        index.by_qualified[owner.qualified] is owner
+        and bool(index.supers[owner.qualified]))
     name, params = method.name, method.params
 
     for qual in index.supertypes_of(owner.qualified):
@@ -361,13 +318,13 @@ def resolve_override(method: MethodRecord, owner: TypeEntry,
                 if obj_name == name and obj_params == params:
                     return _OVERRIDES[True, deprecated, parent_resolved]
             continue
-        parent_entry = index.by_qualified[qual]
-        for cand in parent_entry.methods:
+        parent = index.by_qualified[qual]
+        for cand in parent.methods:
             if (cand.name != name or cand.params != params
                     or cand.visibility == "private"):
                 continue
             if (cand.visibility == "package"
-                    and parent_entry.package != owner.package):
+                    and parent.package != owner.package):
                 continue
             return _OVERRIDES[True, cand.deprecated, parent_resolved]
     return _OVERRIDES[False, False, parent_resolved]
@@ -389,9 +346,12 @@ def resolve_static_access(access: AccessRecord, file: str,
     if target is None:
         return _UNRESOLVED
     chain = index.supertypes_of(target.qualified)
-    entries = [target, *filter(None, map(index.by_qualified.get, chain))]
     name = access.member_name
-    if any(name in e.instance_names for e in entries) or \
-            not any(name in e.static_names for e in entries):
+    static = False
+    for t in (target, *filter(None, map(index.by_qualified.get, chain))):
+        if name in t.instance_names:
+            return _UNRESOLVED
+        static = static or name in t.static_names
+    if not static:
         return _UNRESOLVED
     return _QUALIFIED if access.through_class else _UNQUALIFIED

@@ -3,6 +3,7 @@
 import json
 import os
 import subprocess
+import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -80,6 +81,22 @@ def test_fixture_report_matches_golden_bytes(capsysbinary, monkeypatch):
                              "--format", "json")
     assert code == 0
     assert out == (tests_dir / "golden" / "fixtures.json").read_bytes()
+
+
+@pytest.mark.parametrize("module", ["javastyle", "javastyle.cli"])
+def test_module_entry_point_prints_the_golden_report(module):
+    # `python -m javastyle` and `python -m javastyle.cli` run the same
+    # command line as the `javastyle` console script.
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "JAVASTYLE_CONFIG"}
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "analyze", "tests/fixtures",
+         "--format", "json"],
+        capture_output=True, cwd=root,
+        env={**env, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert proc.stdout == (root / "tests" / "golden" / "fixtures.json").read_bytes()
 
 
 def test_fail_over_flips_exit_code(tmp_path, capsysbinary):

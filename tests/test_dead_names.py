@@ -43,9 +43,10 @@ IMPORTS_CHECKED = ("src", "tests", "scripts")
 _WORD = re.compile(r"[A-Za-z_]\w*")
 # A `name = "module:function"` line; tomllib is not in Python 3.10.
 _ENTRY_POINT = re.compile(r'^\s*[\w.-]+\s*=\s*"[\w.]+:(\w+)"', re.MULTILINE)
-# Outside the model, the classes with one instance per finding or per
-# type of the tree.
-GROWING = (checkers.Violation, project_index.TypeEntry)
+# Outside the model, the classes with one instance per finding, per type
+# or per instance method of the tree.
+GROWING = (checkers.Violation, project_index.TypeRecord,
+           project_index.MethodRecord)
 
 
 def defined_names(tree: ast.Module) -> list[tuple[str, int]]:

@@ -35,13 +35,13 @@ def entry(index, qualified):
     return e
 
 
-def find_method(record, index, type_name, method_name):
-    """An instance method's record and the index entry of its type."""
-    for t, owner in zip(record.types, index.owners[record.path]):
+def find_method(record, type_name, method_name):
+    """An instance method's record and the record of its type."""
+    for t in record.types:
         if t.qualified.rpartition(".")[2] == type_name:
             for m in t.methods:
                 if m.name == method_name:
-                    return m, owner
+                    return m, t
     raise AssertionError(f"{type_name}.{method_name} not found")
 
 
@@ -49,14 +49,14 @@ def find_method(record, index, type_name, method_name):
 
 
 def test_qualified_names_and_nesting():
-    _, index = index_of({
+    (record,), index = index_of({
         "a/Outer.java": "package a;\npublic class Outer {\n"
                         "    public static class Inner {}\n}e".replace("}e", "}"),
     })
     assert "a.Outer" in index.by_qualified
-    assert index.by_qualified["a.Outer.Inner"].file == "a/Outer.java"
-    assert [e.qualified for e in index.owners["a/Outer.java"]] == [
-        "a.Outer", "a.Outer.Inner"]
+    assert index.by_qualified["a.Outer.Inner"] is record.types[1]
+    assert [(t.qualified, t.package) for t in record.types] == [
+        ("a.Outer", "a"), ("a.Outer.Inner", "a")]
 
 
 def test_resolution_order_same_file_first():
@@ -65,8 +65,7 @@ def test_resolution_order_same_file_first():
                        "class Helper {}\nclass Main extends Helper {}\n",
         "q/Helper.java": "package q;\npublic class Helper {}\n",
     })
-    main = entry(index, "p.Main")
-    assert main.resolved_supertypes == ("p.Helper",)
+    assert index.supers["p.Main"] == ("p.Helper",)
 
 
 def test_resolution_same_package_then_import_then_wildcard():
@@ -79,9 +78,9 @@ def test_resolution_same_package_then_import_then_wildcard():
         "r/Exact.java": "package r;\npublic class Exact {}\n",
         "s/Wild.java": "package s;\npublic class Wild {}\n",
     })
-    assert entry(index, "p.Main").resolved_supertypes == ("p.Local",)
-    assert entry(index, "p.FromImport").resolved_supertypes == ("r.Exact",)
-    assert entry(index, "p.FromWild").resolved_supertypes == ("s.Wild",)
+    assert index.supers["p.Main"] == ("p.Local",)
+    assert index.supers["p.FromImport"] == ("r.Exact",)
+    assert index.supers["p.FromWild"] == ("s.Wild",)
 
 
 def test_dotted_supertypes_resolve():
@@ -96,11 +95,10 @@ def test_dotted_supertypes_resolve():
         "q/Imported.java": "package q;\n"
                            "public class Imported { public static class Inner {} }\n",
     })
-    assert entry(index, "p.Full").resolved_supertypes == ("p.Base",)
-    assert entry(index, "p.Nested").resolved_supertypes == ("p.Outer.Inner",)
-    assert entry(index, "p.ViaImport").resolved_supertypes == (
-        "q.Imported.Inner",)
-    assert entry(index, "p.Missing").resolved_supertypes == ()
+    assert index.supers["p.Full"] == ("p.Base",)
+    assert index.supers["p.Nested"] == ("p.Outer.Inner",)
+    assert index.supers["p.ViaImport"] == ("q.Imported.Inner",)
+    assert index.supers["p.Missing"] == ()
 
 
 def test_a_default_package_supertype_resolves_only_there():
@@ -112,9 +110,9 @@ def test_a_default_package_supertype_resolves_only_there():
         "Outer.java": "class Outer { static class Inner {} }\n",
         "p/Thing.java": "package p;\npublic class Thing {}\n",
     })
-    assert entry(index, "Main").resolved_supertypes == ("Base",)
-    assert entry(index, "Deep").resolved_supertypes == ("Outer.Inner",)
-    assert entry(index, "Other").resolved_supertypes == ()  # p.Thing
+    assert index.supers["Main"] == ("Base",)
+    assert index.supers["Deep"] == ("Outer.Inner",)
+    assert index.supers["Other"] == ()  # p.Thing
 
 
 def test_unresolvable_supertype_is_external():
@@ -122,18 +120,16 @@ def test_unresolvable_supertype_is_external():
         "p/Main.java": "package p;\n"
                        "class Main extends com.vendor.Widget {}\n",
     })
-    e = entry(index, "p.Main")
-    assert e.supertypes == ("com.vendor.Widget",)
-    assert e.resolved_supertypes == ()
+    assert entry(index, "p.Main").supertypes == ("com.vendor.Widget",)
+    assert index.supers["p.Main"] == ()
 
 
 def test_duplicate_qualified_name_first_wins():
-    _, index = index_of({
+    records, index = index_of({
         "a/p/Thing.java": "package p;\nclass Thing { void one() {} }\n",
         "b/p/Thing.java": "package p;\nclass Thing { void two() {} }\n",
     })
-    e = entry(index, "p.Thing")
-    assert e.file == "a/p/Thing.java"
+    assert entry(index, "p.Thing") is record_of(records, "a/p/Thing.java").types[0]
     assert any("duplicate type p.Thing" in d for d in index.diagnostics)
 
 
@@ -177,7 +173,7 @@ def bfs_chain(index, qualified):
     chain, seen = [], {qualified, OBJECT_TYPE}
     queue = [qualified]
     for q in queue:
-        for sup in index.by_qualified[q].resolved_supertypes:
+        for sup in index.supers.get(q, ()):
             if sup not in seen:
                 seen.add(sup)
                 chain.append(sup)
@@ -261,9 +257,9 @@ def test_resolvers_walk_each_chain_once(monkeypatch):
                             "    }\n}\n")
     records, index = index_of(files)
     for record in records:
-        for t, owner in zip(record.types, index.owners[record.path]):
+        for t in record.types:
             for m in t.methods:
-                resolve_override(m, owner, index)
+                resolve_override(m, t, index)
         for access in record.accesses:
             resolve_static_access(access, record.path, index)
     assert sorted(walks) == ["p.Child", "p.Parent", "p.User"]
@@ -272,7 +268,7 @@ def test_resolvers_walk_each_chain_once(monkeypatch):
 def test_override_same_signature():
     records, _index = index_of(PARENT_CHILD)
     child = record_of(records, "Child.java")
-    m, t = find_method(child, _index, "Child", "work")
+    m, t = find_method(child, "Child", "work")
     r = resolve_override(m, t, _index)
     assert r.overrides and r.parent_resolved and not r.parent_deprecated
 
@@ -280,14 +276,14 @@ def test_override_same_signature():
 def test_no_override_on_different_param_types():
     records, _index = index_of(PARENT_CHILD)
     child = record_of(records, "Child.java")
-    m, t = find_method(child, _index, "Child", "sized")
+    m, t = find_method(child, "Child", "sized")
     assert not resolve_override(m, t, _index).overrides
 
 
 def test_no_override_on_new_method():
     records, _index = index_of(PARENT_CHILD)
     child = record_of(records, "Child.java")
-    m, t = find_method(child, _index, "Child", "other")
+    m, t = find_method(child, "Child", "other")
     assert not resolve_override(m, t, _index).overrides
 
 
@@ -299,7 +295,7 @@ def test_override_of_deprecated_parent():
                         "    public void work() {}\n}\n",
     })
     child = record_of(records, "Child.java")
-    m, t = find_method(child, _index, "Child", "work")
+    m, t = find_method(child, "Child", "work")
     r = resolve_override(m, t, _index)
     assert r.overrides and r.parent_deprecated
 
@@ -310,7 +306,7 @@ def test_external_parent_marks_unresolved():
                         "public class Child extends vendor.Base {\n"
                         "    public void work() {}\n}\n",
     })
-    m, t = find_method(records[0], _index, "Child", "work")
+    m, t = find_method(records[0], "Child", "work")
     r = resolve_override(m, t, _index)
     assert not r.overrides
     assert not r.parent_resolved
@@ -328,10 +324,10 @@ def test_object_methods_match():
     })
     plain = records[0]
     cases = {}
-    for t, owner in zip(plain.types, _index.owners[plain.path]):
+    for t in plain.types:
         for m in t.methods:
             cases[(m.name, m.params[0] if m.params else None)] = (
-                resolve_override(m, owner, _index))
+                resolve_override(m, t, _index))
     assert cases[("equals", "Object")].overrides
     assert cases[("hashCode", None)].overrides
     assert cases[("toString", None)].overrides
@@ -351,7 +347,7 @@ def test_static_and_private_parents_not_overridable():
     })
     child = record_of(records, "Child.java")
     for name in ("util", "hidden"):
-        m, t = find_method(child, _index, "Child", name)
+        m, t = find_method(child, "Child", name)
         assert not resolve_override(m, t, _index).overrides, name
 
 
@@ -364,7 +360,7 @@ def test_package_private_foreign_package_not_overridable():
                         "    void work() {}\n}\n",
     })
     child = record_of(records, "Child.java")
-    m, t = find_method(child, _index, "Child", "work")
+    m, t = find_method(child, "Child", "work")
     assert not resolve_override(m, t, _index).overrides
 
 
@@ -565,7 +561,7 @@ def test_override_resolution_matches_brute_force():
                 want_resolved = True
             else:
                 want_resolved = kept[k] == record.path and k in parent_of
-            (t,), (owner,) = record.types, index.owners[record.path]
+            (t,) = record.types
             assert [(m.name, m.params) for m in t.methods] == [
                 sig for _, sig in members]
             for m in t.methods:
@@ -574,7 +570,7 @@ def test_override_resolution_matches_brute_force():
                     ((True, depr) for level in chain
                      for depr, declared in level if declared == sig),
                     (False, False))
-                got = resolve_override(m, owner, index)
+                got = resolve_override(m, t, index)
                 where = (trial, record.path, sig)
                 assert got.overrides == want_over, where
                 assert got.parent_resolved == want_resolved, where
@@ -682,11 +678,11 @@ def duplicated_resolutions():
     records, index = index_of(DUPLICATED)
     out = {}
     for record in records:
-        for t, owner in zip(record.types, index.owners[record.path]):
+        for t in record.types:
             if not t.qualified.endswith("Thing"):
                 continue
             for m in t.methods:
-                r = resolve_override(m, owner, index)
+                r = resolve_override(m, t, index)
                 out[record.path, m.name, "override"] = (
                     r.overrides, r.parent_deprecated, r.parent_resolved)
         for a in record.accesses:
@@ -694,12 +690,13 @@ def duplicated_resolutions():
             receiver = "class" if a.through_class else "instance"
             out[record.path, a.member_name, receiver] = (
                 r.resolved, r.qualified_correctly)
-    return out, index
+    return out, records, index
 
 
 def test_resolution_inside_a_duplicated_type():
-    got, index = duplicated_resolutions()
-    assert index.by_qualified["p.Thing"].file == "a/p/Thing.java"
+    got, records, index = duplicated_resolutions()
+    assert index.by_qualified["p.Thing"] is record_of(
+        records, "a/p/Thing.java").types[0]
     assert [d for d in index.diagnostics if "duplicate" in d] == [
         "duplicate type p.Thing: kept a/p/Thing.java, ignored b/p/Thing.java",
         "duplicate type p.Thing: kept a/p/Thing.java, ignored c/p/Thing.java",
@@ -727,3 +724,13 @@ def test_resolution_inside_a_duplicated_type():
         ("d/Outer.java", "work", "override"): (True, False, False),
         ("d/Outer.java", "nearby", "override"): (False, False, False),
     }
+
+
+def test_the_index_holds_the_records_own_types():
+    # The index keeps the records' TypeRecords, not copies of them.
+    for files in [*fixture_trees(), DUPLICATED]:
+        records, index = index_of(files)
+        own = {id(t): t for record in records for t in record.types}
+        assert index.by_qualified
+        assert [q for q, t in index.by_qualified.items()
+                if own.get(id(t)) is not t] == []
