@@ -146,22 +146,24 @@ def check_class_names(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
 
 def check_method_names(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
     out, inspected = [], 0
+    path, categories = model.path, ctx.lexicon.categories_with_fallback
     for t in model.types:
         for m in _methods(t):
             inspected += 1
-            if not matches_casing(m.name, "lowerCamel"):
+            name = m.name
+            if not matches_casing(name, "lowerCamel"):
                 out.append(Violation(
-                    Category.METHOD_NAMES, model.path, m.line,
-                    "method name is not lowerCamelCase", m.name))
+                    Category.METHOD_NAMES, path, m.line,
+                    "method name is not lowerCamelCase", name))
                 continue
-            first = split_identifier(m.name)[0]
+            first = split_identifier(name)[0]
             if first in METHOD_NAME_ALLOWLIST:
                 continue
-            cats = ctx.lexicon.categories_with_fallback(first)
+            cats = categories(first)
             if cats and VERB not in cats:
                 out.append(Violation(
-                    Category.METHOD_NAMES, model.path, m.line,
-                    "method name does not start with a verb", m.name))
+                    Category.METHOD_NAMES, path, m.line,
+                    "method name does not start with a verb", name))
     return out, inspected
 
 
@@ -176,22 +178,26 @@ def check_variable_names(model: SourceFileModel,
 
     for t in model.types:
         for m in t.members:
-            if m.kind in ("instanceField", "staticField"):
+            kind, params, body = m.kind, m.params, m.body
+            if kind == "instanceField" or kind == "staticField":
                 inspected += 1
+                name = m.name
                 if m.is_static_final:
-                    if not matches_casing(m.name, "constant"):
-                        bad(m.line, m.name, "constant", "UPPER_SNAKE_CASE")
-                elif not matches_casing(m.name, "lowerCamel"):
-                    bad(m.line, m.name, "field", "lowerCamelCase")
-            inspected += len(m.params)
-            for p in m.params:
+                    if not matches_casing(name, "constant"):
+                        bad(m.line, name, "constant", "UPPER_SNAKE_CASE")
+                elif not matches_casing(name, "lowerCamel"):
+                    bad(m.line, name, "field", "lowerCamelCase")
+            inspected += len(params)
+            for p in params:
                 if not matches_casing(p.name, "lowerCamel"):
                     bad(m.line, p.name, "parameter", "lowerCamelCase")
-            if m.body is not None:
-                inspected += len(m.body.local_vars)
-                for lv in m.body.local_vars:
+            if body is not None:
+                local_vars = body.local_vars
+                inspected += len(local_vars)
+                for lv in local_vars:
                     if not matches_casing(lv.name, "lowerCamel"):
-                        bad(lv.line, lv.name, "local variable", "lowerCamelCase")
+                        bad(lv.line, lv.name, "local variable",
+                            "lowerCamelCase")
     return out, inspected
 
 
@@ -276,11 +282,12 @@ def check_javadoc_formatting(model: SourceFileModel,
                 continue
             inspected += 1
             hits: list[str] = []
+            tags = doc.tags
             param_names = {p.name for p in m.params}
-            tag_params = [tag.arg_name for tag in doc.tags
+            tag_params = [tag.arg_name for tag in tags
                           if tag.name == "param" and tag.arg_name]
-            has_return = any(tag.name == "return" for tag in doc.tags)
-            tag_throws = [tag.arg_name for tag in doc.tags
+            has_return = any(tag.name == "return" for tag in tags)
+            tag_throws = [tag.arg_name for tag in tags
                           if tag.name in ("throws", "exception") and tag.arg_name]
             thrown = [simple_name_of(x) for x in m.thrown_types]
 
@@ -288,15 +295,16 @@ def check_javadoc_formatting(model: SourceFileModel,
                 hits.append("a parameter has no @param tag")
             if any(a not in param_names for a in tag_params):
                 hits.append("a @param tag names no parameter")
-            is_void = m.return_type == "void"
-            if not is_void and m.return_type is not None and not has_return:
+            return_type = m.return_type
+            is_void = return_type == "void"
+            if not is_void and return_type is not None and not has_return:
                 hits.append("non-void method lacks @return")
             if is_void and has_return:
                 hits.append("void method documents a @return")
             documented_throws = {simple_name_of(a) for a in tag_throws}
             if any(x not in documented_throws for x in thrown):
                 hits.append("a declared exception has no @throws tag")
-            if any(tag.description_word_count == 0 for tag in doc.tags):
+            if any(tag.description_word_count == 0 for tag in tags):
                 hits.append("a tag has an empty description")
 
             for msg in hits[:JAVADOC_FORMATTING_MAX_PER_COMMENT]:
@@ -396,15 +404,20 @@ def check_string_concatenation(model: SourceFileModel,
     """Inspects every loop, whether or not it concatenates."""
     out, inspected = [], 0
     for t in model.types:
-        field_types = {m.name: m.return_type for m in t.members
-                       if m.kind in ("instanceField", "staticField")}
+        field_types = None  # built for the type's first concatenation site
         for m in t.members:
-            if m.body is None:
+            body = m.body
+            if body is None:
                 continue
-            inspected += m.body.loops
-            local_types = {lv.name: lv.type_name for lv in m.body.local_vars}
+            inspected += body.loops
+            if not body.concat_sites:
+                continue
+            if field_types is None:
+                field_types = {f.name: f.return_type for f in t.members
+                               if f.kind in ("instanceField", "staticField")}
+            local_types = {lv.name: lv.type_name for lv in body.local_vars}
             param_types = {p.name: p.type_name for p in m.params}
-            for site in m.body.concat_sites:
+            for site in body.concat_sites:
                 declared = (local_types.get(site.target)
                             or param_types.get(site.target)
                             or field_types.get(site.target))
@@ -467,22 +480,24 @@ def check_useless(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
     # A private member is reachable only from its own top-level class, so
     # this file decides its use: any identifier spelled like it that does
     # not declare a name.
+    path, use_counts = model.path, model.use_counts
     for t in model.types:
         for m in t.members:
+            name, body = m.name, m.body
             what = _NAMED_MEMBER.get(m.kind)
             # Annotations often mark reflective entry points of a method.
             exempt = (m.annotations if what == "method"
-                      else m.name == "serialVersionUID")
+                      else name == "serialVersionUID")
             if (what and m.visibility == "private" and not exempt
-                    and m.name not in model.use_counts):
+                    and name not in use_counts):
                 out.append(Violation(
-                    Category.USELESS, model.path, m.line,
-                    "unused private " + what, m.name))
-            if m.body is not None:
-                for lv in m.body.local_vars:
+                    Category.USELESS, path, m.line,
+                    "unused private " + what, name))
+            if body is not None:
+                for lv in body.local_vars:
                     if not lv.used:
                         out.append(Violation(
-                            Category.USELESS, model.path, lv.line,
+                            Category.USELESS, path, lv.line,
                             "unused local variable", lv.name))
 
     for comment in model.comments:
@@ -492,7 +507,7 @@ def check_useless(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
         for offset, text_line in enumerate(comment.text.split("\n")):
             if looks_like_code(text_line):
                 out.append(Violation(
-                    Category.USELESS, model.path, comment.line + offset,
+                    Category.USELESS, path, comment.line + offset,
                     "commented-out code"))
     return out, model.line_count
 
@@ -503,17 +518,21 @@ def check_useless(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
 
 def check_ordering(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
     out, inspected = [], 0
+    rank_of = {kind: ctx.ordering.rank(group)
+               for kind, group in _MEMBER_GROUP.items()}
     for t in model.types:
         max_rank = -1
+        inspected += len(t.members)
         for m in t.members:
-            inspected += 1
-            rank = ctx.ordering.rank(_MEMBER_GROUP[m.kind])
+            kind = m.kind
+            rank = rank_of[kind]
             if rank < max_rank:
                 out.append(Violation(
                     Category.ORDERING, model.path, m.line,
-                    f"{_MEMBER_GROUP[m.kind]} member after a later group",
+                    f"{_MEMBER_GROUP[kind]} member after a later group",
                     m.name))
-            max_rank = max(max_rank, rank)
+            elif rank > max_rank:
+                max_rank = rank
     return out, inspected
 
 

@@ -16,23 +16,18 @@ from .model import JavadocFact, TagFact
 _ARG_TAGS = frozenset({"param", "throws", "exception"})
 
 _INLINE_TAG = re.compile(r"\{@\w+\s*([^{}]*)\}", re.DOTALL)
+# The text of each line ("\n" ends one), after its blanks and any run of
+# `*` with one blank after it.
+_LINE_TEXT = re.compile(r"^[^\S\n]*(?:\*+ ?)?(.*)", re.MULTILINE)
 
 
-def _strip_markers(raw: str) -> str:
+def _strip_markers(raw: str) -> list[str]:
     body = raw.strip()
     if body.startswith("/**"):
         body = body[3:]
     if body.endswith("*/"):
         body = body[:-2]
-    lines = []
-    for ln in body.split("\n"):
-        s = ln.lstrip()
-        if s.startswith("*"):
-            s = s.lstrip("*")
-            if s.startswith(" "):
-                s = s[1:]
-        lines.append(s)
-    return "\n".join(lines)
+    return _LINE_TEXT.findall(body)
 
 
 def extract_javadoc(raw: str, line: int) -> JavadocFact:
@@ -40,14 +35,16 @@ def extract_javadoc(raw: str, line: int) -> JavadocFact:
 
     ``line`` is the line of the opening ``/**``.
     """
-    text = _strip_markers(raw)
-    # Inline tags keep their payload; the tag keyword goes away.
-    text = _INLINE_TAG.sub(lambda m: m.group(1), text)
+    lines = _strip_markers(raw)
+    # Inline tags keep their payload; the tag keyword goes away. Stripping
+    # the markers makes no "{@", so the raw text tells whether any is left.
+    if "{@" in raw:
+        lines = _INLINE_TAG.sub(r"\1", "\n".join(lines)).split("\n")
 
     main_lines: list[str] = []
     tag_chunks: list[list[str]] = []
     current: list[str] | None = None
-    for ln in text.split("\n"):
+    for ln in lines:
         if ln.lstrip().startswith("@"):
             current = [ln.lstrip()]
             tag_chunks.append(current)
@@ -66,8 +63,7 @@ def extract_javadoc(raw: str, line: int) -> JavadocFact:
         if name in _ARG_TAGS and rest:
             arg = rest[0]
             rest = rest[1:]
-        tags.append(TagFact(name=name, arg_name=arg,
-                            description_word_count=len(rest)))
+        tags.append(TagFact(name, arg, len(rest)))
         word_count += len(rest)
 
-    return JavadocFact(line=line, word_count=word_count, tags=tags)
+    return JavadocFact(line, word_count, tags)

@@ -50,7 +50,7 @@ class CommentFact(NamedTuple):
 
 def simple_name_of(dotted: str) -> str:
     """The last segment of a dotted name; array dims on it stay."""
-    return dotted.rsplit(".", 1)[-1]
+    return dotted[dotted.rfind(".") + 1:]
 
 
 class ImportFact(NamedTuple):

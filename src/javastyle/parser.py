@@ -1,9 +1,12 @@
 """Recursive-descent parser for the supported Java subset.
 
 Two phases: a declaration pass builds the type/member skeleton and records
-the token span of every method or constructor body; a second pass scans
-those spans for statement-level facts (catch clauses, loops, string
-concatenation sites, member accesses, local variables).
+the token span of every method or constructor body; a second pass
+(`_scan_bodies`) scans those spans for statement-level facts (catch
+clauses, loops, string concatenation sites, member accesses, local
+variables). It is one loop over the bodies that visits each token once,
+dispatching on the token's kind, and then builds each member again, once,
+with its facts.
 
 Both passes read a construct with the same index-based scanners, which
 step over (, [ and { groups through the lexer's bracket table:
@@ -67,8 +70,21 @@ _OPENS = frozenset({"(", "[", "{"})
 _CLOSES = frozenset({")", "]", "}"})
 # The tokens that end a search for the `>` closing a `<`.
 _ANGLE_STOPS = _CLOSES | {";", "{"}
+# The tokens that end a statement, a field declarator and a local
+# declarator, close brackets included (see `_stop_at`).
+_STATEMENT_END = _CLOSES | {";"}
+_FIELD_DECLARATOR_END = _STATEMENT_END | {","}
+_LOCAL_DECLARATOR_END = _FIELD_DECLARATOR_END | {":"}
 # The tokens a lambda can follow.
 _LAMBDA_PREV = frozenset({"(", ",", "=", "return", "->", "?", ":", "{", ")"})
+# Translates a token's kind code to 1 for an identifier, 0 for the rest.
+_IDENTS = bytes(kind == IDENT for kind in range(256))
+# The operators that can start a body fact; literals and the other
+# operators start none.
+_FACT_OPERATORS = frozenset({"+=", "=", ")"})
+# Builds a named tuple from a tuple of all its fields, skipping the
+# class's Python-level __new__, which costs as much again.
+_new = tuple.__new__
 # Deepest type nesting parsed; deeper files are skipped with a diagnostic
 # instead of exhausting the interpreter's recursion limit.
 MAX_TYPE_NESTING = 100
@@ -95,10 +111,13 @@ class _Parser:
         self.values.append("")
         self.last = len(self.kinds) - 1  # the end-of-file sentinel
         self.pos = 0
-        self.line_count = sum(1 for ln in text.split("\n") if ln.strip())
+        # Non-blank lines: neither empty nor all blanks.
+        lines = text.split("\n")
+        self.line_count = (len(lines) - lines.count("")
+                           - sum(map(str.isspace, lines)))
         self.comments = [
-            CommentFact(bisect_left(self.newlines, start) + 1, body,
-                        is_javadoc(body))
+            _new(CommentFact, (bisect_left(self.newlines, start) + 1, body,
+                               is_javadoc(body)))
             for start, body, _ in comments]
         # Index of the token after each comment, in source order.
         self.comment_next = [after for _, _, after in comments]
@@ -109,7 +128,8 @@ class _Parser:
         # members, open brace idx, close brace idx)
         self.body_jobs: list[
             tuple[MemberFact, tuple[TypeFact, ...], int, int, int]] = []
-        self.type_stack: list[TypeFact] = []
+        # The types around the current token, outermost first.
+        self.type_stack: tuple[TypeFact, ...] = ()
         # Every type in declaration order, each before its nested ones.
         self.types: list[TypeFact] = []
         # Index of every identifier token that declares a name.
@@ -257,6 +277,8 @@ class _Parser:
                 j = k + 1
         else:
             return None
+        if values[j] != "[":
+            return j, name
         end = self._dims_end(j, limit)
         return end, name + "[]" * ((end - j) // 2)
 
@@ -273,14 +295,14 @@ class _Parser:
                 j = self.partner.get(j, limit) + 1
         return j
 
-    def _stop_at(self, j: int, limit: int, stops: tuple[str, ...]) -> int:
-        """Index of the first token from j to limit that is in stops or is
-        a close bracket whose open lies before j; bracket pairs are
-        stepped over. limit + 1 when there is none."""
+    def _stop_at(self, j: int, limit: int, stops: frozenset[str]) -> int:
+        """Index of the first token from j to limit that is in stops, which
+        hold the close brackets: one whose open lies before j. Bracket
+        pairs are stepped over. limit + 1 when there is none."""
         values, partner = self.values, self.partner
         while j <= limit:
             v = values[j]
-            if v in stops or v in _CLOSES:
+            if v in stops:
                 return j
             if v in _OPENS:
                 j = partner.get(j, limit)
@@ -342,48 +364,81 @@ class _Parser:
         Returns the declared members: none for a top-level type or an
         initializer block.
         """
+        values = self.values
         doc = self.doc_by_next.get(self.pos)
         annotations: list[str] = []
         mods: set[str] = set()
         ann_type = False
         while True:
-            v = self.peek()
+            v = values[self.pos]
             if v == "@":
-                if self.peek(1) == "interface":
-                    self.pop()
+                if values[self.pos + 1] == "interface":
+                    self.pos += 1
                     ann_type = True
                     break
                 annotations.append(self.parse_annotation())
             elif v in _MODIFIER_WORDS:
                 mods.add(v)
-                self.pop()
+                self.pos += 1
             elif v == "non" and self.peek(1) == "-" and self.peek(2) == "sealed":
                 self.pos += 3
             else:
                 break
 
-        v = self.values[self.peek_more()]
+        first = self.peek_more()
+        v = values[first]
         javadoc = None
         if doc is not None:
             javadoc = extract_javadoc(doc.text, doc.line)
+        visibility = self._visibility(mods, container_kind)
 
         is_record = (
             v == "record" and self.peek_kind(1) == IDENT and self.peek(2) == "("
         )
         if ann_type or v in ("class", "enum", "interface") or is_record:
             tf = self.parse_type_tail(
-                "annotation" if ann_type else v, mods, javadoc, container_kind,
-            )
+                "annotation" if ann_type else v, visibility, javadoc)
             if container_name is None:
                 return []
-            return [MemberFact("innerType", tf.name, tf.visibility, tf.line,
+            return [MemberFact("innerType", tf.name, visibility, tf.line,
                                annotations, [], [], nested=tf)]
 
         if container_name is None:
             self.fail("expected type declaration")
-        return self.parse_member_tail(
-            annotations, mods, javadoc, container_name, container_kind
-        )
+        if v == "{":  # instance or static initializer: no facts
+            self.skip_balanced("{")
+            return []
+        if v == "<":
+            self.skip_angles()
+            first = self.peek_more()
+        # Constructor: TypeName followed directly by (
+        if (
+            self.kinds[first] == IDENT
+            and values[first] == container_name
+            and values[first + 1] == "("
+        ):
+            self.pos += 1
+            return [self.finish_callable(
+                "constructor", first, None, annotations, visibility, javadoc)]
+
+        rtype = self.parse_type_ref()
+
+        # Compact record constructor: TypeName { ... }
+        if values[self.pos] == "{" and rtype == container_name:
+            self.declaring.append(first)
+            member = MemberFact(
+                "constructor", container_name, visibility, self.line(first),
+                annotations, [], [], javadoc=javadoc)
+            self.skip_body(member)
+            return [member]
+
+        name_idx = self.expect_ident()
+        if values[self.pos] == "(":
+            return [self.finish_callable(
+                "staticMethod" if "static" in mods else "instanceMethod",
+                name_idx, rtype, annotations, visibility, javadoc)]
+        return self.finish_fields(name_idx, rtype, annotations, mods,
+                                  visibility, javadoc, container_kind)
 
     def parse_annotation(self) -> str:
         self.expect("@")
@@ -392,13 +447,8 @@ class _Parser:
             self.skip_balanced("(")
         return simple_name_of(name)
 
-    def parse_type_tail(
-        self,
-        kind: str,
-        mods: set[str],
-        javadoc: JavadocFact | None,
-        container_kind: str | None,
-    ) -> TypeFact:
+    def parse_type_tail(self, kind: str, visibility: str,
+                        javadoc: JavadocFact | None) -> TypeFact:
         if len(self.type_stack) >= MAX_TYPE_NESTING:
             self.fail("type nesting too deep")
         self.pop()  # class/enum/interface/record/interface-after-@
@@ -409,6 +459,7 @@ class _Parser:
         if kind == "record" and self.at("("):
             self.skip_balanced("(")  # components carry no facts
 
+        values = self.values
         supertypes: list[str] = []
         while True:
             if self.match("extends") or self.match("implements"):
@@ -426,7 +477,7 @@ class _Parser:
         tf = TypeFact(
             kind=kind,
             name=self.values[name_idx],
-            visibility=self._visibility(mods, container_kind),
+            visibility=visibility,
             line=self.line(name_idx),
             supertypes=supertypes,
             members=[],
@@ -438,15 +489,19 @@ class _Parser:
             self.skip_balanced("{")  # permissive, no facts
             return tf
 
-        self.type_stack.append(tf)
+        outer = self.type_stack
+        self.type_stack = outer + (tf,)
         self.expect("{")
         if kind == "enum":
             self.parse_enum_constants()
-        while not self.at("}"):
-            if not self.match(";"):
-                tf.members.extend(self.parse_declaration(tf.name, tf.kind))
-        self.expect("}")
-        self.type_stack.pop()
+        members, name = tf.members, tf.name
+        while (v := values[self.pos]) != "}":
+            if v == ";":
+                self.pos += 1
+            else:
+                members.extend(self.parse_declaration(name, kind))
+        self.pos += 1
+        self.type_stack = outer
         return tf
 
     def parse_enum_constants(self) -> None:
@@ -462,80 +517,31 @@ class _Parser:
                 self.match(";")
                 return
 
-    def parse_member_tail(
-        self,
-        annotations: list[str],
-        mods: set[str],
-        javadoc: JavadocFact | None,
-        container_name: str,
-        container_kind: str | None,
-    ) -> list[MemberFact]:
-        if self.at("{"):  # instance or static initializer: no facts
-            self.skip_balanced("{")
-            return []
-        if self.at("<"):
-            self.skip_angles()
-
-        first = self.peek_more()
-        # Constructor: TypeName followed directly by (
-        if (
-            self.kinds[first] == IDENT
-            and self.values[first] == container_name
-            and self.peek(1) == "("
-        ):
-            return [self.finish_callable(
-                "constructor", self.pop(), None, annotations, mods,
-                javadoc, container_kind,
-            )]
-
-        rtype = self.parse_type_ref()
-
-        # Compact record constructor: TypeName { ... }
-        if self.at("{") and rtype == container_name:
-            self.declaring.append(first)
-            member = MemberFact(
-                "constructor", container_name,
-                self._visibility(mods, container_kind), self.line(first),
-                annotations, [], [], javadoc=javadoc)
-            self.skip_body(member)
-            return [member]
-
-        name_idx = self.expect_ident()
-        if self.at("("):
-            member = self.finish_callable(
-                "staticMethod" if "static" in mods else "instanceMethod",
-                name_idx, rtype, annotations, mods, javadoc, container_kind,
-            )
-            return [member]
-        return self.finish_fields(
-            name_idx, rtype, annotations, mods, javadoc, container_kind
-        )
-
     def finish_callable(
         self,
         kind: str,
         name_idx: int,
         rtype: str | None,
         annotations: list[str],
-        mods: set[str],
+        visibility: str,
         javadoc: JavadocFact | None,
-        container_kind: str | None,
     ) -> MemberFact:
+        values = self.values
         self.declaring.append(name_idx)
         params = self.parse_params()
-        dims = self.dims()
-        if rtype is not None:
-            rtype += dims
+        if values[self.pos] == "[":
+            dims = self.dims()
+            if rtype is not None:
+                rtype += dims
         thrown: list[str] = []
         if self.match("throws"):
             thrown.append(simple_name_of(self.parse_type_ref()))
             while self.match(","):
                 thrown.append(simple_name_of(self.parse_type_ref()))
-        member = MemberFact(
-            kind, self.values[name_idx],
-            self._visibility(mods, container_kind), self.line(name_idx),
-            annotations, params, thrown, javadoc=javadoc, return_type=rtype)
-        if self.at("{"):
+        member = _new(MemberFact, (
+            kind, values[name_idx], visibility, self.line(name_idx),
+            annotations, params, thrown, False, javadoc, rtype, None, None))
+        if values[self.pos] == "{":
             self.skip_body(member)
         elif self.match("default"):
             # annotation-member default; unreachable here but permissive
@@ -550,7 +556,7 @@ class _Parser:
         """Skip a { body } now and queue it for the phase-two scan. The
         member is the next one its type's members will take."""
         open_idx, close_idx = self.skip_balanced("{")
-        stack = tuple(self.type_stack)
+        stack = self.type_stack
         self.body_jobs.append((member, stack, len(stack[-1].members),
                                open_idx, close_idx))
 
@@ -571,9 +577,8 @@ class _Parser:
             else:
                 name_idx = self.expect_ident()
                 self.declaring.append(name_idx)
-                name = self.values[name_idx]
                 ptype += self.dims()
-                params.append(ParamFact(name=name, type_name=ptype))
+                params.append(_new(ParamFact, (self.values[name_idx], ptype)))
             if self.match(","):
                 continue
             self.expect(")")
@@ -585,6 +590,7 @@ class _Parser:
         ftype: str,
         annotations: list[str],
         mods: set[str],
+        visibility: str,
         javadoc: JavadocFact | None,
         container_kind: str | None,
     ) -> list[MemberFact]:
@@ -595,15 +601,11 @@ class _Parser:
         while True:
             self.declaring.append(name_idx)
             dtype = ftype + self.dims()
-            members.append(
-                MemberFact(
-                    "staticField" if is_static else "instanceField",
-                    self.values[name_idx],
-                    self._visibility(mods, container_kind),
-                    self.line(name_idx), annotations, [], [],
-                    is_static_final=is_static and is_final,
-                    javadoc=javadoc, return_type=dtype)
-            )
+            members.append(_new(MemberFact, (
+                "staticField" if is_static else "instanceField",
+                self.values[name_idx], visibility, self.line(name_idx),
+                annotations, [], [], is_static and is_final, javadoc, dtype,
+                None, None)))
             if self.match("="):
                 self.skip_initializer()
             if self.match(","):
@@ -620,10 +622,10 @@ class _Parser:
         another declarator (ident, optional dims, then = , or ;).
         """
         values, last = self.values, self.last
-        j = self._stop_at(self.pos, last, (";", ","))
+        j = self._stop_at(self.pos, last, _FIELD_DECLARATOR_END)
         while j < last and values[j] == "," and \
                 not self._declarator_ahead(j + 1, last):
-            j = self._stop_at(j + 1, last, (";", ","))
+            j = self._stop_at(j + 1, last, _FIELD_DECLARATOR_END)
         if j > last:
             self.fail("unexpected end of file in initializer", last)
         if values[j] in _CLOSES:
@@ -631,7 +633,7 @@ class _Parser:
         self.pos = j
 
     def parse_type_ref(self) -> str:
-        while self.at("@"):
+        while self.values[self.pos] == "@":
             self.parse_annotation()
         found = self._type_at(self.pos, self.last)
         if found is None:
@@ -660,33 +662,21 @@ class _Parser:
             class_names.add(tf.name)
             field_types = field_types_by_type[id(tf)] = {}
             for m in tf.members:
-                if m.kind in ("instanceField", "staticField"):
+                kind = m.kind
+                if kind == "instanceField" or kind == "staticField":
                     field_types[m.name] = simple_name_of(m.return_type or "")
-                elif m.kind in ("instanceMethod", "staticMethod") and m.return_type:
-                    returns.setdefault(m.name, set()).add(simple_name_of(m.return_type))
+                elif (kind == "instanceMethod" or kind == "staticMethod") \
+                        and m.return_type:
+                    returns.setdefault(m.name, set()).add(
+                        simple_name_of(m.return_type))
         method_returns = {n: next(iter(s)) for n, s in returns.items() if len(s) == 1}
 
-        # The enclosing stack follows from its innermost type, so bodies of
-        # one type share its merged, read-only field map.
-        merged: dict[int, dict[str, str]] = {}
-        for member, stack, index, open_idx, close_idx in self.body_jobs:
-            fields = merged.get(id(stack[-1]))
-            if fields is None:
-                fields = merged[id(stack[-1])] = {}
-                for tf in stack:  # inner shadows outer
-                    fields.update(field_types_by_type[id(tf)])
-            body = self._scan_body(
-                member, stack[-1].name, open_idx, close_idx, fields,
-                class_names, method_returns,
-            )
-            # The member is built again, once, with its body facts. `body`
-            # and `nested` are its last fields, and it nests no type; this
-            # positional call costs half of `_replace`.
-            stack[-1].members[index] = MemberFact(*member[:-2], body)
+        self._scan_bodies(field_types_by_type, class_names, method_returns)
 
         # Identifier occurrences outside comments and package/import lines.
         # The only identifiers in those lines are the parts of their names.
-        counts = Counter(compress(self.values, map(IDENT.__eq__, self.kinds)))
+        counts = Counter(compress(self.values,
+                                  bytes(self.kinds[:-1]).translate(_IDENTS)))
         for target, _, _, _ in imports:
             counts.subtract(target.removesuffix(".*").split("."))
         if package is not None:
@@ -699,8 +689,9 @@ class _Parser:
         # A name's uses are its occurrences minus its declaring ones; a
         # typed lambda parameter may also have been taken for a local.
         self._declare_lambda_params()
-        counts.subtract(Counter(map(self.values.__getitem__,
-                                    set(self.declaring))))
+        values = self.values
+        for k in set(self.declaring):
+            counts[values[k]] -= 1
         return SourceFileModel(
             self.path, package, package_line, import_facts, self.types,
             self.comments, self.line_count,
@@ -745,137 +736,137 @@ class _Parser:
                         declaring.append(k)
                     k += 1
 
-    def _scan_body(
-        self,
-        member: MemberFact,
-        enclosing: str,
-        open_idx: int,
-        close_idx: int,
-        field_types: dict[str, str],
-        class_names: set[str],
-        method_returns: dict[str, str],
-    ) -> BodyFacts:
-        kinds, values, line = self.kinds, self.values, self.line
+    def _scan_bodies(self, field_types_by_type: dict[int, dict[str, str]],
+                     class_names: set[str],
+                     method_returns: dict[str, str]) -> None:
+        """Scan every queued body for its facts, and build its member
+        again, once, with them: `body` and `nested` are a member's last
+        fields, and a member with a body nests no type."""
+        kinds, values, starts, newlines = (self.kinds, self.values,
+                                           self.starts, self.newlines)
+        try_local_decl, stmt_end = self._try_local_decl, self._stmt_end
+        # The enclosing stack follows from its innermost type, so bodies of
+        # one type share its merged, read-only field map.
+        merged: dict[int, dict[str, str]] = {}
+        do_while_skips: set[int] = set()  # the `while` ending each `do`
+        for member, stack, index, open_idx, close_idx in self.body_jobs:
+            owner = stack[-1]
+            field_types = merged.get(id(owner))
+            if field_types is None:
+                field_types = merged[id(owner)] = {}
+                for tf in stack:  # inner shadows outer
+                    field_types.update(field_types_by_type[id(tf)])
+            catches: list[CatchFact] = []
+            loops = 0
+            concat_sites: list[ConcatSiteFact] = []
+            accesses: list[AccessRecord] = []
+            declared: list[tuple[int, str]] = []  # (name index, type name)
+            # Receiver types by name: the parameters, then each local as it
+            # is declared, shadowing them; the fields are looked up last.
+            # A parameter's type is cut to its simple name when read.
+            scope = dict(member.params)
+            loop_stack: list[int] = []
+            # Only a chain's first link has a receiver whose type is known;
+            # the scan steps over the later links. this.x accesses go last.
+            this_accesses: list[AccessRecord] = []
 
-        catches: list[CatchFact] = []
-        loops = 0
-        concat_sites: list[ConcatSiteFact] = []
-        accesses: list[AccessRecord] = []
-        declared: list[tuple[int, str]] = []  # (name index, type name)
-        locals_map: dict[str, str] = {}
-        param_types = {p.name: simple_name_of(p.type_name) for p in member.params}
-        loop_stack: list[int] = []
-        do_while_skips: set[int] = set()
-        # Only a chain's first link has a receiver whose type is known;
-        # the scan steps over the later links. this.x accesses go last.
-        this_accesses: list[AccessRecord] = []
-
-        def receiver(name: str) -> tuple[bool, str | None]:
-            """Whether name denotes a class, and its type when known."""
-            if name in locals_map:
-                return False, locals_map[name] or None
-            if name in param_types:
-                return False, param_types[name]
-            if name in field_types:
-                return False, field_types[name] or None
-            if name in class_names or name[:1].isupper():
-                return True, name
-            return False, None
-
-        def declare(i: int) -> int | None:
-            """Record the local declaration at token i, if any; returns
-            the index to resume the scan at."""
-            local = self._try_local_decl(i, close_idx)
-            if local is None:
-                return None
-            names, base, resume = local
-            type_name = simple_name_of(base)
-            self.declaring.extend(names)
-            for k in names:
-                locals_map[values[k]] = type_name
-                declared.append((k, type_name))
-            return resume
-
-        # Before `quiet` lies a catch or declaration head: this. accesses
-        # only. Literals and the operators other than `+=`, `=` and
-        # `)` start no fact.
-        i = quiet = open_idx + 1
-        while i < close_idx:
-            kind = kinds[i]
-            if kind == IDENT:
-                prev_v = values[i - 1]
-                nxt_v = values[i + 1]
-                if i < quiet or prev_v in (".", "::"):
-                    pass
-                elif prev_v in _LOCAL_DECL_PREV and (
-                        kinds[i + 1] == IDENT or nxt_v in (".", "<", "[")
-                ) and (prev_v != "(" or values[i - 2] in ("for", "try")) \
-                        and (prev_v != ":" or self._ends_label(i - 1)) \
-                        and (resume := declare(i)) is not None:
-                    quiet = resume
-                elif nxt_v in (".", "::") and i + 2 <= close_idx and \
-                        kinds[i + 2] == IDENT:
-                    through_class, rtype = receiver(values[i])
-                    if rtype is not None:
-                        accesses.append(AccessRecord(
-                            line(i + 2), values[i + 2], through_class, rtype))
-            elif kind == KEYWORD:
-                v = values[i]
-                if v == "this" and values[i - 1] not in (".", "::") and \
-                        values[i + 1] == "." and kinds[i + 2] == IDENT:
-                    this_accesses.append(AccessRecord(
-                        line(i + 2), values[i + 2], False, enclosing))
-                elif i < quiet:
-                    pass
-                elif v in ("for", "while", "do") and i not in do_while_skips:
-                    loops += 1
-                    loop_stack.append(self._stmt_end(i, close_idx))
-                    if v == "do":
-                        body_end = self._stmt_end(i + 1, close_idx)
-                        if body_end + 1 <= close_idx and \
-                                values[body_end + 1] == "while":
-                            do_while_skips.add(body_end + 1)
-                elif v == "catch":
-                    quiet = self._scan_catch(i, close_idx, catches)
-                elif v in _DECL_START and (resume := declare(i)) is not None:
-                    quiet = resume
-            elif kind == OP and i >= quiet:
-                v = values[i]
-                if v == "+=" or v == "=":
-                    # Loops that ended before i leave the stack only here.
-                    while loop_stack and i > loop_stack[-1]:
-                        loop_stack.pop()
+            # Before `quiet` lies a catch or declaration head: this. accesses
+            # only.
+            quiet = open_idx + 1
+            for i in range(quiet, close_idx):
+                kind = kinds[i]
+                if kind == OP:
+                    if (v := values[i]) not in _FACT_OPERATORS or i < quiet:
+                        pass
+                    elif v == ")":
+                        if i + 2 <= close_idx and values[i + 1] == "." and \
+                                kinds[i + 2] == IDENT:
+                            # A bare call whose name has one return type in
+                            # the file.
+                            callee = self.partner.get(i, -1) - 1  # -2: none
+                            if callee > open_idx and kinds[callee] == IDENT \
+                                    and values[callee - 1] not in (".", "::"):
+                                rtype = method_returns.get(values[callee])
+                                if rtype is not None:
+                                    accesses.append(_new(AccessRecord, (
+                                        bisect_left(newlines, starts[i + 2])
+                                        + 1, values[i + 2], False, rtype)))
+                    else:  # `+=` or `=`
+                        # Loops that ended before i leave the stack only here.
+                        while loop_stack and i > loop_stack[-1]:
+                            loop_stack.pop()
+                        prev_v = values[i - 1]
+                        if loop_stack and kinds[i - 1] == IDENT and (
+                            v == "+=" or (
+                                kinds[i + 1] == IDENT and values[i + 1] == prev_v
+                                and i + 2 <= close_idx and values[i + 2] == "+")):
+                            concat_sites.append(_new(ConcatSiteFact, (
+                                bisect_left(newlines, starts[i]) + 1, prev_v)))
+                elif kind == IDENT:
                     prev_v = values[i - 1]
-                    if loop_stack and kinds[i - 1] == IDENT and (v == "+=" or (
-                        kinds[i + 1] == IDENT and values[i + 1] == prev_v
-                        and i + 2 <= close_idx and values[i + 2] == "+"
-                    )):
-                        concat_sites.append(
-                            ConcatSiteFact(line=line(i), target=prev_v)
-                        )
-                elif v == ")" and i + 2 <= close_idx and \
-                        values[i + 1] == "." and kinds[i + 2] == IDENT:
-                    # A bare call whose name has one return type in the file.
-                    callee = self.partner.get(i, -1) - 1  # -2 when unmatched
-                    if callee > open_idx and kinds[callee] == IDENT and \
-                            values[callee - 1] not in (".", "::"):
-                        rtype = method_returns.get(values[callee])
+                    nxt_v = values[i + 1]
+                    if i < quiet or prev_v == "." or prev_v == "::":
+                        pass
+                    elif prev_v in _LOCAL_DECL_PREV and (
+                            kinds[i + 1] == IDENT or nxt_v in (".", "<", "[")
+                    ) and (prev_v != "(" or values[i - 2] in ("for", "try")) \
+                            and (prev_v != ":" or self._ends_label(i - 1)) \
+                            and (resume := try_local_decl(
+                                i, close_idx, scope, declared)):
+                        quiet = resume
+                    elif (nxt_v == "." or nxt_v == "::") and \
+                            i + 2 <= close_idx and kinds[i + 2] == IDENT:
+                        name = values[i]
+                        rtype = scope.get(name)
+                        if rtype is None:
+                            rtype = field_types.get(name)
+                        else:
+                            rtype = simple_name_of(rtype)
+                        through_class = rtype is None
+                        if through_class and (name in class_names
+                                              or name[:1].isupper()):
+                            rtype = name
                         if rtype is not None:
-                            accesses.append(AccessRecord(
-                                line(i + 2), values[i + 2], False, rtype))
-            i += 1
-        accesses.extend(this_accesses)
+                            accesses.append(_new(AccessRecord, (
+                                bisect_left(newlines, starts[i + 2]) + 1,
+                                values[i + 2], through_class, rtype)))
+                elif kind == KEYWORD:
+                    v = values[i]
+                    if v == "this" and values[i - 1] not in (".", "::") and \
+                            values[i + 1] == "." and kinds[i + 2] == IDENT:
+                        this_accesses.append(_new(AccessRecord, (
+                            bisect_left(newlines, starts[i + 2]) + 1,
+                            values[i + 2], False, owner.name)))
+                    elif i < quiet:
+                        pass
+                    elif v in ("for", "while", "do") and \
+                            i not in do_while_skips:
+                        loops += 1
+                        loop_stack.append(stmt_end(i, close_idx))
+                        if v == "do":
+                            body_end = stmt_end(i + 1, close_idx)
+                            if body_end + 1 <= close_idx and \
+                                    values[body_end + 1] == "while":
+                                do_while_skips.add(body_end + 1)
+                    elif v == "catch":
+                        quiet = self._scan_catch(i, close_idx, catches)
+                    elif v in _DECL_START and (resume := try_local_decl(
+                            i, close_idx, scope, declared)):
+                        quiet = resume
+            accesses.extend(this_accesses)
 
-        local_vars: list[LocalVarFact] = []
-        if declared:
-            # A token spelled like a local's name is always an identifier.
-            body = values[open_idx + 1:close_idx]
-            names = [values[k] for k, _ in declared]
-            local_vars = [
-                LocalVarFact(name, type_name, line(k),
-                             body.count(name) > names.count(name))
-                for name, (k, type_name) in zip(names, declared)]
-        return BodyFacts(catches, loops, concat_sites, accesses, local_vars)
+            local_vars: list[LocalVarFact] = []
+            if declared:
+                # A token spelled like a local's name is always an identifier.
+                body = values[open_idx + 1:close_idx]
+                names = [values[k] for k, _ in declared]
+                local_vars = [_new(LocalVarFact, (
+                    name, type_name, bisect_left(newlines, starts[k]) + 1,
+                    body.count(name) > names.count(name)))
+                    for name, (k, type_name) in zip(names, declared)]
+            owner.members[index] = _new(MemberFact, member[:-2] + (_new(
+                BodyFacts, (catches, loops, concat_sites, accesses,
+                            local_vars)), None))
 
     def _scan_catch(self, i: int, close_idx: int,
                     catches: list[CatchFact]) -> int:
@@ -902,19 +893,18 @@ class _Parser:
         after = bisect_right(self.comment_next, bopen)
         has_comment = (after < len(self.comment_next)
                        and self.comment_next[after] <= bclose)
-        catches.append(
-            CatchFact(line=self.line(i), exception_var=var,
-                      body_empty=body_empty, has_comment=has_comment)
-        )
+        catches.append(_new(CatchFact, (self.line(i), var, body_empty,
+                                        has_comment)))
         return bopen + 1
 
     def _matching_close(self, i: int) -> int:
-        v = self.values[i]
-        if v not in ("(", "[", "{"):
-            self.fail(f"expected a bracket, found {v!r}", i)
-        if i not in self.partner:
+        close = self.partner.get(i, -1)
+        if close < i:  # not an open bracket that is closed
+            v = self.values[i]
+            if v not in ("(", "[", "{"):
+                self.fail(f"expected a bracket, found {v!r}", i)
             self.fail("unbalanced delimiter", i)
-        return self.partner[i]
+        return close
 
     def _stmt_end(self, i: int, limit: int) -> int:
         """Index of the last token of the statement starting at i.
@@ -984,41 +974,57 @@ class _Parser:
                 j = end + 1
             return end
         # plain statement: its `;`, or the token before the enclosing close
-        end = self._stop_at(i, limit, (";",))
+        end = self._stop_at(i, limit, _STATEMENT_END)
         return end if end <= limit and values[end] == ";" else end - 1
 
-    def _try_local_decl(
-        self, i: int, limit: int
-    ) -> tuple[list[int], str, int] | None:
-        """Trial-parse a local variable declaration at token i.
+    def _try_local_decl(self, i: int, limit: int, scope: dict[str, str],
+                        declared: list[tuple[int, str]]) -> int:
+        """Trial-parse a local variable declaration at token i, and record
+        its names: as declaring identifiers, in scope and in declared, with
+        the simple name of their type.
 
-        Returns (declarator name indexes, base type, resume index) where
-        the resume index points at the token after the last declarator
-        name (so initializer expressions still get scanned), or None.
+        Returns the index after the first declarator name and its dims, so
+        that initializer expressions still get scanned; 0 when no
+        declaration starts at i.
         """
         kinds, values = self.kinds, self.values
-        found = self._type_at(i + 1 if values[i] == "final" else i, limit)
-        if found is None:
-            return None
-        j, base = found
-        if j > limit or kinds[j] != IDENT:
-            return None
+        j = i + 1 if values[i] == "final" else i
+        type_name = values[j]
+        if kinds[j + 1] == IDENT and (kinds[j] == IDENT or type_name == "var"
+                                      or type_name in _PRIMITIVES):
+            j += 1  # a one-token type, the most common shape
+        else:
+            found = self._type_at(j, limit)
+            if found is None:
+                return 0
+            j, base = found
+            if j > limit or kinds[j] != IDENT:
+                return 0
+            type_name = simple_name_of(base)
         names = [j]
-        j = self._dims_end(j + 1, limit)
+        j += 1
+        if values[j] == "[":
+            j = self._dims_end(j, limit)
         if j > limit or values[j] not in ("=", ";", ",", ":"):
-            return None
+            return 0
         # Walk the declarator list for additional names; generic-argument
-        # commas are filtered by the declarator lookahead.
-        k = j
-        while (k := self._stop_at(k, limit, (";", ":", ","))) <= limit and \
-                values[k] == ",":
-            if self._declarator_ahead(k + 1, limit):
-                names.append(k + 1)
+        # commas are filtered by the declarator lookahead. An initializer of
+        # one token and its `;` end the list at once.
+        if values[j] != "=" or values[j + 2] != ";" or kinds[j + 1] == OP:
+            k = j
+            while (k := self._stop_at(k, limit, _LOCAL_DECLARATOR_END)) \
+                    <= limit and values[k] == ",":
+                if self._declarator_ahead(k + 1, limit):
+                    names.append(k + 1)
+                    k += 1
                 k += 1
-            k += 1
-        if k <= limit and values[k] == ")" and values[k + 1] == "->":
-            return None  # typed lambda parameters
-        return names, base, j
+            if k <= limit and values[k] == ")" and values[k + 1] == "->":
+                return 0  # typed lambda parameters
+        self.declaring.extend(names)
+        for k in names:
+            scope[values[k]] = type_name
+            declared.append((k, type_name))
+        return j
 
     def _ends_label(self, k: int) -> bool:
         """Whether the `:` at k ends a switch label (`case 1:`, `default:`),

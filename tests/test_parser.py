@@ -1,5 +1,7 @@
 """Parsing facts: declarations, members, bodies, comments, counts."""
 
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from javastyle.checkers import check_empty_catch
-from javastyle.lexer import JavaSyntaxError, tokenize
+from javastyle.lexer import IDENT, JavaSyntaxError, tokenize
 from javastyle.model import (MEMBER_KINDS, TYPE_KINDS, VISIBILITIES,
                              AccessRecord, LocalVarFact, ParamFact,
                              simple_name_of)
@@ -463,7 +465,8 @@ _FIXTURE_TEXTS = [p.read_text("utf-8")
                   for p in sorted(FIXTURE_ROOT.rglob("*.java"))]
 _SNIPPETS = ["if (a)", "do", "for(;;)", "while (b)", "else", "{", "}", "(",
              ")", ";", "try", "catch (E e)", "class B {", "->", "<", ">",
-             ">>", ",", "=", "a < b"]
+             ">>", ",", "=", "a < b", "final", "int", "var", "x", ".", "[",
+             "]", "+=", ":", "case 1:", "this.a", "@A", "a.b.C<D> e"]
 
 
 @st.composite
@@ -578,6 +581,77 @@ def test_other_colons_declare_nothing(body):
 ])
 def test_local_declaration_shapes(body, declared):
     assert local_names(body) == declared
+
+
+# Statements of generated method bodies over a small pool of names, so
+# that declarations and uses of one name meet. A name between backticks
+# declares it; the backticks are dropped before parsing.
+_BODY_STATEMENTS = [
+    "int `{n}` = 1;", "String `{n}`;", "java.util.List<String> `{n}` = f();",
+    "int `{n}` = {m}, `{k}`;", "for (int `{n}` = 0; {n} < 3; {n}++) {{}}",
+    "for (String `{n}` : {m}) {{}}",
+    "try (java.io.Reader `{n}` = {m}.open()) {{}}",
+    "try {{ g(); }} catch (Exception `{n}`) {{}}",
+    "Runnable `{n}` = () -> g({m});",
+    "java.util.function.IntUnaryOperator `{n}` = `{m}` -> {m} + {k};",
+    "g({n});", "{n} = {m};", "{n}.run({m});", "this.{n} = 1;", "{n} += {m};",
+    "// {n}", 's = "{n}";',
+]
+_MEMBERS = [
+    "int `{n}`;", "private String `{n}` = {m};", "static int `{n}` = {m};",
+    "void `{n}`(int `{m}`) {{\n{body}\n}}", "`A`() {{\n{body}\n}}",
+    "enum `{N}` {{ `{n}`, `{m}` }}", "class `{N}` {{ int `{n}`; }}",
+]
+_IMPORTS = ["import java.util.List;", "import java.util.*;",
+            "import static java.lang.Math.max;", "import a.b.C;"]
+_POOL = st.sampled_from(["a", "b", "c", "d", "max", "List", "java"])
+_MARK = re.compile(r"`(\w+)`")
+
+
+@st.composite
+def marked_statements(draw, templates=_BODY_STATEMENTS):
+    picked = draw(st.lists(st.sampled_from(templates), max_size=6))
+    return "\n".join(
+        t.format(n=draw(_POOL), m=draw(_POOL), k=draw(_POOL),
+                 N=draw(st.sampled_from(["B", "C", "List"])),
+                 body=draw(marked_statements()) if "{body}" in t else "")
+        for t in picked)
+
+
+@settings(max_examples=200, deadline=None)
+@given(marked_statements())
+def test_a_local_is_used_exactly_when_its_body_spells_it_more_often_than_it_declares_it(
+        marked):
+    body = _MARK.sub(r"\1", marked)
+    locals_ = parse_source("class A { void f() {\n" + body + "\n} }",
+                           "A.java").types[0].members[0].body.local_vars
+    spelled = tokenize(body).values
+    for lv in locals_:
+        declared = sum(1 for other in locals_ if other.name == lv.name)
+        assert lv.used == (spelled.count(lv.name) > declared), lv
+
+
+@settings(max_examples=200, deadline=None)
+@given(package=st.booleans(), imports=st.lists(st.sampled_from(_IMPORTS)),
+       members=marked_statements(_MEMBERS))
+def test_use_counts_are_identifiers_outside_package_and_imports_less_declarations(
+        package, imports, members):
+    marked = "\n".join((["package p.q;"] if package else []) + imports
+                       + ["class `A` {", members, "}"])
+    text = _MARK.sub(r"\1", marked)
+    stream = tokenize(text)
+    expected = Counter()
+    in_header = False  # inside a package or import statement
+    for kind, value in zip(stream.kinds, stream.values):
+        if value in ("package", "import"):
+            in_header = True
+        elif in_header:
+            in_header = value != ";"
+        elif kind == IDENT:
+            expected[value] += 1
+    expected.subtract(_MARK.findall(marked))
+    assert parse_source(text, "A.java").use_counts == {
+        name: n for name, n in expected.items() if n > 0}
 
 
 # Declaration shapes the fixtures lack: annotation types, sealed
