@@ -9,7 +9,9 @@ sources: one that holds ``javastyle/``, or a checkout that holds
 ``src/javastyle/``. Each side runs in interpreters of its own over the
 same inputs, built once:
 
-* ``fixtures``: the files of ``tests/fixtures``;
+* ``fixtures``: the files of ``tests/fixtures``, and a tree of copies
+  of them large enough for ``analyze --jobs 2`` to fork a worker, with
+  a few files that it skips, each with its diagnostic;
 * ``flat``, ``corpus``, ``history``: the trees that ``perfbench/gen.py``
   builds from seeds 5 and 29, at the benchmark's sizes;
 * ``mutations``: N seeded edits of the fixtures and of the sample files
@@ -19,8 +21,9 @@ same inputs, built once:
 For each file it compares the parse (the model's repr, or the error it
 raised), the file record and the file-scope check outcome. For each tree
 it compares the stdout, stderr and exit code of the CLI: ``analyze`` at
-``--jobs 1`` and ``2`` on the fixtures and the flat trees, ``corpus
---jobs 2`` on the corpus listings and ``evolve`` on the histories.
+``--jobs 1`` and ``2`` on the fixtures, their copies and the flat trees;
+``corpus`` at ``--jobs 1`` and ``2`` and, at ``--jobs 2``, with ``--format
+csv`` on the corpus listings; and ``evolve`` on the histories.
 
 It prints a digest per input set and side, then each input that differs
 with where the first ones differ, and exits 1 on any difference, 0 when
@@ -53,6 +56,14 @@ SNIPPET_NAME = "_SNIPPETS"
 # pass the parser's nesting limit.
 REPEATS = (1, 2, 3, 300)
 SHOWN_DIFFS = 3
+# Files that analyze skips, added to the copies of the fixtures so that
+# skipped-file diagnostics come from the worker map too: one not UTF-8,
+# one that does not parse and one nested past the parser's limit.
+SKIPPED = {
+    "a/Mangled.java": b"package a;\nclass Mangled { // caf\xe9\n}\n",
+    "copy1/Broken.java": b"package p;\nclass Broken {\n  void f( {\n}\n",
+    "zz/Deep.java": b"class A {" * 3000 + b"}" * 3000,
+}
 _CLI = "import sys; from javastyle.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -111,11 +122,25 @@ class InputSet:
                     rel = os.path.relpath(path, root).replace(os.sep, "/")
                     self.files.append((f"{self.name}:{rel}", path, rel))
 
-    def add_analyze(self, root: str) -> None:
+    def add_analyze(self, root: str, label: str = "analyze") -> None:
         for jobs in ("1", "2"):
-            self.calls.append((f"analyze --jobs {jobs}", [
+            self.calls.append((f"{label} --jobs {jobs}", [
                 "analyze", root, "--deep-claims", "--format", "json",
                 "--jobs", jobs], None))
+
+
+def copy_fixtures(root: str, copies: int) -> None:
+    """`copies` copies of the fixtures, plus the SKIPPED files and one that
+    cannot be read (a dangling link)."""
+    for n in range(copies):
+        shutil.copytree(FIXTURES, os.path.join(root, f"copy{n}"))
+    for rel, data in SKIPPED.items():
+        path = os.path.join(root, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(data)
+    os.symlink(os.path.join(root, "nowhere.java"),
+               os.path.join(root, "copy0", "Gone.java"))
 
 
 def _test_parser_constants() -> dict:
@@ -191,6 +216,13 @@ def build_inputs(work: str, sets: list[str], count: int) -> list[InputSet]:
         fixtures = InputSet("fixtures")
         fixtures.add_tree(FIXTURES)
         fixtures.add_analyze(FIXTURES)
+        # Two processes' worth of files, so that --jobs 2 forks a worker.
+        from javastyle.analysis import MIN_FILES_PER_WORKER
+
+        root = os.path.join(work, "fixture-copies")
+        copy_fixtures(root, -(-2 * MIN_FILES_PER_WORKER
+                              // len(fixtures.files)))
+        fixtures.add_analyze(root, "copies: analyze")
         built.append(fixtures)
     for seed in SEEDS:
         if "flat" in sets:
@@ -205,8 +237,10 @@ def build_inputs(work: str, sets: list[str], count: int) -> list[InputSet]:
             root = os.path.join(work, corpus.name)
             facts = gen.build_corpus(root, seed)
             corpus.add_tree(root)
-            corpus.calls.append(("corpus --jobs 2", [
-                "corpus", facts["paths_file"], "--jobs", "2"], None))
+            for options in (["--jobs", "1"], ["--jobs", "2"],
+                            ["--jobs", "2", "--format", "csv"]):
+                corpus.calls.append(("corpus " + " ".join(options), [
+                    "corpus", facts["paths_file"], *options], None))
             built.append(corpus)
         if "history" in sets:
             history = InputSet(f"history-{seed}")

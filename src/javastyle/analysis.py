@@ -3,9 +3,9 @@
 Wires discovery, parsing, cross-file indexing, checking, and scoring
 into one call usable from the CLI and from history replay. The sources
 come from a snapshot, a directory on disk or a git tree, through one
-loop that reuses unchanged files' results and maps the rest over worker
-processes. Files that fail to read, decode or parse are skipped with a
-diagnostic; analysis continues over the rest.
+loop that reuses unchanged files' results and maps the rest over the
+calling process and forked workers. Files that fail to read, decode or
+parse are skipped with a diagnostic; analysis continues over the rest.
 """
 
 from __future__ import annotations
@@ -28,12 +28,15 @@ from .scoring import (DEFAULT_ADHERENCE_THRESHOLD, AdherenceVerdict,
 
 DEFAULT_ORDERING_ID = 2
 
-# Workers are started only when each gets at least this many files. On 2
-# CPUs (Python 3.11), trees of 32 and 64 files of about 210 lines took 3 ms
-# longer and 14 ms shorter with 2 workers than without (medians of 30
-# alternating CLI runs), so 2 workers break even at about 16 files each.
+# Workers are started only when each process, the calling one included,
+# gets at least this many files. On 2 CPUs under other tenants' load
+# (Python 3.11), trees of 32 and 64 files of about 240 lines took 18 and
+# 21 ms longer with 2 processes than with 1 (medians of 30 alternating CLI
+# runs; 22 and 33 ms with 2 workers beside an idle caller), while in a
+# quieter window 64 files took 32 ms shorter. The break-even moves with
+# the load, and 32 files a process lies between the two measured.
 MIN_FILES_PER_WORKER = 32
-# Files per chunk that a worker takes from the queue.
+# Files per chunk that a process takes from the queue.
 FILES_PER_CHUNK = 8
 
 
@@ -153,11 +156,11 @@ def _file_results(source: Snapshot, excludes: tuple[str, ...],
     known = reuse or {}
     misses = [file for file in files if file not in known]
     analyze = partial(_analyze_source, source, ctx)
-    workers = min(jobs, len(misses) // MIN_FILES_PER_WORKER)
-    if workers > 1:
+    processes = min(jobs, len(misses) // MIN_FILES_PER_WORKER)
+    if processes > 1:
         # Imported here: only a run that starts workers compiles them.
         from .workers import map_in_processes
-        fresh = map_in_processes(analyze, misses, workers,
+        fresh = map_in_processes(analyze, misses, processes,
                                  chunksize=FILES_PER_CHUNK)
     else:
         fresh = map(analyze, misses)  # lazily: one model at a time
@@ -191,11 +194,12 @@ def analyze_repository(source: str | Snapshot,
     used, so it holds one snapshot at a time. Files on disk have no blob
     id and are never reused.
 
-    `jobs` > 1 analyzes the files that `reuse` does not hold on up to
-    that many worker processes, each given at least MIN_FILES_PER_WORKER
-    files; fewer stay in this process. The workers call `source.read`,
-    so a source whose reads must stay in this process is analyzed with
-    `jobs` 1. The result is the same for every `jobs`.
+    `jobs` > 1 analyzes the files that `reuse` does not hold in up to
+    that many processes, this one and forked workers, each given at least
+    MIN_FILES_PER_WORKER files; fewer stay in this process alone. The
+    workers call `source.read`, so a source whose reads must stay in this
+    process is analyzed with `jobs` 1. The result is the same for every
+    `jobs`.
     """
     config = config or AnalysisConfig()
     if config.ordering_id not in ORDERING_CONFIGS:

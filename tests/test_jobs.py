@@ -1,11 +1,12 @@
-"""`analyze --jobs N`: the same report from worker processes as from one.
+"""`analyze --jobs N`: the same report from N processes as from one.
 
 The files of a directory or snapshot that `reuse` does not hold are
-parsed and file-checked on up to N worker processes once each gets at
-least MIN_FILES_PER_WORKER files; the merge, the index and the
-project-scope checks stay in the calling process. The map that runs the
-workers keeps item order, raises a worker's exception at its item, and
-leaves no child process behind, however it ends.
+parsed and file-checked in up to N processes, the calling one and N - 1
+forked workers, once each gets at least MIN_FILES_PER_WORKER files; the
+merge, the index and the project-scope checks stay in the calling
+process. The map keeps item order, raises an item's exception at its
+position, wherever it ran, and leaves no child process behind, however
+it ends.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from helpers import MemorySnapshot
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
+CALLER = os.getpid()  # the process that runs the tests
 
 BROKEN = {
     # first, in the middle and last in discovery order
@@ -90,8 +92,9 @@ def test_report_bytes_are_the_same_for_every_job_count_and_hash_seed(tree):
 
 @pytest.fixture
 def started(monkeypatch) -> list[int]:
-    """The worker count of each map_in_processes call while the test runs.
-    MemorySnapshot.reads cannot tell: the workers' reads stay in them."""
+    """The process count of each map_in_processes call while the test
+    runs. MemorySnapshot.reads cannot tell: the workers' reads stay in
+    them."""
     counts = []
     real = workers.map_in_processes
 
@@ -124,14 +127,28 @@ def tree_files(tree) -> dict[str, bytes]:
             for path in sorted(tree.rglob("*.java")) if path.exists()}
 
 
+class SlowSnapshot(MemorySnapshot):
+    """Reads slowly in the calling process, so that a worker surely takes
+    a share of the files."""
+
+    def read(self, rel: str, blob: str) -> bytes:
+        if os.getpid() == CALLER:
+            time.sleep(0.005)
+        return super().read(rel, blob)
+
+
 def test_a_snapshot_is_analyzed_on_workers_too(tree_files, started):
     assert len(tree_files) >= 2 * MIN_FILES_PER_WORKER
     serial = outcome(analyze_repository(MemorySnapshot(tree_files)))
     assert started == []
-    snapshot = MemorySnapshot(tree_files)
+    snapshot = SlowSnapshot(tree_files)
     pooled = outcome(analyze_repository(snapshot, jobs=2))
     assert started == [2]
-    assert snapshot.reads == []  # the workers read every file
+    # This process reads only its share, each file at most once; the
+    # worker's reads stay in the worker.
+    assert 0 < len(snapshot.reads) < len(tree_files)
+    assert len(set(snapshot.reads)) == len(snapshot.reads)
+    assert set(snapshot.reads) <= set(tree_files)
     assert pooled == serial
 
 
@@ -142,6 +159,7 @@ def test_only_the_files_reuse_lacks_go_to_workers(tree_files, started):
     assert started == [2] and len(reuse) == len(tree_files)
     changed = first.paths[5]
     snapshot.files[changed] += b"\nclass Extra {}\n"
+    snapshot.reads.clear()  # this process read its share of the first run
     second = analyze_repository(snapshot, reuse=reuse, jobs=2)
     assert started == [2]  # one miss: analyzed in this process
     assert snapshot.reads == [changed]
@@ -167,6 +185,34 @@ def deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list[int]:
+    """The pid of each worker that this process forks while the test runs."""
+    pids = []
+    real = os.fork
+
+    def counting() -> int:
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+def test_n_jobs_are_this_process_and_n_minus_one_workers(forks, jobs):
+    items = list(range(-40, 0))
+    with deadline(30):
+        results = list(workers.map_in_processes(abs_and_pid, items, jobs))
+    assert [r for r, _ in results] == [-i for i in items]
+    assert len(forks) == jobs - 1
+    assert results[0][1] == CALLER  # the first chunk is this process's
+    assert {pid for _, pid in results} <= {CALLER, *forks}
+    assert_no_children()
 
 
 def test_map_gives_the_results_in_item_order():
@@ -209,9 +255,11 @@ def fail_at_seven(i: int) -> int:
     return i
 
 
-@pytest.mark.parametrize("jobs, chunksize", [(2, 1), (2, 3), (3, 4)])
+# At chunksize 10 item 7 is in chunk 0, which this process runs itself.
+@pytest.mark.parametrize("jobs, chunksize",
+                         [(1, 3), (2, 1), (2, 3), (2, 10), (3, 4)])
 def test_an_exception_is_raised_at_its_item_after_the_items_before_it(
-        jobs, chunksize):
+        forks, jobs, chunksize):
     seen = []
     with deadline(30), pytest.raises(LexiconError) as raised:
         for result in workers.map_in_processes(fail_at_seven,
@@ -221,11 +269,22 @@ def test_an_exception_is_raised_at_its_item_after_the_items_before_it(
     assert seen == list(range(7))
     assert str(raised.value) == "words.tsv: malformed lexicon line(s): 3, 9"
     assert raised.value.lines == [3, 9]
+    assert len(forks) == jobs - 1
     assert_no_children()
 
 
+def in_a_worker_at_five(i: int) -> bool:
+    """True for item 5 in a worker. The calling process, which takes the
+    first chunk, sleeps on each of its items, so that a worker takes the
+    next chunk, the one that holds item 5 at chunksize 3."""
+    if os.getpid() == CALLER:
+        time.sleep(0.05)
+        return False
+    return i == 5
+
+
 def exit_at_five(i: int) -> int:
-    if i == 5:
+    if in_a_worker_at_five(i):
         os._exit(4)
     return i
 
@@ -261,13 +320,13 @@ def test_more_chunks_than_one_pipe_write_holds_come_back_in_order():
 
 
 def kill_self_at_five(i: int) -> int:
-    if i == 5:
+    if in_a_worker_at_five(i):
         os.kill(os.getpid(), signal.SIGKILL)
     return i
 
 
 def exit_cleanly_at_five(i: int) -> int:
-    if i == 5:
+    if in_a_worker_at_five(i):
         os._exit(0)  # as if the queue were empty, with chunk 1 lost
     return i
 
