@@ -21,7 +21,7 @@ from . import __version__
 from .analysis import (DEFAULT_ORDERING_ID, MIN_FILES_PER_WORKER,
                        AnalysisConfig, analyze_repository, load_lexicon)
 from .checkers import ORDERING_CONFIGS, Category, Violation
-from .lexicon import LexiconError
+from .lexicon import LexiconError, read_text, undecodable_line
 from .report import (Report, config_digest, emit_corpus_csv, evolution_rows,
                      report_chunks)
 from .scoring import (DEFAULT_ADHERENCE_THRESHOLD, aggregate,
@@ -50,29 +50,33 @@ def parse_config_file(path: str) -> dict:
     Blank lines and `#` comments are ignored. `exclude` may repeat.
     """
     settings: dict = {"excludes": []}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or key not in _CONFIG_KEYS or not value:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected key=value with key one of "
-                    f"{', '.join(_CONFIG_KEYS)}")
-            try:
-                if key == "threshold":
-                    settings["threshold"] = float(value)
-                elif key == "ordering":
-                    settings["ordering"] = int(value)
-                elif key == "lexicon":
-                    settings["lexicon"] = value
-                else:
-                    settings["excludes"].append(value)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: bad value for {key}: {value!r}") from None
+    try:
+        text = read_text(path)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path}:{undecodable_line(exc)}: not valid UTF-8") from None
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or key not in _CONFIG_KEYS or not value:
+            raise ConfigError(
+                f"{path}:{lineno}: expected key=value with key one of "
+                f"{', '.join(_CONFIG_KEYS)}")
+        try:
+            if key == "threshold":
+                settings["threshold"] = float(value)
+            elif key == "ordering":
+                settings["ordering"] = int(value)
+            elif key == "lexicon":
+                settings["lexicon"] = value
+            else:
+                settings["excludes"].append(value)
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     return settings
 
 
@@ -295,11 +299,13 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     config = merged_config(args)
     try:
-        with open(args.paths_file, encoding="utf-8") as fh:
-            paths = [line.strip() for line in fh
-                     if line.strip() and not line.strip().startswith("#")]
+        lines = read_text(args.paths_file).split("\n")
     except OSError as exc:
         raise FatalError(f"cannot read paths file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FatalError(f"cannot read paths file: {args.paths_file}:"
+                         f"{undecodable_line(exc)}: not valid UTF-8") from None
+    paths = [p for p in map(str.strip, lines) if p and not p.startswith("#")]
     if not paths:
         raise FatalError(f"no repository paths in {args.paths_file}")
 

@@ -91,8 +91,10 @@ class Lexicon:
 
     @classmethod
     def from_file(cls, path: str) -> "Lexicon":
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            text = read_text(path)
+        except UnicodeDecodeError as exc:
+            raise LexiconError(path, [undecodable_line(exc)]) from None
         return cls._parse(text, path)
 
     @classmethod
@@ -123,6 +125,24 @@ class Lexicon:
             seen = entries.get(word)
             entries[word] = cats if seen is None else seen | cats
         return cls(entries)
+
+
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file as text mode reads it: CRLF and CR become
+    LF. Raises OSError, or UnicodeDecodeError for `undecodable_line`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def undecodable_line(exc: UnicodeDecodeError) -> int:
+    """The 1-based line of `read_text`'s text where its file stops being
+    valid UTF-8."""
+    head = exc.object[:exc.start]
+    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
 
 
 def _category_set(letters: str) -> frozenset[str]:

@@ -168,7 +168,10 @@ def report_chunks(report: Report, format: str) -> Iterator[bytes]:
     if format == "json":
         return _json_chunks(report)
     if format == "markdown":
-        return iter((_emit_markdown(report).encode(),))
+        # A path that is not UTF-8 holds surrogates, which the JSON
+        # report writes as \udcXX escapes; the markdown spells them alike.
+        text = _emit_markdown(report)
+        return iter((text.encode(errors="backslashreplace"),))
     if format == "csv":
         return iter((_emit_csv(report).encode(),))
     raise ValueError(f"unknown report format: {format}")

@@ -148,8 +148,7 @@ def test_criterion_02_fixture_corpus(announce):
     seeded_root = os.path.join(FIXTURE_ROOT, "seeded")
     clean_names = sorted(os.listdir(clean_root))
     seeded_names = sorted(os.listdir(seeded_root))
-    assert len(clean_names) >= 16 and len(seeded_names) >= 16
-    assert set(seeded_names) == set(SEEDED_COUNTS)
+    assert clean_names == seeded_names == sorted(c.value for c in Category)
 
     false_positives = {
         name: own_category_count(os.path.join(clean_root, name), name)

@@ -41,11 +41,6 @@ MESSY_REPO = {
 }
 
 
-def run_cli(*argv, capsys=None):
-    code = main(list(argv))
-    return code
-
-
 def run_captured(capsysbinary, *argv):
     code = main(list(argv))
     out = capsysbinary.readouterr().out
@@ -126,6 +121,20 @@ def test_markdown_and_csv_formats(tmp_path, capsysbinary):
                              "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == b"category,absolute,denominator,normalized,adherent"
+
+
+def test_markdown_of_a_file_name_that_is_not_utf8(tmp_path, capsysbinary):
+    (tmp_path / "p").mkdir()
+    try:
+        (tmp_path / "p" / os.fsdecode(b"B\xff.java")).write_bytes(
+            b"package p;\nclass bad_name {}\n")
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    for fmt, spelled in [("markdown", b"ClassNames at p/B\\udcff.java:2 -"),
+                         ("json", b'"file": "p/B\\udcff.java"')]:
+        code, out = run_captured(capsysbinary, "analyze", str(tmp_path),
+                                 "--format", fmt)
+        assert code == 0 and spelled in out, fmt
 
 
 def test_missing_repo_is_fatal(capsysbinary):
@@ -267,6 +276,34 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
     code = main(["analyze", str(tmp_path), "--config", str(config)])
     assert code == 2
     assert "style.cfg:1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["--config", "JAVASTYLE_CONFIG",
+                                  "--lexicon", "corpus"])
+def test_an_input_file_that_is_not_utf8_ends_in_one_error_line(
+        tmp_path, capsysbinary, monkeypatch, case):
+    write_tree(tmp_path / "repo", CLEAN_REPO)
+    repo = str(tmp_path / "repo")
+    bad = tmp_path / "bad.txt"
+    if case == "corpus":
+        bad.write_bytes(os.fsencode(repo) + b"\n\xff\n")
+        argv, code = ["corpus", str(bad)], 3
+        expected = f"cannot read paths file: {bad}:2: not valid UTF-8"
+    elif case == "--lexicon":
+        bad.write_bytes(b"word\tn\n\xff\tn\n")
+        argv, code = ["analyze", repo, "--lexicon", str(bad)], 3
+        expected = f"{bad}: malformed lexicon line(s): 2"
+    else:
+        bad.write_bytes(b"threshold=0.1\r\n# caf\xe9\n")
+        argv, code = ["analyze", repo], 2
+        expected = f"{bad}:2: not valid UTF-8"
+        if case == "--config":
+            argv += ["--config", str(bad)]
+        else:
+            monkeypatch.setenv("JAVASTYLE_CONFIG", str(bad))
+    assert main(argv) == code
+    captured = capsysbinary.readouterr()
+    assert (captured.out, captured.err.decode()) == (b"", f"error: {expected}\n")
 
 
 def test_config_file_keys_and_bad_values(tmp_path):

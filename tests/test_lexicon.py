@@ -102,6 +102,20 @@ def test_malformed_lines_all_reported(tmp_path):
     assert "2, 3, 5, 6" in message
 
 
+@pytest.mark.parametrize("data, line", [
+    (b"word\tn\n\xff\tn\n", 2),
+    (b"\xffword\tn\n", 1),
+    (b"a\tn\r\nb\tn\rc\tv\nd\xe9\tn\n", 4),
+])
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path, data, line):
+    p = tmp_path / "lex.txt"
+    p.write_bytes(data)
+    with pytest.raises(LexiconError) as err:
+        Lexicon.from_file(str(p))
+    assert (err.value.path, err.value.lines) == (str(p), [line])
+    assert str(err.value) == f"{p}: malformed lexicon line(s): {line}"
+
+
 def test_lexicon_error_survives_pickling(tmp_path):
     # A corpus worker process sends the error back to the parent.
     p = make_lexicon(tmp_path, "good\tn\nbad line\nworse\tx\n")

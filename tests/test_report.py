@@ -177,6 +177,18 @@ def test_markdown_lists_diagnostics_last():
                                                "markdown").decode()
 
 
+def test_markdown_spells_a_path_that_is_not_utf8_as_the_json_does():
+    # A POSIX file name holds the byte 0xff as U+DCFF once decoded.
+    path = b"p/B\xff.java".decode("utf-8", "surrogateescape")
+    report = build_report([ONE_VIOLATION._replace(file_path=path)],
+                          repo_path=path, diagnostics=[f"skipped {path}"])
+    text = emit_report(report, "markdown").decode("ascii")
+    assert text.startswith("# Style report: p/B\\udcff.java\n")
+    assert "- EmptyCatchBlock at p/B\\udcff.java:12 -" in text
+    assert "- skipped p/B\\udcff.java\n" in text
+    assert emit_report(report, "json").count(b'"p/B\\udcff.java"') == 2
+
+
 def test_csv_shape():
     lines = emit_report(build_report(), "csv").decode().splitlines()
     assert lines[0] == "category,absolute,denominator,normalized,adherent"
