@@ -21,9 +21,10 @@ same inputs, built once:
 For each file it compares the parse (the model's repr, or the error it
 raised), the file record and the file-scope check outcome. For each tree
 it compares the stdout, stderr and exit code of the CLI: ``analyze`` at
-``--jobs 1`` and ``2`` on the fixtures, their copies and the flat trees;
-``corpus`` at ``--jobs 1`` and ``2`` and, at ``--jobs 2``, with ``--format
-csv`` on the corpus listings; and ``evolve`` on the histories.
+``--jobs 1`` and ``2`` on the fixtures, their copies and the flat trees,
+and once on the fixtures with ``--config`` naming a copy of the bundled
+lexicon; ``corpus`` at ``--jobs 1`` and ``2`` and, at ``--jobs 2``, with
+``--format csv`` on the corpus listings; and ``evolve`` on the histories.
 
 It prints a digest per input set and side, then each input that differs
 with where the first ones differ, and exits 1 on any difference, 0 when
@@ -223,6 +224,16 @@ def build_inputs(work: str, sets: list[str], count: int) -> list[InputSet]:
         copy_fixtures(root, -(-2 * MIN_FILES_PER_WORKER
                               // len(fixtures.files)))
         fixtures.add_analyze(root, "copies: analyze")
+        # The config and lexicon readers too: a config file naming a copy
+        # of the bundled lexicon, which gives the default report.
+        lexicon = os.path.join(work, "lexicon.txt")
+        shutil.copyfile(os.path.join(ROOT, "src", "javastyle", "data",
+                                     "lexicon.txt"), lexicon)
+        config = os.path.join(work, "style.cfg")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(f"# the bundled lexicon, as a file\nlexicon = {lexicon}\n")
+        fixtures.calls.append(("analyze --config", [
+            "analyze", FIXTURES, "--config", config], None))
         built.append(fixtures)
     for seed in SEEDS:
         if "flat" in sets:

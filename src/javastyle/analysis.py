@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
-from functools import lru_cache, partial
+from functools import partial
 from typing import NamedTuple, Protocol
 
 from .checkers import (ORDERING_CONFIGS, Category, CheckContext, CheckOutcome,
                        Violation, check_file, check_project)
 from .discovery import discover_sources
 from .lexer import JavaSyntaxError
-from .lexicon import Lexicon
+from .lexicon import Lexicon, decode_source, load
 from .parser import parse_compilation_unit
 from .project_index import FileRecord, build_project_index, file_record
 from .scoring import (DEFAULT_ADHERENCE_THRESHOLD, AdherenceVerdict,
@@ -58,15 +58,8 @@ class AnalysisResult(NamedTuple):
 
 
 def load_lexicon(config: AnalysisConfig) -> Lexicon:
-    """The configured lexicon, parsed once per process for each path, as
-    the bundled one is, so that every month of a history and every
-    repository of a corpus reuse it, and forked workers inherit it."""
-    if config.lexicon_path:
-        return _lexicon_file(config.lexicon_path)
-    return Lexicon.bundled()
-
-
-_lexicon_file = lru_cache(maxsize=1)(Lexicon.from_file)
+    """The configured lexicon, or the bundled one (see `lexicon.load`)."""
+    return load(config.lexicon_path or None)
 
 
 def _excluded(rel_path: str, excludes: tuple[str, ...]) -> bool:
@@ -110,21 +103,6 @@ class FileResult(NamedTuple):
 
     record: FileRecord | str
     outcome: CheckOutcome | None = None
-
-
-def decode_source(data: bytes) -> str:
-    """Source text from a file's bytes: strict UTF-8 without one leading
-    byte order mark, and CR, LF and CRLF all end a line, as when reading
-    in text mode.
-
-    Raises UnicodeDecodeError.
-    """
-    text = data.decode("utf-8")
-    if text.startswith("\ufeff"):
-        text = text[1:]
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
 
 
 def _analyze_source(source: Snapshot, ctx: CheckContext,

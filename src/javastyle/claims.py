@@ -32,6 +32,7 @@ _CONFIG_NAME = re.compile(r"^(checkstyle|pmd|ruleset).*\.xml$", re.IGNORECASE)
 
 _GOOGLE_RES = [re.compile(p, re.IGNORECASE) for p in GOOGLE_PATTERNS]
 _GENERAL_RES = [re.compile(p, re.IGNORECASE) for p in GENERAL_PATTERNS]
+_GOOGLE_WORD = [re.compile("google", re.IGNORECASE)]
 
 
 class ClaimEvidence(NamedTuple):
@@ -45,9 +46,19 @@ class ClaimResult(NamedTuple):
     evidence: list[ClaimEvidence]
 
 
+def _read(path: str) -> str | None:
+    """A file's text as text mode reads it, so a line ends only at LF, with
+    each undecodable byte as U+FFFD; None when it cannot be read."""
+    try:
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            return fh.read()
+    except OSError:
+        return None
+
+
 def _scan_text(path_label: str, text: str, patterns) -> list[ClaimEvidence]:
     found = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         for rx in patterns:
             m = rx.search(line)
             if m:
@@ -80,11 +91,8 @@ def scan_claims(repo_root: str, deep: bool = False) -> ClaimResult:
     general: list[ClaimEvidence] = []
 
     for rel in _markdown_files(repo_root, deep):
-        try:
-            with open(os.path.join(repo_root, rel), encoding="utf-8",
-                      errors="replace") as fh:
-                text = fh.read()
-        except OSError:
+        text = _read(os.path.join(repo_root, rel))
+        if text is None:
             continue
         google.extend(_scan_text(rel, text, _GOOGLE_RES))
         general.extend(_scan_text(rel, text, _GENERAL_RES))
@@ -93,14 +101,10 @@ def scan_claims(repo_root: str, deep: bool = False) -> ClaimResult:
         if not _CONFIG_NAME.match(name):
             continue
         full = os.path.join(repo_root, name)
-        if not os.path.isfile(full):
+        text = _read(full) if os.path.isfile(full) else None
+        if text is None:
             continue
-        try:
-            with open(full, encoding="utf-8", errors="replace") as fh:
-                text = fh.read()
-        except OSError:
-            continue
-        hits = _scan_text(name, text, [re.compile("google", re.IGNORECASE)])
+        hits = _scan_text(name, text, _GOOGLE_WORD)
         if hits:
             google.append(hits[0])
         else:

@@ -247,8 +247,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     for name in names:
         full = os.path.join(args.scores_dir, name)
         try:
-            with open(full, encoding="utf-8") as fh:
-                data = json.load(fh)
+            data = json.loads(read_text(full))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FatalError(f"{full}: not a valid JSON report: {exc}") from exc
         if not isinstance(data, dict):

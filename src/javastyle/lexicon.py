@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import re
-from collections.abc import Iterator
 from functools import lru_cache
 
 NOUN = "noun"
@@ -99,7 +98,7 @@ class Lexicon:
 
     @classmethod
     def bundled(cls) -> "Lexicon":
-        return _load_bundled()
+        return load(None)
 
     @classmethod
     def _parse(cls, text: str, path: str) -> "Lexicon":
@@ -114,10 +113,18 @@ class Lexicon:
                                map(sets.__getitem__, letters)))
             if len(entries) == len(letters):
                 return cls(entries)
-        # A malformed line, or a word listed twice: line by line.
+        # A malformed line, or a word listed twice: line by line, each
+        # ending at "\n" as decode_source leaves it.
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()
+        matches = [_ENTRY_RE.match(line) for line in lines]
+        bad = [n for n, m in enumerate(matches, start=1) if m is None]
+        if bad:
+            raise LexiconError(path, bad)
         sets = {}
         entries = {}
-        for word, letters in _fields(text, path):
+        for word, letters in (m.groups() for m in matches):
             cats = sets.get(letters)
             if cats is None:
                 cats = sets[letters] = _category_set(letters)
@@ -127,20 +134,31 @@ class Lexicon:
         return cls(entries)
 
 
-def read_text(path: str) -> str:
-    """The text of a UTF-8 file as text mode reads it: CRLF and CR become
-    LF. Raises OSError, or UnicodeDecodeError for `undecodable_line`."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def decode_source(data: bytes) -> str:
+    """Text from a file's bytes: strict UTF-8 without one leading byte
+    order mark, and CR, LF and CRLF all end a line, as when reading in
+    text mode, so that a line ends only at LF.
+
+    Raises UnicodeDecodeError.
+    """
     text = data.decode("utf-8")
+    if text.startswith("\ufeff"):
+        text = text[1:]
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
 
 
+def read_text(path: str) -> str:
+    """The `decode_source` text of a file. Raises OSError, or
+    UnicodeDecodeError for `undecodable_line`."""
+    with open(path, "rb") as fh:
+        return decode_source(fh.read())
+
+
 def undecodable_line(exc: UnicodeDecodeError) -> int:
-    """The 1-based line of `read_text`'s text where its file stops being
-    valid UTF-8."""
+    """The 1-based line of `decode_source`'s text where its bytes stop
+    being valid UTF-8."""
     head = exc.object[:exc.start]
     return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
 
@@ -149,32 +167,17 @@ def _category_set(letters: str) -> frozenset[str]:
     return frozenset(CATEGORY_BY_LETTER[c] for c in letters.split(","))
 
 
-def _fields(text: str, path: str) -> Iterator[tuple[str, str]]:
-    """The word and the category letters of each line of a lexicon file,
-    as str.splitlines() ends them.
-
-    Raises LexiconError, once every line is read, with the numbers of
-    the lines that _ENTRY_RE rejects.
-    """
-    bad = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        m = _ENTRY_RE.match(line)
-        if m is None:
-            bad.append(lineno)
-        else:
-            yield m.groups()
-    if bad:
-        raise LexiconError(path, bad)
-
-
-@lru_cache(maxsize=1)
-def _load_bundled() -> Lexicon:
-    # The package is installed as files, so the word list lies next to
-    # this module; importlib.resources would bring pathlib, zipfile and
-    # tempfile into every command that checks names.
-    path = os.path.join(os.path.dirname(__file__), "data", "lexicon.txt")
-    with open(path, encoding="utf-8") as fh:
-        return Lexicon._parse(fh.read(), "bundled lexicon")
+@lru_cache(maxsize=None)
+def load(path: str | None) -> Lexicon:
+    """The lexicon file at `path`, or the bundled one for None, parsed
+    once per process per path, so that every month of a history and every
+    repository of a corpus reuse it, and forked workers inherit it."""
+    if path is None:
+        # The package is installed as files, so the word list lies next
+        # to this module; importlib.resources would bring pathlib,
+        # zipfile and tempfile into every command that checks names.
+        path = os.path.join(os.path.dirname(__file__), "data", "lexicon.txt")
+    return Lexicon.from_file(path)
 
 
 def _suffix_candidates(word: str):

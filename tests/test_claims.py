@@ -49,6 +49,15 @@ def test_google_guide_mention_wins(tmp_path):
     assert all(e.matched for e in result.evidence)
 
 
+def test_evidence_lines_end_only_at_lf_cr_and_crlf(tmp_path):
+    # A form feed stays in its line, as in an editor; CR and CRLF end one.
+    for text, line in [("intro\fmore\nWe follow the Google Java Style.\n", 2),
+                       ("a\rb\r\nc\vd\nWe follow the Google Java Style.", 4)]:
+        (tmp_path / "README.md").write_bytes(text.encode())
+        result = scan_claims(str(tmp_path))
+        assert [e.line for e in result.evidence] == [line], text
+
+
 def test_google_url_counts(tmp_path):
     result = classify(tmp_path, {
         "CONTRIBUTING.md":

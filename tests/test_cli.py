@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from javastyle.cli import ConfigError, main, parse_config_file
+from javastyle.lexicon import load
 
 from helpers import write_tree
 from test_history import add_commit, make_repo
@@ -304,6 +305,51 @@ def test_an_input_file_that_is_not_utf8_ends_in_one_error_line(
     assert main(argv) == code
     captured = capsysbinary.readouterr()
     assert (captured.out, captured.err.decode()) == (b"", f"error: {expected}\n")
+
+
+def bom_and_cr_line_ends(text: str) -> bytes:
+    """`text` after a byte order mark, its lines ended by CRLF and CR in
+    turn."""
+    lines = text.split("\n")
+    ends = ["\r\n", "\r"] * len(lines)
+    return ("\ufeff" + "".join(map(str.__add__, lines[:-1], ends))
+            + lines[-1]).encode()
+
+
+@pytest.mark.parametrize("case", ["--config", "JAVASTYLE_CONFIG",
+                                  "--lexicon", "corpus", "sample"])
+def test_a_byte_order_mark_and_cr_line_ends_read_as_the_plain_file(
+        tmp_path, capsysbinary, monkeypatch, case):
+    write_tree(tmp_path / "repo", CLEAN_REPO)
+    repo = str(tmp_path / "repo")
+    if case == "sample":
+        write_tree(tmp_path / "messy", MESSY_REPO)
+        assert main(["analyze", str(tmp_path / "messy")]) == 0
+        text = capsysbinary.readouterr().out.decode()
+        file = tmp_path / "reports" / "r.json"
+        file.parent.mkdir()
+        argv = ["sample", str(file.parent), "--groups", "1"]
+    else:
+        file = tmp_path / "input.txt"
+        if case == "corpus":
+            text = f"{repo}\n# listed twice\n{repo}\n"
+            argv = ["corpus", str(file)]
+        elif case == "--lexicon":
+            text = "widget\tv\nsize\tn\nrun\tv\n"
+            argv = ["analyze", repo, "--lexicon", str(file)]
+        else:
+            text = "threshold=0.5\nordering=1\n"
+            argv = ["analyze", repo]
+            if case == "--config":
+                argv += ["--config", str(file)]
+            else:
+                monkeypatch.setenv("JAVASTYLE_CONFIG", str(file))
+    results = []
+    for data in (text.encode(), bom_and_cr_line_ends(text)):
+        file.write_bytes(data)
+        load.cache_clear()  # so the lexicon at the same path is read again
+        results.append((main(argv), capsysbinary.readouterr().out))
+    assert results[0][1] and results[0] == results[1]
 
 
 def test_config_file_keys_and_bad_values(tmp_path):

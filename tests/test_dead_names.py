@@ -142,7 +142,7 @@ def unused_imports(text: str) -> list[tuple[str, int]]:
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             try:
                 quoted = ast.parse(node.value.strip(), mode="eval")
-            except SyntaxError:
+            except (SyntaxError, ValueError):  # such as a lone surrogate or NUL
                 continue
             reads.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
     return [(name, line) for name, line in bound if name not in reads]
@@ -194,7 +194,8 @@ def test_guard_flags_an_unused_import():
               "from typing import Callable\n"
               "Fn = Callable[[str], \"Sized\"]\n"
               "@dataclass\nclass Box:\n    size: int = 0\n"
-              "def exists(p):\n    return os.path.exists(p)\n")
+              "def exists(p):\n    return os.path.exists(p)\n"
+              "NAMES = [\"p/B\\udcff.java\", \"a\\x00b\"]\n")
     assert unused_imports(module) == [("Counter", 3), ("fld", 4)]
     assert unused_imports("from typing import Sized\nx: 'Sized'\n") == []
 

@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from javastyle.lexicon import (ADJECTIVE, ADVERB, CATEGORY_BY_LETTER, NOUN,
-                               VERB, Lexicon, LexiconError, matches_casing,
-                               split_identifier)
+                               VERB, Lexicon, LexiconError, decode_source,
+                               matches_casing, split_identifier)
 
 from helpers import parse_source, run_check
 from javastyle.checkers import check_class_names
@@ -116,6 +116,15 @@ def test_bytes_that_are_not_utf8_name_their_line(tmp_path, data, line):
     assert str(err.value) == f"{p}: malformed lexicon line(s): {line}"
 
 
+def test_a_line_ends_only_at_lf_cr_and_crlf(tmp_path):
+    # A form feed stays in its line, as in an editor and in the count of
+    # `undecodable_line`.
+    p = make_lexicon(tmp_path, "run\tv\n\fother\tn\nbad line\n")
+    with pytest.raises(LexiconError) as err:
+        Lexicon.from_file(str(p))
+    assert err.value.lines == [2, 3]
+
+
 def test_lexicon_error_survives_pickling(tmp_path):
     # A corpus worker process sends the error back to the parent.
     p = make_lexicon(tmp_path, "good\tn\nbad line\nworse\tx\n")
@@ -137,10 +146,13 @@ def test_blank_and_comment_lines_are_malformed(tmp_path):
 
 
 def reference_parse(text: str):
-    """The loader's rules, one line at a time: the words' category sets,
-    or the numbers of the malformed lines."""
+    """The loader's rules, one line at a time, each ending at LF: the
+    words' category sets, or the numbers of the malformed lines."""
     entries, bad = {}, []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    for lineno, line in enumerate(lines, start=1):
         m = re.match(r"^(\S+)\t([nvaro](?:,[nvaro])*)$", line)
         if m is None:
             bad.append(lineno)
@@ -166,6 +178,9 @@ def test_loader_matches_the_line_by_line_rules(lines, last_end):
     text = "".join(line + end for line, end in lines)
     if lines and not last_end:
         text = text[:-len(lines[-1][1])]
+    # As a file is read: CR and CRLF become "\n"; "\x0b", "\x85" and
+    # "\u2028" stay in their line.
+    text = decode_source(text.encode())
     want = reference_parse(text)
     if isinstance(want, list):
         with pytest.raises(LexiconError) as err:
