@@ -22,9 +22,11 @@ For each file it compares the parse (the model's repr, or the error it
 raised), the file record and the file-scope check outcome. For each tree
 it compares the stdout, stderr and exit code of the CLI: ``analyze`` at
 ``--jobs 1`` and ``2`` on the fixtures, their copies and the flat trees,
-and once on the fixtures with ``--config`` naming a copy of the bundled
-lexicon; ``corpus`` at ``--jobs 1`` and ``2`` and, at ``--jobs 2``, with
-``--format csv`` on the corpus listings; and ``evolve`` on the histories.
+once on the fixtures with ``--config`` naming a copy of the bundled
+lexicon and once on the copies with ``--exclude`` naming one copy;
+``corpus`` at ``--jobs 1`` and ``2`` and, at ``--jobs 2``, with
+``--format csv`` on the corpus listings; and ``evolve`` on the histories,
+once as it is and once with ``--exclude`` naming one package.
 
 It prints a digest per input set and side, then each input that differs
 with where the first ones differ, and exits 1 on any difference, 0 when
@@ -224,6 +226,8 @@ def build_inputs(work: str, sets: list[str], count: int) -> list[InputSet]:
         copy_fixtures(root, -(-2 * MIN_FILES_PER_WORKER
                               // len(fixtures.files)))
         fixtures.add_analyze(root, "copies: analyze")
+        fixtures.calls.append(("copies: analyze --exclude copy1", [
+            "analyze", root, "--exclude", "copy1", "--jobs", "2"], None))
         # The config and lexicon readers too: a config file naming a copy
         # of the bundled lexicon, which gives the default report.
         lexicon = os.path.join(work, "lexicon.txt")
@@ -258,9 +262,10 @@ def build_inputs(work: str, sets: list[str], count: int) -> list[InputSet]:
             root = os.path.join(work, history.name)
             facts = gen.build_history(root, seed)
             history.add_tree(facts["repo"])
-            history.calls.append(("evolve", [
-                "evolve", facts["repo"], "--months", str(facts["months"]),
-                "--as-of", facts["as_of"]], gen.git_env(root)))
+            for options in ([], ["--exclude", "src/main/java/com/hist/p0"]):
+                history.calls.append((" ".join(["evolve", *options]), [
+                    "evolve", facts["repo"], "--months", str(facts["months"]),
+                    "--as-of", facts["as_of"], *options], gen.git_env(root)))
             built.append(history)
     if "mutations" in sets and count:
         mutated = InputSet("mutations")

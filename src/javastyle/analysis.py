@@ -62,22 +62,15 @@ def load_lexicon(config: AnalysisConfig) -> Lexicon:
     return load(config.lexicon_path or None)
 
 
-def _excluded(rel_path: str, excludes: tuple[str, ...]) -> bool:
-    for prefix in excludes:
-        clean = prefix.rstrip("/")
-        if rel_path == clean or rel_path.startswith(clean + "/"):
-            return True
-    return False
-
-
 class Snapshot(Protocol):
     """A tree of sources, such as a directory on disk or the tree of one
     git commit."""
 
-    def sources(self) -> list[tuple[str, str | None]]:
+    def sources(self, excludes: tuple[str, ...]
+                ) -> list[tuple[str, str | None]]:
         """(path, blob id) of each file to analyze, as discovery selects
-        them, in order. Equal blob ids mean equal bytes; a file without
-        one has None."""
+        them with `excludes`, in order. Equal blob ids mean equal bytes; a
+        file without one has None."""
 
     def read(self, rel: str, blob: str | None) -> bytes:
         """The bytes of the file at `rel` whose blob id is `blob`."""
@@ -89,8 +82,8 @@ class DirectorySnapshot:
     def __init__(self, root: str) -> None:
         self.root = root
 
-    def sources(self) -> list[tuple[str, None]]:
-        return [(rel, None) for rel in discover_sources(self.root)]
+    def sources(self, excludes: tuple[str, ...]) -> list[tuple[str, None]]:
+        return [(rel, None) for rel in discover_sources(self.root, excludes)]
 
     def read(self, rel: str, blob: None) -> bytes:
         with open(os.path.join(self.root, *rel.split("/")), "rb") as fh:
@@ -129,8 +122,7 @@ def _file_results(source: Snapshot, excludes: tuple[str, ...],
                   jobs: int) -> Iterator[FileResult]:
     """Each selected file's result, in source order: from `reuse` where it
     holds the file, else analyzed."""
-    files = [file for file in source.sources()
-             if not _excluded(file[0], excludes)]
+    files = source.sources(excludes)
     known = reuse or {}
     misses = [file for file in files if file not in known]
     analyze = partial(_analyze_source, source, ctx)

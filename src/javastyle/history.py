@@ -247,9 +247,9 @@ class TreeSnapshot:
         self.reader = reader
         self.tree_id = tree_id
 
-    def sources(self) -> list[tuple[str, str]]:
+    def sources(self, excludes: tuple[str, ...]) -> list[tuple[str, str]]:
         blobs: dict[str, str] = {}
-        selected = select_sources(self._walk(blobs))
+        selected = select_sources(self._walk(blobs), excludes)
         return [(rel, blobs[rel]) for rel in selected]
 
     def _walk(self, blobs: dict[str, str]) -> Iterator[WalkStep]:
@@ -278,15 +278,12 @@ def evolve(repo_path: str, analyze_fn: AnalyzeFn,
     """Analyze one selected commit per window month, oldest to newest.
 
     `analyze_fn` receives each month's TreeSnapshot: the commit's tree at
-    `repo_path`'s place in the repository. Refuses dirty work trees,
-    although replay never touches the work tree. Failures to read or
-    analyze a snapshot mark the month's sample failed and the series
-    continues. `force` skips the age/activity eligibility gate.
+    `repo_path`'s place in the repository. The work tree is never read,
+    so its state does not matter, and a bare repository replays too.
+    Failures to read or analyze a snapshot mark the month's sample failed
+    and the series continues. `force` skips the age/activity eligibility gate.
     """
     as_of = as_of or datetime.now(timezone.utc)
-    if _git(repo_path, "status", "--porcelain").strip():
-        raise HistoryError(
-            "refusing to replay history: work tree has uncommitted changes")
     commits = list_commits(repo_path)
     if not force:
         eligibility = check_eligibility(commits, as_of, window=months)

@@ -194,32 +194,28 @@ class ProjectIndex:
 
     # -- hierarchy walks --------------------------------------------------
 
-    def supertype_chain(self, qualified: str) -> list[str]:
-        """Transitive project-local supertypes, BFS order, Object last."""
-        if qualified not in self.by_qualified:
-            return []
-        chain = [qualified]
+    def supertypes_of(self, qualified: str) -> tuple[str, ...]:
+        """Transitive project-local supertypes, BFS order, Object last.
+
+        Walked once per type and then kept: the resolvers ask for the same
+        type's chain once per method or access, and they run only after
+        the index is built and its cycles are dropped, so a kept chain
+        never goes stale.
+        """
+        kept = self._chains.get(qualified)
+        if kept is not None:
+            return kept
+        chain = [qualified] if qualified in self.by_qualified else []
         visited = {qualified, OBJECT_TYPE}  # never walk into Object
         for q in chain:
             for sup in self.supers.get(q, ()):
                 if sup not in visited:
                     visited.add(sup)
                     chain.append(sup)
-        if qualified != OBJECT_TYPE:
+        if chain and qualified != OBJECT_TYPE:
             chain.append(OBJECT_TYPE)
-        return chain[1:]
-
-    def supertypes_of(self, qualified: str) -> tuple[str, ...]:
-        """supertype_chain, walked once per type and then kept.
-
-        The resolvers ask for the same type's chain once per method or
-        access; they run only after the index is built and its cycles
-        are dropped, so a kept chain never goes stale.
-        """
-        chain = self._chains.get(qualified)
-        if chain is None:
-            chain = self._chains[qualified] = tuple(self.supertype_chain(qualified))
-        return chain
+        kept = self._chains[qualified] = tuple(chain[1:])
+        return kept
 
 
 def build_project_index(records: list[FileRecord]) -> ProjectIndex:

@@ -6,6 +6,7 @@ import hashlib
 
 from javastyle.checkers import (ORDERING_CONFIGS, Category, CheckContext,
                                 Violation, check_file, check_project)
+from javastyle.discovery import select_sources
 from javastyle.parser import parse_compilation_unit
 from javastyle.project_index import build_project_index, file_record
 
@@ -67,19 +68,42 @@ def write_tree(root, files: dict[str, str]) -> None:
         full.write_text(text, encoding="utf-8")
 
 
+def path_walk(paths):
+    """A top-down walk of the directories that hold `paths`, as
+    discovery's WalkStep triples; like os.walk, it never enters a
+    subdirectory that the consumer pruned."""
+    tree = {"": ([], [])}  # directory -> (subdirectory names, file names)
+    for path in sorted(paths):
+        parent = ""
+        *dirs, name = path.split("/")
+        for d in dirs:
+            rel = parent + "/" + d if parent else d
+            if rel not in tree:
+                tree[rel] = ([], [])
+                tree[parent][0].append(d)
+            parent = rel
+        tree[parent][1].append(name)
+    stack = [""]
+    while stack:
+        rel = stack.pop()
+        dirnames, filenames = list(tree[rel][0]), tree[rel][1]
+        yield rel, dirnames, filenames
+        stack.extend(rel + "/" + d if rel else d for d in dirnames)
+
+
 class MemorySnapshot:
     """An in-memory snapshot for analyze_repository: {path: text or bytes},
-    all of it selected, with a content hash for each blob id. Counts the
-    files it reads."""
+    selected as discovery selects a tree of those paths, with a content
+    hash for each blob id. Counts the files it reads."""
 
     def __init__(self, files: dict[str, str | bytes]) -> None:
         self.files = {rel: data.encode() if isinstance(data, str) else data
                       for rel, data in files.items()}
         self.reads: list[str] = []
 
-    def sources(self) -> list[tuple[str, str]]:
-        return [(rel, hashlib.sha1(data).hexdigest())
-                for rel, data in sorted(self.files.items())]
+    def sources(self, excludes: tuple[str, ...]) -> list[tuple[str, str]]:
+        return [(rel, hashlib.sha1(self.files[rel]).hexdigest())
+                for rel in select_sources(path_walk(self.files), excludes)]
 
     def read(self, rel: str, blob: str) -> bytes:
         self.reads.append(rel)

@@ -2,6 +2,8 @@
 
 import errno
 import os
+import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -116,6 +118,59 @@ def test_trailing_slash_on_exclude_accepted(tmp_path):
     assert result.paths == ["src/p/Alpha.java"]
 
 
+_DIRS = ["lib", "vendor", "p", "src/main/java", "src/test", "build"]
+_BODIES = ["package p;\nclass {name} {{}}\n",
+           "package p;\nclass {name} extends A {{ void f() {{ try {{ g(); }}"
+           " catch (Exception e) {{}} }} }}\n",
+           "package p;\nclass {name} {{ public int X; void Run() {{}} }}\n"]
+
+
+def generated_tree(seed: int) -> dict[str, str]:
+    """Up to 12 small files under random nestings of _DIRS, one of them in
+    a main root below a directory of its own."""
+    rng = random.Random(seed)
+    names = ["A", "B", "c", "D", "e"]
+    files = {}
+    for k in range(rng.randint(4, 12)):
+        dirs = [rng.choice(_DIRS) for _ in range(rng.randint(0, 3))]
+        if k == 0:
+            dirs = [rng.choice(["lib", "vendor", "p"]), "src/main/java"]
+        name = rng.choice(names)
+        files["/".join(dirs + [f"{name}.java"])] = rng.choice(
+            _BODIES).format(name=name)
+    return files
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_excluding_a_path_equals_deleting_it(tmp_path, seed):
+    files = generated_tree(seed)
+    tree = tmp_path / "tree"
+    write_tree(tree, files)
+    candidates = {"/".join(path.split("/")[:depth])
+                  for path in files
+                  for depth in range(1, path.count("/") + 2)}
+    kinds = set()
+    for k, excluded in enumerate(sorted(candidates)):
+        kinds.add("file" if excluded in files else
+                  "main root holder" if any(
+                      path.startswith(excluded + "/")
+                      and "src/main/java/" in path[len(excluded):]
+                      for path in files) else "directory")
+        copy = tmp_path / f"copy{k}"
+        shutil.copytree(tree, copy)
+        target = copy / excluded
+        if target.is_dir():
+            shutil.rmtree(target)
+        else:
+            target.unlink()
+        want = analyze_repository(str(copy))
+        got = analyze_repository(str(tree), AnalysisConfig(
+            excludes=(excluded,)))
+        assert (got.paths, got.violations, got.counts) == \
+            (want.paths, want.violations, want.counts), excluded
+    assert kinds == {"file", "directory", "main root holder"}
+
+
 def test_unknown_ordering_rejected(tmp_path):
     write_tree(tmp_path, {"src/p/Alpha.java": GOOD})
     with pytest.raises(ValueError):
@@ -179,7 +234,7 @@ def test_models_are_not_mutated_after_parsing(tmp_path, monkeypatch, tree):
 def test_reuse_holds_the_last_snapshot_only():
     snapshot = MemorySnapshot({"src/p/Alpha.java": GOOD,
                                "src/p/Broken.java": BAD_SYNTAX})
-    (alpha, alpha_blob), (broken, broken_blob) = snapshot.sources()
+    (alpha, alpha_blob), (broken, broken_blob) = snapshot.sources(())
     reuse = {}
     first = analyze_repository(snapshot, reuse=reuse)
     assert set(reuse) == {(alpha, alpha_blob), (broken, broken_blob)}

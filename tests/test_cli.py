@@ -175,6 +175,20 @@ def test_exclude_flag_drops_subtree(tmp_path, capsysbinary):
     assert code == 0 and json.loads(out)["totalNormalized"] == 0.0
 
 
+def test_an_excluded_main_root_leaves_the_rest_analyzed(tmp_path,
+                                                        capsysbinary):
+    write_tree(tmp_path, {
+        "lib/Foo.java": "package lib;\nclass foo {}\n",
+        "vendor/x/src/main/java/Bar.java": "class Bar {}\n"})
+    code, out = run_captured(capsysbinary, "analyze", str(tmp_path),
+                             "--exclude", "vendor")
+    data = json.loads(out)
+    assert code == 0 and data["diagnostics"] == []
+    assert _class_names_denominator(out) == 1
+    assert [v["file"] for v in data["violations"]
+            if v["category"] == "ClassNames"] == ["lib/Foo.java"]
+
+
 def test_comparison_after_if_declares_no_local(tmp_path, capsysbinary):
     write_tree(tmp_path, {"src/main/java/p/Pick.java": (
         "package p;\n"
@@ -465,7 +479,8 @@ def test_evolve_outside_a_git_repository_is_fatal(tmp_path, capsysbinary):
     captured = capsysbinary.readouterr()
     assert code == 3
     assert captured.out == b""
-    assert captured.err.startswith(b"error: git status --porcelain failed: ")
+    assert captured.err.startswith(
+        b"error: git log --first-parent --format=%H %aI failed: ")
     assert b"not a git repository" in captured.err
     assert captured.err.count(b"\n") == 1
 

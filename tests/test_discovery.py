@@ -70,9 +70,9 @@ def test_results_sorted_and_slash_separated(tmp_path):
      ["src/main/java/x/src/main/java/A.java"]),
     # an empty main root still switches to main-root mode
     ({"lib/D.java": "class D {}"}, ["src/main/java"], []),
-    # a main root under test sources switches modes and is excluded
+    # a main root under test sources is never walked: no mode switch
     ({"src/test/x/src/main/java/T.java": "class T {}",
-      "lib/D.java": "class D {}"}, [], []),
+      "lib/D.java": "class D {}"}, [], ["lib/D.java"]),
 ])
 def test_main_root_selection(tmp_path, files, empty_dirs, expected):
     write_tree(tmp_path, files)

@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 from javastyle import analysis, workers
 from javastyle.analysis import (MIN_FILES_PER_WORKER, AnalysisConfig,
-                                analyze_repository)
+                                DirectorySnapshot, analyze_repository)
 from javastyle.cli import main
 from javastyle.discovery import discover_sources
 from javastyle.history import (CommitRecord, EvolutionSample, HistoryError,
-                               check_eligibility, evolve, list_commits,
-                               monthly_activity, select_monthly_commit,
-                               spacing_report, window_labels)
+                               ObjectReader, TreeSnapshot, check_eligibility,
+                               evolve, list_commits, monthly_activity,
+                               select_monthly_commit, spacing_report,
+                               window_labels)
 from javastyle.report import evolution_rows
 
 UTC = timezone.utc
@@ -274,7 +275,7 @@ def test_evolve_dates_commits_by_author_not_committer(tmp_path):
 
 def counting_analyzer(calls):
     def analyze(snapshot):
-        files = dict(snapshot.sources())
+        files = dict(snapshot.sources(()))
         calls.append(sorted(files))
         text = snapshot.read("src/p/Widget.java", files["src/p/Widget.java"])
         return [], 1.0 if b"catch" in text else 0.0
@@ -325,11 +326,24 @@ def test_evolve_twice_gives_identical_samples(tmp_path):
     assert runs[0] == runs[1]
 
 
-def test_evolve_refuses_dirty_tree(tmp_path):
-    repo = build_history_repo(tmp_path, months=42)
+def test_the_work_tree_state_leaves_the_samples_unchanged(tmp_path):
+    repo = build_history_repo(tmp_path, months=42, step_month=36)
+    clean, _ = replay(repo, 12)
     (repo / "scratch.txt").write_text("wip", encoding="utf-8")
-    with pytest.raises(HistoryError, match="uncommitted"):
-        evolve(str(repo), lambda p: ([], 0.0), as_of=at(2024, 7, 1))
+    (repo / "src/p/Widget.java").write_text(GENERATED, encoding="utf-8")
+    assert git_out(repo, "status", "--porcelain") != ""
+    dirty, _ = replay(repo, 12)
+    assert dirty == clean
+    assert not any(s.failed for s in dirty)
+
+
+def test_a_bare_clone_replays_to_the_same_samples(tmp_path):
+    repo = build_history_repo(tmp_path, months=42, step_month=36)
+    bare = tmp_path / "bare.git"
+    run_git(tmp_path, "clone", "-q", "--bare", str(repo), str(bare))
+    samples, _ = replay(bare, 12)
+    assert samples == replay(repo, 12)[0]
+    assert not any(s.failed for s in samples)
 
 
 def test_evolve_rejects_ineligible_repo(tmp_path):
@@ -656,7 +670,7 @@ def test_interrupted_replay_keeps_the_branch_and_reaps_git(tmp_path,
     repo = build_history_repo(tmp_path, months=42)
 
     def interrupt(snapshot):
-        snapshot.read("src/p/Widget.java", dict(snapshot.sources())[
+        snapshot.read("src/p/Widget.java", dict(snapshot.sources(()))[
             "src/p/Widget.java"])
         raise KeyboardInterrupt
 
@@ -702,7 +716,7 @@ def test_replay_never_starts_workers(tmp_path, monkeypatch, capsysbinary):
 def listing_analyzer(seen):
     """Records the paths each month's snapshot selects."""
     def analyze(snapshot):
-        seen.append([rel for rel, _ in snapshot.sources()])
+        seen.append([rel for rel, _ in snapshot.sources(())])
         return [], 0.0
     return analyze
 
@@ -782,3 +796,51 @@ def test_tree_snapshot_selects_what_discovery_selects_on_disk(tmp_path,
                      as_of=AS_OF, force=True)
     extract_commit(repo, samples[0].commit.id, tmp_path / "tree")
     assert seen == [discover_sources(str(tmp_path / "tree"))]
+
+
+PRUNED_TREE = {
+    "lib/Foo.java": CLEAN_JAVA, "lib/gen/G.java": GENERATED,
+    "lib/Old.java": CATCH_JAVA,
+    "vendor/x/src/main/java/Bar.java": CLEAN_JAVA,
+    "src/test/java/T.java": CATCH_JAVA, "src/test/java/t/U.java": GENERATED,
+    "app/target/Out.java": CLEAN_JAVA, "app/A.java": CATCH_JAVA,
+}
+
+
+@pytest.mark.parametrize("excludes, walked, selected", [
+    ((), ["", "app", "lib", "lib/gen", "src", "vendor", "vendor/x",
+          "vendor/x/src", "vendor/x/src/main", "vendor/x/src/main/java"],
+     ["vendor/x/src/main/java/Bar.java"]),
+    (("vendor", "lib/gen/", "lib/Old.java"), ["", "app", "lib", "src"],
+     ["app/A.java", "lib/Foo.java"]),
+    (("vendor/x/src/main/java",), ["", "app", "lib", "lib/gen", "src",
+                                   "vendor", "vendor/x", "vendor/x/src",
+                                   "vendor/x/src/main"],
+     ["app/A.java", "lib/Foo.java", "lib/Old.java", "lib/gen/G.java"]),
+])
+def test_a_tree_snapshot_reads_no_pruned_tree(tmp_path, monkeypatch,
+                                              excludes, walked, selected):
+    repo = make_repo(tmp_path / "repo")
+    add_commit(repo, at(2024, 6, 15), PRUNED_TREE)
+    tree_ids = {git_out(repo, "rev-parse", f"HEAD:{rel}"): rel
+                for rel in ["", "app", "app/target", "lib", "lib/gen", "src",
+                            "src/test", "src/test/java", "src/test/java/t",
+                            "vendor", "vendor/x", "vendor/x/src",
+                            "vendor/x/src/main", "vendor/x/src/main/java"]}
+    assert len(tree_ids) == 14  # no two directories share a tree
+    read = []
+    tree = ObjectReader.tree
+
+    def counted(self, name):
+        read.append(name)
+        return tree(self, name)
+
+    monkeypatch.setattr(ObjectReader, "tree", counted)
+    with ObjectReader(str(repo)) as reader:
+        snapshot = TreeSnapshot(reader, git_out(repo, "rev-parse", "HEAD:"))
+        sources = snapshot.sources(excludes)
+    assert sorted(tree_ids[name] for name in read) == walked
+    assert [rel for rel, _ in sources] == selected
+    extract_commit(repo, "HEAD", tmp_path / "tree")
+    assert [rel for rel, _ in DirectorySnapshot(
+        str(tmp_path / "tree")).sources(excludes)] == selected

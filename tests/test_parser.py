@@ -578,9 +578,34 @@ def test_other_colons_declare_nothing(body):
      "  default: List<String> q = h(); }",
      [("s", "String"), ("n", "int"), ("q", "List")]),
     ("switch (k) { case A, B: Bar r = g(); }", [("r", "Bar")]),
+    # dims after the first name belong to it alone and are not recorded
+    ("int a[] = {1}, b = 2;", [("a", "int"), ("b", "int")]),
 ])
 def test_local_declaration_shapes(body, declared):
     assert local_names(body) == declared
+
+
+@pytest.mark.parametrize("members, facts", [
+    # an initializer block is skipped: no member and no catch, and the
+    # members after it still parse
+    ("static { try { f(); } catch (RuntimeException e) {} }\n"
+     "int x;\nvoid g() { try { f(); } catch (E e) {} }",
+     [("instanceField", "x", 0, 0), ("instanceMethod", "g", 1, 0)]),
+    # a try statement as a brace-less loop body: the concatenations in
+    # its blocks are in the loop, the one after the loop is not
+    ('void f(String s) {\nfor (;;) try (Reader r = null) { s += "x"; }\n'
+     '  catch (Exception e) { s += "y"; }\ns += "z";\n}',
+     [("instanceMethod", "f", 1, 2)]),
+    ('void f(String s) {\nwhile (s.isEmpty()) try { s += "x"; }\n'
+     '  catch (Exception e) { s += "y"; } finally { s += "w"; }\n'
+     's += "z";\n}',
+     [("instanceMethod", "f", 1, 3)]),
+])
+def test_catches_and_loop_concatenations_of_members(members, facts):
+    m = parse_source("class A {\n" + members + "\n}\n", "A.java")
+    assert [(mf.kind, mf.name, len(mf.body.catches) if mf.body else 0,
+             len(mf.body.concat_sites) if mf.body else 0)
+            for mf in m.types[0].members] == facts
 
 
 # Statements of generated method bodies over a small pool of names, so

@@ -9,9 +9,9 @@ from javastyle.analysis import analyze_repository
 from javastyle.checkers import CheckContext, check_unqualified_static
 from javastyle.model import simple_name_of
 from javastyle.parser import parse_compilation_unit
-from javastyle.project_index import (OBJECT_TYPE, ProjectIndex,
-                                     build_project_index, file_record,
-                                     resolve_override, resolve_static_access)
+from javastyle.project_index import (OBJECT_TYPE, build_project_index,
+                                     file_record, resolve_override,
+                                     resolve_static_access)
 
 from helpers import write_tree
 
@@ -139,7 +139,7 @@ def test_hierarchy_cycle_dropped_with_diagnostic():
         "p/B.java": "package p;\nclass B extends A {}\n",
     })
     assert any("cycle" in d.lower() for d in index.diagnostics)
-    chain_a = index.supertype_chain("p.A")
+    chain_a = index.supertypes_of("p.A")
     assert "p.A" not in chain_a  # no self-reachability after the drop
     assert chain_a[-1] == OBJECT_TYPE
 
@@ -156,7 +156,7 @@ def test_deep_inheritance_chain_analyzes_cleanly(tmp_path):
     assert result.diagnostics == []
     index = build_project_index([file_record(
         parse_compilation_unit(source, "src/p/Chain.java"))])
-    assert len(index.supertype_chain("p.C0000")) == depth + 1
+    assert len(index.supertypes_of("p.C0000")) == depth + 1
 
 
 def test_supertype_chain_ends_at_object():
@@ -165,7 +165,7 @@ def test_supertype_chain_ends_at_object():
         "p/B.java": "package p;\nclass B extends A {}\n",
         "p/C.java": "package p;\nclass C extends B {}\n",
     })
-    assert index.supertype_chain("p.C") == ["p.B", "p.A", OBJECT_TYPE]
+    assert index.supertypes_of("p.C") == ("p.B", "p.A", OBJECT_TYPE)
 
 
 def bfs_chain(index, qualified):
@@ -242,27 +242,30 @@ PARENT_CHILD = {
 }
 
 
-def test_resolvers_walk_each_chain_once(monkeypatch):
-    walks = []
-    walk = ProjectIndex.supertype_chain
-
-    def counted(self, qualified):
-        walks.append(qualified)
-        return walk(self, qualified)
-
-    monkeypatch.setattr(ProjectIndex, "supertype_chain", counted)
+def test_resolvers_walk_each_chain_once():
     files = dict(PARENT_CHILD)
     files["p/User.java"] = ("package p;\nclass User {\n    void f(Child c) {\n"
                             "        c.work(); c.other(); Child.work();\n"
                             "    }\n}\n")
     records, index = index_of(files)
+    reads = []
+
+    class CountedSupers(dict):
+        """The index's supertype table, noting each type a walk reads."""
+
+        def get(self, qualified, default=None):
+            reads.append(qualified)
+            return super().get(qualified, default)
+
+    index.supers = CountedSupers(index.supers)
     for record in records:
         for t in record.types:
             for m in t.methods:
                 resolve_override(m, t, index)
         for access in record.accesses:
             resolve_static_access(access, record.path, index)
-    assert sorted(walks) == ["p.Child", "p.Parent", "p.User"]
+    # One walk each from Child (through Parent), Parent and User.
+    assert sorted(reads) == ["p.Child", "p.Parent", "p.Parent", "p.User"]
 
 
 def test_override_same_signature():
