@@ -229,13 +229,16 @@ def build_inputs(work: str, sets: list[str], count: int) -> list[InputSet]:
         fixtures.calls.append(("copies: analyze --exclude copy1", [
             "analyze", root, "--exclude", "copy1", "--jobs", "2"], None))
         # The config and lexicon readers too: a config file naming a copy
-        # of the bundled lexicon, which gives the default report.
-        lexicon = os.path.join(work, "lexicon.txt")
+        # of the bundled lexicon, which gives the default report. The path
+        # is relative to the calls' working directory, so that the config
+        # digest, and the report with it, is the same from run to run.
         shutil.copyfile(os.path.join(ROOT, "src", "javastyle", "data",
-                                     "lexicon.txt"), lexicon)
+                                     "lexicon.txt"),
+                        os.path.join(work, "lexicon.txt"))
         config = os.path.join(work, "style.cfg")
         with open(config, "w", encoding="utf-8") as fh:
-            fh.write(f"# the bundled lexicon, as a file\nlexicon = {lexicon}\n")
+            fh.write("# the bundled lexicon, as a file\n"
+                     "lexicon = lexicon.txt\n")
         fixtures.calls.append(("analyze --config", [
             "analyze", FIXTURES, "--config", config], None))
         built.append(fixtures)

@@ -16,7 +16,7 @@ from functools import partial
 from typing import NamedTuple, Protocol
 
 from .checkers import (ORDERING_CONFIGS, Category, CheckContext, CheckOutcome,
-                       Violation, check_file, check_project)
+                       Violation, check_file, check_record)
 from .discovery import discover_sources
 from .lexer import JavaSyntaxError
 from .lexicon import Lexicon, decode_source, load
@@ -181,10 +181,10 @@ def analyze_repository(source: str | Snapshot,
     results = _file_results(source, config.excludes,
                             CheckContext(None, lexicon, ordering), reuse, jobs)
 
-    # Each file's outcome is folded in as it arrives; the project checks'
-    # violations go last. Violation.sort_key holds the category and the
-    # path, so its ties lie within one check of one file and the sorted
-    # order is the same as checking file by file.
+    # Each file's outcome is folded in as it arrives, and its project
+    # outcome once the index is built. Violation.sort_key holds the
+    # category and the path, so its ties lie within one check of one file
+    # and the sorted order is the same as checking file by file.
     diagnostics: list[str] = []
     records: list[FileRecord] = []
     violations: list[Violation] = []
@@ -204,7 +204,9 @@ def analyze_repository(source: str | Snapshot,
 
     index = build_project_index(records)
     diagnostics.extend(index.diagnostics)
-    fold(*check_project(records, CheckContext(index, lexicon, ordering)))
+    ctx = CheckContext(index, lexicon, ordering)
+    for record in records:
+        fold(*check_record(record, ctx))
     violations.sort(key=Violation.sort_key)
     scores = normalize(violations, counts)
     total = total_normalized(scores)

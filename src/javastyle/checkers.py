@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple
 
 from .lexer import KEYWORDS
 from .lexicon import NOUN, VERB, Lexicon, matches_casing, split_identifier
-from .model import MemberFact, SourceFileModel, TypeFact, simple_name_of
+from .model import (FIELD_KINDS, METHOD_KINDS, MemberFact, SourceFileModel,
+                    TypeFact, simple_name_of)
 from .project_index import (FileRecord, ProjectIndex, resolve_override,
                             resolve_static_access)
 
@@ -50,6 +51,7 @@ METHOD_NAME_ALLOWLIST = frozenset(
 )
 
 STRING_TYPE_NAMES = frozenset({"String", "java.lang.String"})
+_CLASS_KINDS = ("class", "enum")  # what ClassNames and JavadocClass inspect
 
 _PACKAGE_RE = re.compile(r"^[a-z][a-z0-9]*(\.[a-z][a-z0-9]*)*$")
 
@@ -65,39 +67,16 @@ class Violation(NamedTuple):
         return (self.category.value, self.file_path, self.line)
 
 
-class OrderingConfig(NamedTuple):
-    ranked_groups: tuple[str, ...]
-
-    def rank(self, group: str) -> int:
-        return self.ranked_groups.index(group)
-
-
-ORDERING_CONFIGS: dict[int, OrderingConfig] = {
-    1: OrderingConfig((
-        "innerTypes", "staticFields", "staticMethods",
-        "instanceFields", "constructors", "instanceMethods",
-    )),
-    2: OrderingConfig((
-        "staticFields", "staticMethods", "instanceFields",
-        "constructors", "instanceMethods", "innerTypes",
-    )),
-    3: OrderingConfig((
-        "staticFields", "staticMethods", "instanceFields",
-        "instanceMethods", "constructors", "innerTypes",
-    )),
-    4: OrderingConfig((
-        "instanceFields", "constructors", "instanceMethods",
-        "staticFields", "staticMethods", "innerTypes",
-    )),
-}
-
-_MEMBER_GROUP = {
-    "innerType": "innerTypes",
-    "staticField": "staticFields",
-    "staticMethod": "staticMethods",
-    "instanceField": "instanceFields",
-    "constructor": "constructors",
-    "instanceMethod": "instanceMethods",
+# Each ordering convention ranks the six member kinds, first to last.
+ORDERING_CONFIGS: dict[int, tuple[str, ...]] = {
+    1: ("innerType", "staticField", "staticMethod",
+        "instanceField", "constructor", "instanceMethod"),
+    2: ("staticField", "staticMethod", "instanceField",
+        "constructor", "instanceMethod", "innerType"),
+    3: ("staticField", "staticMethod", "instanceField",
+        "instanceMethod", "constructor", "innerType"),
+    4: ("instanceField", "constructor", "instanceMethod",
+        "staticField", "staticMethod", "innerType"),
 }
 
 
@@ -106,7 +85,7 @@ class CheckContext(NamedTuple):
 
     index: ProjectIndex | None  # None for the file-scope checks
     lexicon: Lexicon
-    ordering: OrderingConfig
+    ordering: tuple[str, ...]  # one of ORDERING_CONFIGS
 
 
 # One check over one file: its violations and the number of constructs
@@ -117,7 +96,7 @@ Check = Callable[[SourceFileModel | FileRecord, CheckContext], CheckResult]
 
 
 def _methods(t: TypeFact) -> list[MemberFact]:
-    return t.members_of_kind("instanceMethod", "staticMethod")
+    return [m for m in t.members if m.kind in METHOD_KINDS]
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +106,7 @@ def _methods(t: TypeFact) -> list[MemberFact]:
 def check_class_names(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
     out, inspected = [], 0
     for t in model.types:
-        if t.kind not in ("class", "enum"):
+        if t.kind not in _CLASS_KINDS:
             continue
         inspected += 1
         if not matches_casing(t.name, "upperCamel"):
@@ -179,7 +158,7 @@ def check_variable_names(model: SourceFileModel,
     for t in model.types:
         for m in t.members:
             kind, params, body = m.kind, m.params, m.body
-            if kind == "instanceField" or kind == "staticField":
+            if kind in FIELD_KINDS:
                 inspected += 1
                 name = m.name
                 if m.is_static_final:
@@ -228,37 +207,28 @@ _JAVADOC_MIN_WORDS = 10
 # rules exclude each other, so at most five fire and six is a cap.
 JAVADOC_FORMATTING_MAX_PER_COMMENT = 6
 
+# Per check: its category, its label and the kinds of public type or member
+# it inspects.
 _PRESENCE = {
-    "class": (Category.JAVADOC_CLASS, "public type"),
-    "method": (Category.JAVADOC_METHOD, "public method"),
-    "constructor": (Category.JAVADOC_CONSTRUCTOR, "public constructor"),
-    "field": (Category.JAVADOC_FIELD, "public field"),
+    "class": (Category.JAVADOC_CLASS, "public type", _CLASS_KINDS),
+    "method": (Category.JAVADOC_METHOD, "public method", METHOD_KINDS),
+    "constructor": (Category.JAVADOC_CONSTRUCTOR, "public constructor",
+                    ("constructor",)),
+    "field": (Category.JAVADOC_FIELD, "public field", FIELD_KINDS),
 }
-
-
-def _public_declarations(model: SourceFileModel, kind: str):
-    for t in model.types:
-        if kind == "class":
-            if t.kind in ("class", "enum") and t.visibility == "public":
-                yield t.line, t.name, t.javadoc
-            continue
-        for m in t.members:
-            if m.visibility != "public":
-                continue
-            if kind == "method" and m.kind in ("instanceMethod", "staticMethod"):
-                yield m.line, m.name, m.javadoc
-            elif kind == "constructor" and m.kind == "constructor":
-                yield m.line, m.name, m.javadoc
-            elif kind == "field" and m.kind in ("instanceField", "staticField"):
-                yield m.line, m.name, m.javadoc
 
 
 def check_javadoc_presence(model: SourceFileModel, ctx: CheckContext,
                            kind: str) -> CheckResult:
-    category, label = _PRESENCE[kind]
+    category, label, kinds = _PRESENCE[kind]
     out, inspected = [], 0
-    for line, name, doc in _public_declarations(model, kind):
+    declarations = (model.types if kind == "class"
+                    else (m for t in model.types for m in t.members))
+    for d in declarations:
+        if d.kind not in kinds or d.visibility != "public":
+            continue
         inspected += 1
+        doc = d.javadoc
         if kind == "field":
             ok = doc is not None
             why = "lacks a documentation comment"
@@ -267,8 +237,8 @@ def check_javadoc_presence(model: SourceFileModel, ctx: CheckContext,
             why = (f"lacks a documentation comment of at least "
                    f"{_JAVADOC_MIN_WORDS} words")
         if not ok:
-            out.append(Violation(category, model.path, line,
-                                 f"{label} {why}", name))
+            out.append(Violation(category, model.path, d.line,
+                                 f"{label} {why}", d.name))
     return out, inspected
 
 
@@ -390,12 +360,13 @@ def check_private_instances(model: SourceFileModel,
                             ctx: CheckContext) -> CheckResult:
     out, inspected = [], 0
     for t in model.types:
-        for m in t.members_of_kind("instanceField"):
-            inspected += 1
-            if m.visibility in ("public", "package"):
-                out.append(Violation(
-                    Category.PRIVATE_INSTANCES, model.path, m.line,
-                    "instance field is not private or protected", m.name))
+        for m in t.members:
+            if m.kind == "instanceField":
+                inspected += 1
+                if m.visibility in ("public", "package"):
+                    out.append(Violation(
+                        Category.PRIVATE_INSTANCES, model.path, m.line,
+                        "instance field is not private or protected", m.name))
     return out, inspected
 
 
@@ -414,7 +385,7 @@ def check_string_concatenation(model: SourceFileModel,
                 continue
             if field_types is None:
                 field_types = {f.name: f.return_type for f in t.members
-                               if f.kind in ("instanceField", "staticField")}
+                               if f.kind in FIELD_KINDS}
             local_types = {lv.name: lv.type_name for lv in body.local_vars}
             param_types = {p.name: p.type_name for p in m.params}
             for site in body.concat_sites:
@@ -464,8 +435,8 @@ def looks_like_code(comment_line: str) -> bool:
 
 
 # The member kinds that declare a name, by the noun a finding uses.
-_NAMED_MEMBER = {"instanceField": "field", "staticField": "field",
-                 "instanceMethod": "method", "staticMethod": "method"}
+_NAMED_MEMBER = {**dict.fromkeys(FIELD_KINDS, "field"),
+                 **dict.fromkeys(METHOD_KINDS, "method")}
 
 
 def check_useless(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
@@ -518,8 +489,7 @@ def check_useless(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
 
 def check_ordering(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
     out, inspected = [], 0
-    rank_of = {kind: ctx.ordering.rank(group)
-               for kind, group in _MEMBER_GROUP.items()}
+    rank_of = {kind: rank for rank, kind in enumerate(ctx.ordering)}
     for t in model.types:
         max_rank = -1
         inspected += len(t.members)
@@ -529,7 +499,7 @@ def check_ordering(model: SourceFileModel, ctx: CheckContext) -> CheckResult:
             if rank < max_rank:
                 out.append(Violation(
                     Category.ORDERING, model.path, m.line,
-                    f"{_MEMBER_GROUP[kind]} member after a later group",
+                    f"{kind}s member after a later group",
                     m.name))
             elif rank > max_rank:
                 max_rank = rank
@@ -591,25 +561,23 @@ _PROJECT_CHECKS = tuple((c, fn) for c, _, scope, fn in CHECKS
 CheckOutcome = tuple[list[Violation], dict[Category, int]]
 
 
-def check_file(model: SourceFileModel, ctx: CheckContext) -> CheckOutcome:
-    """Run the file-scope checks over one model; `ctx.index` is unused."""
+def _run(checks: tuple[tuple[Category, Check], ...],
+         subject: SourceFileModel | FileRecord,
+         ctx: CheckContext) -> CheckOutcome:
     violations: list[Violation] = []
     counts: dict[Category, int] = {}
-    for category, check in _FILE_CHECKS:
-        found, counts[category] = check(model, ctx)
+    for category, check in checks:
+        found, counts[category] = check(subject, ctx)
         violations.extend(found)
     return violations, counts
 
 
-def check_project(records: list[FileRecord],
-                  ctx: CheckContext) -> CheckOutcome:
-    """Run the project-scope checks over the record of every file of the
-    project; `ctx.index` is built from the same records."""
-    violations: list[Violation] = []
-    counts = {category: 0 for category, _ in _PROJECT_CHECKS}
-    for record in records:
-        for category, check in _PROJECT_CHECKS:
-            found, inspected = check(record, ctx)
-            violations.extend(found)
-            counts[category] += inspected
-    return violations, counts
+def check_file(model: SourceFileModel, ctx: CheckContext) -> CheckOutcome:
+    """Run the file-scope checks over one model; `ctx.index` is unused."""
+    return _run(_FILE_CHECKS, model, ctx)
+
+
+def check_record(record: FileRecord, ctx: CheckContext) -> CheckOutcome:
+    """Run the project-scope checks over one file's record; `ctx.index`
+    is built from the records of every file of the project."""
+    return _run(_PROJECT_CHECKS, record, ctx)

@@ -6,6 +6,9 @@ Every fact is a named tuple that the parser builds once, when its last
 field is known; only the lists a fact holds grow while the parser works.
 All line numbers are 1-based. All paths are repo-relative with ``/``
 separators.
+
+The member kinds are the one vocabulary for what a member is: the parser
+writes them, the checks and file records test them, ordering ranks them.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ MEMBER_KINDS = frozenset(
         "innerType",
     }
 )
+FIELD_KINDS = frozenset({"instanceField", "staticField"})
+METHOD_KINDS = frozenset({"instanceMethod", "staticMethod"})
 VISIBILITIES = frozenset({"public", "protected", "package", "private"})
 
 
@@ -124,20 +129,17 @@ class MemberFact(NamedTuple):
     javadoc: JavadocFact | None = None
     return_type: str | None = None
     body: BodyFacts | None = None  # None for a member without a body
-    nested: TypeFact | None = None  # set for kind == innerType
 
 
 class TypeFact(NamedTuple):
     kind: str  # one of TYPE_KINDS
     name: str
+    scoped: str  # the enclosing types' names and its own: Outer.Inner
     visibility: str
     line: int
     supertypes: list[str]
     members: list[MemberFact]
     javadoc: JavadocFact | None
-
-    def members_of_kind(self, *kinds: str) -> list[MemberFact]:
-        return [m for m in self.members if m.kind in kinds]
 
 
 class SourceFileModel(NamedTuple):

@@ -15,6 +15,9 @@ closes a `<` (the one place that counts nesting), and `_stop_at` finds
 the first stop token outside bracket pairs. The declaration pass calls
 them through `parse_type_ref`, `skip_angles` and `skip_initializer`.
 
+Each type takes its scoped name (`Outer.Inner`) from the stack of types
+around it when the declaration pass builds it.
+
 Supported: classes, enums, interfaces, records, nested types, generics
 (parsed and ignored), annotations, all loop forms, try/catch/finally,
 switch, lambdas. Module declarations, annotation-type bodies, record
@@ -38,9 +41,11 @@ from .model import (
     CatchFact,
     CommentFact,
     ConcatSiteFact,
+    FIELD_KINDS,
     ImportFact,
     JavadocFact,
     LocalVarFact,
+    METHOD_KINDS,
     MemberFact,
     ParamFact,
     SourceFileModel,
@@ -401,7 +406,7 @@ class _Parser:
             if container_name is None:
                 return []
             return [MemberFact("innerType", tf.name, visibility, tf.line,
-                               annotations, [], [], nested=tf)]
+                               annotations, [], [])]
 
         if container_name is None:
             self.fail("expected type declaration")
@@ -474,9 +479,12 @@ class _Parser:
             else:
                 break
 
+        name = values[name_idx]
+        outer = self.type_stack
         tf = TypeFact(
             kind=kind,
-            name=self.values[name_idx],
+            name=name,
+            scoped=outer[-1].scoped + "." + name if outer else name,
             visibility=visibility,
             line=self.line(name_idx),
             supertypes=supertypes,
@@ -489,12 +497,11 @@ class _Parser:
             self.skip_balanced("{")  # permissive, no facts
             return tf
 
-        outer = self.type_stack
         self.type_stack = outer + (tf,)
         self.expect("{")
         if kind == "enum":
             self.parse_enum_constants()
-        members, name = tf.members, tf.name
+        members = tf.members
         while (v := values[self.pos]) != "}":
             if v == ";":
                 self.pos += 1
@@ -540,7 +547,7 @@ class _Parser:
                 thrown.append(simple_name_of(self.parse_type_ref()))
         member = _new(MemberFact, (
             kind, values[name_idx], visibility, self.line(name_idx),
-            annotations, params, thrown, False, javadoc, rtype, None, None))
+            annotations, params, thrown, False, javadoc, rtype, None))
         if values[self.pos] == "{":
             self.skip_body(member)
         elif self.match("default"):
@@ -605,7 +612,7 @@ class _Parser:
                 "staticField" if is_static else "instanceField",
                 self.values[name_idx], visibility, self.line(name_idx),
                 annotations, [], [], is_static and is_final, javadoc, dtype,
-                None, None)))
+                None)))
             if self.match("="):
                 self.skip_initializer()
             if self.match(","):
@@ -663,10 +670,9 @@ class _Parser:
             field_types = field_types_by_type[id(tf)] = {}
             for m in tf.members:
                 kind = m.kind
-                if kind == "instanceField" or kind == "staticField":
+                if kind in FIELD_KINDS:
                     field_types[m.name] = simple_name_of(m.return_type or "")
-                elif (kind == "instanceMethod" or kind == "staticMethod") \
-                        and m.return_type:
+                elif kind in METHOD_KINDS and m.return_type:
                     returns.setdefault(m.name, set()).add(
                         simple_name_of(m.return_type))
         method_returns = {n: next(iter(s)) for n, s in returns.items() if len(s) == 1}
@@ -713,8 +719,6 @@ class _Parser:
                 i = values.index("->", i + 1)
             except ValueError:
                 return
-            if kinds[i] != OP:
-                continue
             j = i - 1
             if kinds[j] == IDENT and values[j - 1] in _LAMBDA_PREV:
                 while values[j - 1] in (",", ".") and kinds[j - 2] == IDENT:
@@ -740,8 +744,7 @@ class _Parser:
                      class_names: set[str],
                      method_returns: dict[str, str]) -> None:
         """Scan every queued body for its facts, and build its member
-        again, once, with them: `body` and `nested` are a member's last
-        fields, and a member with a body nests no type."""
+        again, once, with them: `body` is a member's last field."""
         kinds, values, starts, newlines = (self.kinds, self.values,
                                            self.starts, self.newlines)
         try_local_decl, stmt_end = self._try_local_decl, self._stmt_end
@@ -864,9 +867,9 @@ class _Parser:
                     name, type_name, bisect_left(newlines, starts[k]) + 1,
                     body.count(name) > names.count(name)))
                     for name, (k, type_name) in zip(names, declared)]
-            owner.members[index] = _new(MemberFact, member[:-2] + (_new(
+            owner.members[index] = _new(MemberFact, member[:-1] + (_new(
                 BodyFacts, (catches, loops, concat_sites, accesses,
-                            local_vars)), None))
+                            local_vars)),))
 
     def _scan_catch(self, i: int, close_idx: int,
                     catches: list[CatchFact]) -> int:

@@ -20,8 +20,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .model import (AccessRecord, MemberFact, SourceFileModel, TypeFact,
-                    simple_name_of)
+from .model import (FIELD_KINDS, METHOD_KINDS, AccessRecord, MemberFact,
+                    SourceFileModel, TypeFact, simple_name_of)
 
 OBJECT_TYPE = "java.lang.Object"
 
@@ -62,17 +62,13 @@ def _method_record(m: MemberFact) -> MethodRecord:
 
 
 def _type_record(t: TypeFact, qualified: str, package: str | None,
-                 accesses: list[AccessRecord],
-                 nested_names: dict[int, str]) -> TypeRecord:
+                 accesses: list[AccessRecord]) -> TypeRecord:
     static, instance, methods = [], [], []
     for m in t.members:
-        if m.nested is not None:
-            nested_names[id(m.nested)] = qualified + "." + m.nested.name
-        if m.kind in ("staticField", "staticMethod"):
-            static.append(m.name)
-        elif m.kind in ("instanceField", "instanceMethod"):
-            instance.append(m.name)
-            if m.kind == "instanceMethod":
+        kind = m.kind
+        if kind in FIELD_KINDS or kind in METHOD_KINDS:
+            (static if kind.startswith("static") else instance).append(m.name)
+            if kind == "instanceMethod":
                 methods.append(_method_record(m))
         if m.body is not None:
             accesses.extend(m.body.accesses)
@@ -84,12 +80,7 @@ def file_record(model: SourceFileModel) -> FileRecord:
     """What the index and the project-scope checks read of one file."""
     prefix = model.package + "." if model.package else ""
     accesses: list[AccessRecord] = []
-    # model.types lists each type before its nested ones, so a nested
-    # type's qualified name is known by the time it comes; a type that
-    # no member has named is top-level.
-    names: dict[int, str] = {}
-    types = [_type_record(t, names.get(id(t)) or prefix + t.name,
-                          model.package, accesses, names)
+    types = [_type_record(t, prefix + t.scoped, model.package, accesses)
              for t in model.types]
     imports = tuple((imp.target, imp.is_wildcard) for imp in model.imports
                     if not imp.is_static)

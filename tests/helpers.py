@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 
 from javastyle.checkers import (ORDERING_CONFIGS, Category, CheckContext,
-                                Violation, check_file, check_project)
+                                Violation, check_file, check_record)
 from javastyle.discovery import select_sources
 from javastyle.parser import parse_compilation_unit
 from javastyle.project_index import build_project_index, file_record
@@ -29,7 +29,7 @@ def check_files(files: dict[str, str], lexicon, ordering_id: int = 2):
     violations: list[Violation] = []
     counts = {category: 0 for category in Category}
     for found, inspected in [*(check_file(m, alone) for m in models),
-                             check_project(records, indexed)]:
+                             *(check_record(r, indexed) for r in records)]:
         violations.extend(found)
         for category, n in inspected.items():
             counts[category] += n

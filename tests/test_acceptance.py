@@ -27,7 +27,7 @@ from javastyle.scoring import (classify_adherence, normalize,
 from helpers import (analyze_files, check_files, count_of, parse_source,
                      run_check, write_tree)
 from test_history import add_commit, make_repo
-from test_ordering import GROUP_OF, KINDS, render
+from test_ordering import KINDS, render
 
 FIXTURE_ROOT = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -301,7 +301,7 @@ def test_criterion_05_threshold_oracle(announce):
 
 
 def ordering_oracle(kinds, cfg):
-    ranks = [cfg.rank(GROUP_OF[k]) for k in kinds]
+    ranks = [cfg.index(k) for k in kinds]
     return sum(1 for i, r in enumerate(ranks)
                if any(earlier > r for earlier in ranks[:i]))
 
@@ -309,9 +309,7 @@ def ordering_oracle(kinds, cfg):
 def test_criterion_06_ordering_configs(announce):
     # canonical layout of each config: clean at home, flagged elsewhere
     for own_id, cfg in ORDERING_CONFIGS.items():
-        kinds = [k for g in cfg.ranked_groups
-                 for k in KINDS if GROUP_OF[k] == g]
-        model = parse_source(render(kinds), "p/Box.java")
+        model = parse_source(render(cfg), "p/Box.java")
         assert run_check(check_ordering, model, ordering=cfg) == []
         assert any(
             len(run_check(check_ordering, model, ordering=other)) > 0

@@ -4,20 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from javastyle.checkers import ORDERING_CONFIGS, check_ordering
+from javastyle.model import MEMBER_KINDS
 
 from helpers import parse_source, run_check
 
 KINDS = ("staticField", "staticMethod", "instanceField",
          "constructor", "instanceMethod", "innerType")
-
-GROUP_OF = {
-    "staticField": "staticFields",
-    "staticMethod": "staticMethods",
-    "instanceField": "instanceFields",
-    "constructor": "constructors",
-    "instanceMethod": "instanceMethods",
-    "innerType": "innerTypes",
-}
 
 
 def render(kinds, class_name="Box"):
@@ -49,8 +41,7 @@ def violations_for(kinds, ordering_id):
 
 def oracle_count(kinds, ordering_id):
     """A member offends iff any earlier member belongs to a later group."""
-    cfg = ORDERING_CONFIGS[ordering_id]
-    ranks = [cfg.rank(GROUP_OF[k]) for k in kinds]
+    ranks = [ORDERING_CONFIGS[ordering_id].index(k) for k in kinds]
     return sum(
         1 for i, r in enumerate(ranks) if any(e > r for e in ranks[:i]))
 
@@ -62,13 +53,15 @@ def test_static_field_after_instance_field():
     assert out[0].detail == "sf2" and out[0].line == 4
 
 
+def test_each_config_ranks_every_member_kind_once():
+    for ranked in ORDERING_CONFIGS.values():
+        assert sorted(ranked) == sorted(MEMBER_KINDS)
+
+
 def test_canonical_layout_of_each_config():
-    layouts = {n: list(ORDERING_CONFIGS[n].ranked_groups)
-               for n in ORDERING_CONFIGS}
-    for own, layout in layouts.items():
-        kinds = [k for g in layout for k in KINDS if GROUP_OF[k] == g]
+    for own, kinds in ORDERING_CONFIGS.items():
         assert violations_for(kinds, own) == []
-        for other in layouts:
+        for other in ORDERING_CONFIGS:
             if other != own:
                 assert len(violations_for(kinds, other)) > 0
 

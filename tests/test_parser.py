@@ -5,7 +5,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from javastyle.checkers import check_empty_catch
@@ -115,19 +115,19 @@ class I { record J(int y) {} }
 
 
 def recursive_types(model):
-    """Reference pre-order walk of a model's types, from the types that
-    no member nests."""
+    """Reference pre-order walk of a model's types, from the top-level
+    ones: each `innerType` member names the type it nests."""
+    by_scoped = {t.scoped: t for t in model.types}
     out = []
 
     def walk(t):
         out.append(t)
         for m in t.members:
-            if m.nested is not None:
-                walk(m.nested)
+            if m.kind == "innerType":
+                walk(by_scoped[t.scoped + "." + m.name])
 
-    nested = {id(m.nested) for t in model.types for m in t.members}
     for t in model.types:
-        if id(t) not in nested:
+        if t.scoped == t.name:
             walk(t)
     return out
 
@@ -135,6 +135,9 @@ def recursive_types(model):
 def test_types_is_a_pre_order_walk():
     nested = parse_source(NESTED)
     assert [t.name for t in nested.types] == list("ABCDEFGHIJ")
+    assert [t.scoped for t in nested.types] == [
+        "A", "A.B", "A.B.C", "A.B.D", "A.B.D.E", "A.F", "A.F.G", "A.F.G.H",
+        "I", "I.J"]
     paths = sorted(FIXTURE_ROOT.rglob("*.java"))
     assert paths
     for m in [nested] + [parse_source(p.read_text("utf-8")) for p in paths]:
@@ -265,9 +268,8 @@ def test_access_records_for_every_receiver_shape():
 
 def test_nested_type(model):
     helper_member = member(model, "Helper", "innerType")
-    nested = helper_member.nested
-    assert nested is not None
-    assert nested.visibility == "private"
+    (nested,) = [t for t in model.types if t.scoped == "Sample.Helper"]
+    assert nested.visibility == helper_member.visibility == "private"
     assert [m.name for m in nested.members] == ["help"]
     assert nested.members[0].visibility == "package"
 
@@ -295,10 +297,14 @@ def test_interface_enum_record_kinds():
     m = parse_source(
         "interface Api { void call(); }\n"
         "enum Color { RED, GREEN; void shade() {} }\n"
-        "record Pair(int left, int right) {}\n",
+        "record Pair(int left, int right) {}\n"
+        "enum Size { S(1), M(2) { }; int n() { return 0; } }\n",
         "Types.java")
     kinds = {t.name: t.kind for t in m.types}
-    assert kinds == {"Api": "interface", "Color": "enum", "Pair": "record"}
+    assert kinds == {"Api": "interface", "Color": "enum", "Pair": "record",
+                     "Size": "enum"}
+    assert [(mf.kind, mf.name) for mf in m.types[-1].members] == [
+        ("instanceMethod", "n")]
     api = m.types[0]
     assert api.members[0].kind == "instanceMethod"
     assert api.members[0].body is None  # abstract, no body facts
@@ -524,12 +530,14 @@ def test_generic_and_array_types():
         "    java.util.Map<String, java.util.List<Integer>> index;\n"
         "    int[] counts;\n"
         "    <T extends Comparable<T>> T pick(T[] options) { return options[0]; }\n"
+        "    int f()[] { return null; }\n"
         "}\n",
         "Box.java")
     names = {mm.name: mm for mm in m.types[0].members}
     assert names["index"].kind == "instanceField"
     assert names["counts"].return_type == "int[]"
     assert names["pick"].params[0].type_name == "T[]"
+    assert names["f"].return_type == "int[]"
 
 
 def local_names(body: str) -> list[tuple[str, str]]:
@@ -659,6 +667,14 @@ def test_a_local_is_used_exactly_when_its_body_spells_it_more_often_than_it_decl
 @settings(max_examples=200, deadline=None)
 @given(package=st.booleans(), imports=st.lists(st.sampled_from(_IMPORTS)),
        members=marked_statements(_MEMBERS))
+# The names of a multi-constant `case` label are uses; the parameters of a
+# lambda with qualified, generic or annotated parameter types declare.
+@example(package=False, imports=[], members=(
+    "int `f`(int `k`) {\nswitch (k) { case B, z -> h(); }\n"
+    "Object `o` = (java.util.Map<String, Integer> `a`, Integer `s`) -> 1;\n"
+    "o = (@SuppressWarnings(NAME) String `t`) -> 1;\nreturn 0;\n}"))
+# Enum constants with arguments, and a body after them.
+@example(package=True, imports=[], members="enum `E` { `X`(1), `Y`(B) { } }")
 def test_use_counts_are_identifiers_outside_package_and_imports_less_declarations(
         package, imports, members):
     marked = "\n".join((["package p.q;"] if package else []) + imports
@@ -826,9 +842,11 @@ def test_type_annotation_inside_a_qualified_type():
         "  void f(java.util.@a.B(x = 1) List<String> ys) {\n"
         "    java.util.@Deprecated List<String> zs = ys;\n"
         "  }\n"
-        "}\n", "A.java")
-    (t,) = m.types
+        "}\n"
+        "class B extends @Deprecated Object {}\n", "A.java")
+    t, b = m.types
     assert t.supertypes == ["java.lang.Object"]
+    assert b.supertypes == ["Object"]
     field, method = t.members
     assert field.return_type == "java.util.List"
     assert method.params == [ParamFact("ys", "java.util.List")]
